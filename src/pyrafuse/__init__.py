@@ -31,7 +31,6 @@ from .attributes import (
     dip_slice_fields,
     dip_stack,
     phase_dip,
-    worker_count,
 )
 from .errors import (
     BoundsError,
@@ -148,6 +147,5 @@ __all__ = [
     "reassemble_volume",
     "reduce_grid",
     "ricker",
-    "worker_count",
     "write_grid",
 ]

@@ -100,10 +100,13 @@ def analytic_section(section: SeismicSection) -> AnalyticSection:
     )
 
 
+def _trusted(env2: np.ndarray) -> np.ndarray:
+    return env2 > ENVELOPE_GUARD_REL * env2.max()
+
+
 def guard_mask(a: AnalyticSection) -> np.ndarray:
     """Boolean mask, True where the phase quotient is trustworthy."""
-    env2 = a.envelope_squared()
-    return env2 > ENVELOPE_GUARD_REL * env2.max()
+    return _trusted(a.envelope_squared())
 
 
 def phase_derivative(a: AnalyticSection, axis: Axis) -> Grid2:
@@ -125,7 +128,6 @@ def phase_derivative(a: AnalyticSection, axis: Axis) -> Grid2:
     df = np.gradient(f, axis=ax, edge_order=1)
     dh = np.gradient(h, axis=ax, edge_order=1)
     env2 = a.envelope_squared()
-    ok = env2 > ENVELOPE_GUARD_REL * env2.max()
     out = np.zeros_like(f)
-    np.divide(f * dh - h * df, env2, out=out, where=ok)
+    np.divide(f * dh - h * df, env2, out=out, where=_trusted(env2))
     return Grid2(out)

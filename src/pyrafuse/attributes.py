@@ -19,9 +19,8 @@ lattice, and only then combined into dip angle or curvature per scale.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,18 +38,6 @@ VELOCITY_DEFAULT = 2000.0  # m/s
 
 _MIN_DIP_ROWS = 4
 _MIN_DIP_COLS = 3
-
-
-def worker_count() -> int:
-    """Worker cap from PYRAFUSE_THREADS (unset or 0 means automatic)."""
-    raw = os.environ.get("PYRAFUSE_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"PYRAFUSE_THREADS must be an integer, got {raw!r}") from None
-    if n <= 0:
-        return min(8, os.cpu_count() or 1)
-    return n
 
 
 def phase_dip(
@@ -273,6 +260,10 @@ def _dip_max_scales(rows: int, cols: int, kernel: GaussianKernel) -> int:
     return count
 
 
+def _as_is(grid: Grid2) -> Grid2:
+    return grid
+
+
 def _dip_levels_expanded(
     section: SeismicSection,
     scales: int,
@@ -280,8 +271,14 @@ def _dip_levels_expanded(
     *,
     p_max: float,
     eps_freq: float,
+    boundary: Callable[[Grid2], Grid2] = _as_is,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per scale: (dip values, trust mask), both at the section's base dims."""
+    """Per scale: (dip values, trust mask), both at the section's base dims.
+
+    ``boundary`` is applied to every stage output: each pyramid level, the
+    dip and trust maps before and after expansion. The trust threshold
+    comes after it, because rounding can move a value onto 0.5.
+    """
     feasible = _dip_max_scales(section.grid.rows, section.grid.cols, kernel)
     if int(scales) > feasible:
         raise SizeError(
@@ -293,30 +290,29 @@ def _dip_levels_expanded(
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for i, level in enumerate(pyr.levels):
         level_section = SeismicSection(
-            level,
+            boundary(level),
             dt=section.dt * 2**i,
             dx=section.dx * 2**i,
             label=section.label,
         )
         m = phase_dip(level_section, p_max=p_max, eps_freq=eps_freq, scale=i)
-        values = expand_to(m.grid, rows, cols).data
-        trust = expand_to(m.quality, rows, cols).data > 0.5
+        values = boundary(expand_to(boundary(m.grid), rows, cols)).data
+        trust = boundary(expand_to(boundary(m.quality), rows, cols)).data > 0.5
         out.append((values, trust))
     return out
 
 
-def dip_stack(
+def _dip_stack(
     section: SeismicSection,
     scales: int,
-    kernel: GaussianKernel | None = None,
+    kernel: GaussianKernel,
     *,
-    p_max: float = P_MAX_DEFAULT,
-    eps_freq: float = EPS_FREQ_DEFAULT,
+    p_max: float,
+    eps_freq: float,
+    boundary: Callable[[Grid2], Grid2] = _as_is,
 ) -> AttributeStack:
-    """Phase dip at every pyramid scale, expanded to base resolution."""
-    kernel = kernel if kernel is not None else make_kernel()
     levels = _dip_levels_expanded(
-        section, scales, kernel, p_max=p_max, eps_freq=eps_freq
+        section, scales, kernel, p_max=p_max, eps_freq=eps_freq, boundary=boundary
     )
     maps = tuple(
         AttributeMap(
@@ -333,6 +329,19 @@ def dip_stack(
     return AttributeStack(maps)
 
 
+def dip_stack(
+    section: SeismicSection,
+    scales: int,
+    kernel: GaussianKernel | None = None,
+    *,
+    p_max: float = P_MAX_DEFAULT,
+    eps_freq: float = EPS_FREQ_DEFAULT,
+) -> AttributeStack:
+    """Phase dip at every pyramid scale, expanded to base resolution."""
+    kernel = kernel if kernel is not None else make_kernel()
+    return _dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+
+
 def dip_slice_fields(
     volume: SeismicVolume,
     t_index: int,
@@ -344,9 +353,8 @@ def dip_slice_fields(
 ) -> list[DipField]:
     """Per-scale inline+crossline dip fields at one time slice.
 
-    Work across sections runs on a thread pool sized by
-    :func:`worker_count`; results are deterministic regardless of the pool
-    size because each section owns disjoint output cells.
+    Each section contributes one row per scale: fixed-y sections fill
+    column y of ``p``, fixed-x sections fill row x of ``q``.
     """
     kernel = kernel if kernel is not None else make_kernel()
     t = int(t_index)
@@ -359,23 +367,19 @@ def dip_slice_fields(
     q_vals = np.empty((scales, nx, ny))
     q_ok = np.empty((scales, nx, ny), dtype=bool)
 
-    def dip_rows(section: SeismicSection) -> list[tuple[np.ndarray, np.ndarray]]:
-        levels = _dip_levels_expanded(
+    def levels(section: SeismicSection) -> list[tuple[np.ndarray, np.ndarray]]:
+        return _dip_levels_expanded(
             section, scales, kernel, p_max=p_max, eps_freq=eps_freq
         )
-        return [(values[t, :], trust[t, :]) for values, trust in levels]
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        along_x = pool.map(lambda y: dip_rows(volume.crossline_section(y)), range(ny))
-        for y, rows in enumerate(along_x):
-            for i, (values, trust) in enumerate(rows):
-                p_vals[i, :, y] = values
-                p_ok[i, :, y] = trust
-        along_y = pool.map(lambda x: dip_rows(volume.inline_section(x)), range(nx))
-        for x, rows in enumerate(along_y):
-            for i, (values, trust) in enumerate(rows):
-                q_vals[i, x, :] = values
-                q_ok[i, x, :] = trust
+    for y in range(ny):
+        for i, (values, trust) in enumerate(levels(volume.crossline_section(y))):
+            p_vals[i, :, y] = values[t, :]
+            p_ok[i, :, y] = trust[t, :]
+    for x in range(nx):
+        for i, (values, trust) in enumerate(levels(volume.inline_section(x))):
+            q_vals[i, x, :] = values[t, :]
+            q_ok[i, x, :] = trust[t, :]
 
     return [
         DipField(

@@ -24,18 +24,11 @@ from .attributes import (
     P_MAX_DEFAULT,
     VELOCITY_DEFAULT,
     AttributeStack,
+    _dip_stack,
     attribute_stack,
     phase_dip,
 )
-from .errors import (
-    BoundsError,
-    ConfigError,
-    FormatError,
-    ParameterError,
-    PyrafuseError,
-    ShapeError,
-    SizeError,
-)
+from .errors import ConfigError, ParameterError, PyrafuseError
 from .fusion import FusionMethod, FusionSpec, default_weights, fuse
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
@@ -217,9 +210,7 @@ def _read_section(path: str) -> SeismicSection:
     if isinstance(obj, SeismicVolume):
         raise ConfigError(f"{path} is a volume; this command needs a 2D section")
     if isinstance(obj, AttributeMap):
-        if obj.kind is not AttributeKind.RAW:
-            raise ConfigError(f"{path} is a {obj.kind.value} map, not seismic data")
-        return SeismicSection(obj.grid, dt=obj.dt, dx=obj.dx)
+        raise ConfigError(f"{path} is a {obj.kind.value} map, not seismic data")
     return obj
 
 
@@ -291,9 +282,7 @@ def _attr_map_for(args, obj) -> AttributeMap:
 def _cmd_attr(args) -> None:
     obj = read_grid(args.grid)
     if isinstance(obj, AttributeMap):
-        if obj.kind is not AttributeKind.RAW:
-            raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
-        obj = SeismicSection(obj.grid, dt=obj.dt, dx=obj.dx)
+        raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
     m = _attr_map_for(args, obj)
     write_grid(args.out, m)
     log.info("wrote %s", args.out)
@@ -358,31 +347,6 @@ def _cmd_fuse(args) -> None:
     log.info("wrote %s", args.out)
 
 
-def _dip_pipeline_stack(section: SeismicSection, args) -> AttributeStack:
-    """Stage-quantized stack: exactly what the composed subcommands produce."""
-    kernel = make_kernel(args.sigma, args.radius)
-    pyr = build_pyramid(section.grid, args.scales, kernel)
-    rows, cols = section.grid.shape
-    maps = []
-    for i, level in enumerate(pyr.levels):
-        level = _f32(level)
-        level_section = SeismicSection(
-            level, dt=section.dt * 2**i, dx=section.dx * 2**i, label=section.label
-        )
-        m = phase_dip(level_section, p_max=args.pmax, eps_freq=args.eps_freq, scale=i)
-        dip = _f32(m.grid)
-        trust = _f32(m.quality)
-        expanded = _f32(expand_to(dip, rows, cols))
-        trust_expanded = _f32(expand_to(trust, rows, cols))
-        maps.append(
-            AttributeMap(
-                expanded, AttributeKind.PHASE_DIP, scale=i,
-                dt=section.dt, dx=section.dx, quality=trust_expanded,
-            )
-        )
-    return AttributeStack(tuple(maps))
-
-
 def _cmd_pipeline(args) -> None:
     obj = read_grid(args.grid)
     kind = _ATTR_FLAGS[args.attr]
@@ -392,10 +356,11 @@ def _cmd_pipeline(args) -> None:
         if isinstance(obj, SeismicVolume):
             raise ConfigError("dip runs on 2D sections; extract a section first")
         if isinstance(obj, AttributeMap):
-            if obj.kind is not AttributeKind.RAW:
-                raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
-            obj = SeismicSection(obj.grid, dt=obj.dt, dx=obj.dx)
-        stack = _dip_pipeline_stack(obj, args)
+            raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
+        stack = _dip_stack(
+            obj, args.scales, kernel, p_max=args.pmax, eps_freq=args.eps_freq,
+            boundary=_f32,
+        )
     else:
         if not isinstance(obj, SeismicVolume):
             raise ConfigError(f"{args.attr} needs a volume input")
@@ -407,8 +372,6 @@ def _cmd_pipeline(args) -> None:
             p_max=args.pmax, eps_freq=args.eps_freq,
         )
     fused = fuse(stack, spec)
-    fused.meta.setdefault("sigma", repr(kernel.sigma))
-    fused.meta.setdefault("radius", str(kernel.radius))
     write_grid(args.out, fused)
     log.info("wrote %s", args.out)
 
@@ -432,8 +395,6 @@ def _cmd_export_pgm(args) -> None:
         if args.time_index is None:
             raise UsageError("a volume needs --time-index to pick a slice")
         grid = obj.time_slice(args.time_index)
-    elif isinstance(obj, AttributeMap):
-        grid = obj.grid
     else:
         grid = obj.grid
     export_pgm(grid, args.out, clip_lo=args.clip_lo, clip_hi=args.clip_hi)
@@ -466,9 +427,6 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         log.error("%s", exc)
         return 1
-    except (FormatError, SizeError, ShapeError, BoundsError, ConfigError) as exc:
-        log.error("%s", exc)
-        return 2
     except PyrafuseError as exc:
         log.error("%s", exc)
         return 2

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .attributes import AttributeStack, attribute_stack
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, PyrafuseError
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
 from .pyramid import GaussianKernel, make_kernel
 
@@ -187,8 +187,9 @@ def multiscale_attribute(
     kernel, median fusion.
 
     Raises:
-        Whatever the underlying stage raises, with the stage named in the
-        message.
+        Whatever the underlying stage raises. Package errors other than
+        ConfigError get the stage named in the message; any other
+        exception escapes unchanged.
     """
     kernel = kernel if kernel is not None else make_kernel()
     fusion = fusion if fusion is not None else FusionSpec.median()
@@ -207,9 +208,9 @@ def multiscale_attribute(
         )
     except ConfigError:
         raise
-    except Exception as exc:
+    except PyrafuseError as exc:
         raise type(exc)(f"attribute stage: {exc}") from exc
     try:
         return fuse(stack, fusion)
-    except Exception as exc:
+    except PyrafuseError as exc:
         raise type(exc)(f"fusion stage: {exc}") from exc

@@ -202,13 +202,19 @@ def _require_int(pairs: dict[str, str], key: str, path: str, offset: int) -> int
     return value
 
 
-def _optional_float(pairs: dict[str, str], key: str, default: float, path: str, offset: int) -> float:
+def _optional_interval(pairs: dict[str, str], key: str, path: str, offset: int) -> float:
     if key not in pairs:
-        return default
+        return 1.0
     try:
-        return float(pairs[key])
+        value = float(pairs[key])
     except ValueError:
         raise FormatError(f"{path}: {key}={pairs[key]!r} is not a number", offset=offset) from None
+    if not np.isfinite(value) or value <= 0.0:
+        raise FormatError(
+            f"{path}: {key} must be a positive finite number, got {pairs[key]!r}",
+            offset=offset,
+        )
+    return value
 
 
 def read_grid(path: str):
@@ -219,6 +225,7 @@ def read_grid(path: str):
 
     Raises:
         FormatError: bad magic, malformed header, unknown kind/units/scale,
+            a dt/dx/dy that is not positive and finite, a negative scale,
             or a payload whose byte count disagrees with the header.
     """
     with open(path, "rb") as handle:
@@ -245,9 +252,9 @@ def read_grid(path: str):
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: payload contains non-finite samples", offset=data_offset)
 
-    dt = _optional_float(pairs, "dt", 1.0, path, data_offset)
-    dx = _optional_float(pairs, "dx", 1.0, path, data_offset)
-    dy = _optional_float(pairs, "dy", 1.0, path, data_offset)
+    dt = _optional_interval(pairs, "dt", path, data_offset)
+    dx = _optional_interval(pairs, "dx", path, data_offset)
+    dy = _optional_interval(pairs, "dy", path, data_offset)
     kind_tag = pairs.get("kind", AttributeKind.RAW.value)
     try:
         kind = AttributeKind(kind_tag)
@@ -279,13 +286,18 @@ def read_grid(path: str):
             scale = int(scale_tag)
         except ValueError:
             raise FormatError(f"{path}: bad scale tag {scale_tag!r}", offset=0) from None
+        if scale < 0:
+            raise FormatError(
+                f"{path}: scale must be 'fused' or >= 0, got {scale_tag!r}",
+                offset=data_offset,
+            )
     return AttributeMap(
         grid=Grid2(data),
         kind=kind,
         scale=scale,
         dt=dt,
         dx=dx,
-        dy=float(pairs["dy"]) if "dy" in pairs else None,
+        dy=dy if "dy" in pairs else None,
         meta=meta,
     )
 

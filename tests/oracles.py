@@ -3,7 +3,9 @@
 Each oracle is written in the most literal way available — explicit
 loops, direct DFT sums, Python's ``sorted`` — deliberately sharing no
 code path with the package, so agreement between the two is evidence
-rather than tautology.
+rather than tautology. The exception is :func:`dip_slice_reference`,
+which states the volume slice-dip definition in terms of the 2D section
+path so that a faster volume kernel can be gated on exact equality.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import cmath
 import math
 
 import numpy as np
+
+from pyrafuse import dip_stack
 
 
 def reduce_naive(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -153,3 +157,27 @@ def bilinear_naive(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
             bottom = values[y1, x0] + fx * (values[y1, x1] - values[y1, x0])
             out[i, j] = top + fy * (bottom - top)
     return out
+
+
+def dip_slice_reference(volume, t: int, scales: int):
+    """Per-scale (p, q, quality) at time slice ``t``, one section at a time.
+
+    Row ``t`` of the dip stack of every fixed-y section gives column y of
+    ``p``; row ``t`` of every fixed-x section gives row x of ``q``. A cell
+    is trusted where both dips are.
+    """
+    p = np.zeros((scales, volume.nx, volume.ny))
+    q = np.zeros((scales, volume.nx, volume.ny))
+    p_ok = np.zeros((scales, volume.nx, volume.ny))
+    q_ok = np.zeros((scales, volume.nx, volume.ny))
+    for y in range(volume.ny):
+        stack = dip_stack(volume.crossline_section(y), scales)
+        for i, m in enumerate(stack.maps):
+            p[i, :, y] = m.grid.data[t, :]
+            p_ok[i, :, y] = m.quality.data[t, :]
+    for x in range(volume.nx):
+        stack = dip_stack(volume.inline_section(x), scales)
+        for i, m in enumerate(stack.maps):
+            q[i, x, :] = m.grid.data[t, :]
+            q_ok[i, x, :] = m.quality.data[t, :]
+    return [(p[i], q[i], p_ok[i] * q_ok[i]) for i in range(scales)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dip_slice_reference
 from pyrafuse import (
     AttributeKind,
     AttributeMap,
@@ -14,17 +15,19 @@ from pyrafuse import (
     DipField,
     Grid2,
     ParameterError,
+    QuadraticEvent,
     SeismicSection,
     SeismicVolume,
     ShapeError,
     SizeError,
+    SynthSpec,
     attribute_stack,
     curvature,
     dip_angle,
     dip_slice_fields,
     dip_stack,
+    make_synthetic,
     phase_dip,
-    worker_count,
 )
 
 
@@ -96,25 +99,6 @@ class TestPhaseDip:
             phase_dip(section, p_max=0.0)
         with pytest.raises(ParameterError):
             phase_dip(section, eps_freq=-1.0)
-
-
-class TestWorkerCount:
-    def test_defaults_to_auto(self, monkeypatch):
-        monkeypatch.delenv("PYRAFUSE_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_reads_env(self, monkeypatch):
-        monkeypatch.setenv("PYRAFUSE_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("PYRAFUSE_THREADS", "0")
-        assert worker_count() >= 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("PYRAFUSE_THREADS", "many")
-        with pytest.raises(ParameterError):
-            worker_count()
 
 
 class TestDipAngle:
@@ -265,15 +249,20 @@ class TestVolumeDips:
         with pytest.raises(BoundsError):
             dip_slice_fields(vol, 32, 1)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        vol, _ = _plane_wave_volume(nt=48, nx=16, ny=12)
-        outs = []
-        for threads in ("1", "5"):
-            monkeypatch.setenv("PYRAFUSE_THREADS", threads)
-            fields = dip_slice_fields(vol, 24, 2)
-            outs.append((fields[0].p.data, fields[0].q.data))
-        assert np.array_equal(outs[0][0], outs[1][0])
-        assert np.array_equal(outs[0][1], outs[1][1])
+    def test_slice_fields_equal_per_section_reference(self):
+        spec = SynthSpec(
+            nt=48, nx=16, ny=12, f_peak=12.0, snr_db=10.0, seed=11,
+            events=(QuadraticEvent(t0=20, kappa=2e-4), QuadraticEvent(t0=34, kappa=-1e-4)),
+        )
+        vol, _ = make_synthetic(spec)
+        for t in (0, 23, vol.nt - 1):
+            fields = dip_slice_fields(vol, t, 2)
+            reference = dip_slice_reference(vol, t, 2)
+            assert len(fields) == len(reference) == 2
+            for field, (p, q, quality) in zip(fields, reference):
+                assert np.array_equal(field.p.data, p)
+                assert np.array_equal(field.q.data, q)
+                assert np.array_equal(field.quality.data, quality)
 
 
 class TestAttributeStackDispatch:

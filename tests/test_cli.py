@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from importlib import metadata
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +273,17 @@ class TestExitCodes:
         assert main(["attr", src, "--attr", "dip", "--out", dip]) == 0
         assert main(["attr", dip, "--attr", "dip", "--out", out]) == 2
 
+    @pytest.mark.parametrize(
+        "bad", [b"dt=nan", b"dt=inf", b"dt=-1.0", b"dx=-1", b"dy=0", b"scale=-2"]
+    )
+    def test_header_domain_errors_exit_two(self, tmp_path, bad):
+        path = tmp_path / "bad.pfg"
+        header = b"magic=PFGRID1\nrows=8\ncols=8\nkind=dip\n" + bad + b"\n\n"
+        path.write_bytes(header + bytes(8 * 8 * 4))
+        out = str(tmp_path / "o.pfg")
+        assert main(["expand", str(path), "--rows", "16", "--cols", "16",
+                     "--out", out]) == 2
+
     def test_bad_spec_exits_one(self, tmp_path):
         bad = tmp_path / "bad.spec"
         bad.write_text("nt = 64\nnx = 16\nevent = blob, t0=5\n")
@@ -296,8 +309,31 @@ class TestConsoleEntry:
         assert "magic=PFGRID1" in proc.stdout
 
     def test_entry_point_is_declared(self):
-        from importlib.metadata import entry_points
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        text = pyproject.read_text(encoding="utf-8")
+        if sys.version_info >= (3, 11):
+            import tomllib
 
-        scripts = entry_points(group="console_scripts")
-        names = {ep.name: ep.value for ep in scripts}
-        assert names.get("pyrafuse") == "pyrafuse.cli:run"
+            scripts = tomllib.loads(text)["project"]["scripts"]
+        else:  # no tomllib: read the [project.scripts] table line by line
+            scripts, table = {}, None
+            for line in text.splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line.startswith("["):
+                    table = line
+                elif table == "[project.scripts]" and "=" in line:
+                    key, _, value = line.partition("=")
+                    scripts[key.strip()] = value.strip().strip('"')
+        assert scripts.get("pyrafuse") == "pyrafuse.cli:run"
+
+        # an installed distribution must advertise the same script
+        try:
+            dist = metadata.distribution("pyrafuse")
+        except metadata.PackageNotFoundError:
+            return
+        installed = {
+            ep.name: ep.value
+            for ep in dist.entry_points
+            if ep.group == "console_scripts"
+        }
+        assert installed.get("pyrafuse") == "pyrafuse.cli:run"

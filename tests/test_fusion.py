@@ -238,6 +238,23 @@ class TestMultiscaleAttribute:
             multiscale_attribute(small, AttributeKind.PHASE_DIP, scales=4)
         assert str(err.value).startswith("attribute stage:")
 
+    @pytest.mark.parametrize("stage", ["attribute_stack", "fuse"])
+    def test_foreign_errors_escape_unchanged(self, monkeypatch, stage):
+        class ArrayMemoryError(MemoryError):
+            # like numpy's allocation error: no one-argument constructor
+            def __init__(self, shape, dtype):
+                super().__init__(f"cannot allocate {shape} {dtype}")
+
+        raised = ArrayMemoryError((1 << 40,), np.dtype(np.float64))
+
+        def fail(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(f"pyrafuse.fusion.{stage}", fail)
+        with pytest.raises(ArrayMemoryError) as err:
+            multiscale_attribute(self._section(), AttributeKind.PHASE_DIP, scales=2)
+        assert err.value is raised
+
     def test_config_errors_pass_through_unwrapped(self):
         with pytest.raises(ConfigError) as err:
             multiscale_attribute(self._section(), AttributeKind.DIP_ANGLE)

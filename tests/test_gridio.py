@@ -248,6 +248,19 @@ class TestHeaderParsing:
             read_grid(build(scale=b"soon"))
         assert "bad scale" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad", [b"dt=nan", b"dt=inf", b"dt=-1.0", b"dx=-1", b"dy=0", b"scale=-2"]
+    )
+    def test_header_domain_errors_are_format_errors(self, tmp_path, bad):
+        path = str(tmp_path / "dom.pfg")
+        header = MAGIC_LINE + b"rows=2\ncols=2\nkind=dip\n" + bad + b"\n\n"
+        with open(path, "wb") as f:
+            f.write(header + b"\x00" * 16)
+        with pytest.raises(FormatError) as err:
+            read_grid(path)
+        assert path in str(err.value)
+        assert err.value.offset == len(header)
+
     def test_attribute_volume_rejected(self, tmp_path):
         path = str(tmp_path / "av.pfg")
         header = MAGIC_LINE + b"rows=2\ncols=2\nplanes=2\nkind=dip\n\n"
