@@ -76,9 +76,11 @@ class AnalyticSection:
         return self.real.shape
 
     def envelope_squared(self) -> np.ndarray:
-        f = self.real.data
-        h = self.imag.data
-        return f * f + h * h
+        return _envelope_squared(self.real.data, self.imag.data)
+
+
+def _envelope_squared(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return f * f + h * h
 
 
 def analytic_section(section: SeismicSection) -> AnalyticSection:
@@ -100,13 +102,14 @@ def analytic_section(section: SeismicSection) -> AnalyticSection:
     )
 
 
-def _trusted(env2: np.ndarray) -> np.ndarray:
-    return env2 > ENVELOPE_GUARD_REL * env2.max()
+def _trusted(env2: np.ndarray, env2_max) -> np.ndarray:
+    return env2 > ENVELOPE_GUARD_REL * env2_max
 
 
 def guard_mask(a: AnalyticSection) -> np.ndarray:
     """Boolean mask, True where the phase quotient is trustworthy."""
-    return _trusted(a.envelope_squared())
+    env2 = a.envelope_squared()
+    return _trusted(env2, env2.max())
 
 
 def phase_derivative(a: AnalyticSection, axis: Axis) -> Grid2:
@@ -123,11 +126,33 @@ def phase_derivative(a: AnalyticSection, axis: Axis) -> Grid2:
             f"need >= 3 points along {axis.name.lower()} for central differences, "
             f"got {a.shape[ax]}"
         )
-    f = a.real.data
-    h = a.imag.data
-    df = np.gradient(f, axis=ax, edge_order=1)
-    dh = np.gradient(h, axis=ax, edge_order=1)
-    env2 = a.envelope_squared()
+    return Grid2(_phase_derivative_band(a.real.data, a.imag.data, None, slice(None), ax))
+
+
+def _phase_derivative_band(
+    f: np.ndarray,
+    h: np.ndarray,
+    env2_max,
+    rows: slice,
+    axis: int,
+) -> np.ndarray:
+    """Phase derivative on ``rows`` (along axis 0) of ``f + i h``.
+
+    ``env2_max`` is the maximum of f^2 + h^2 over the whole section, or an
+    array of per-section maxima that broadcasts against ``f[rows]``; None
+    takes it from ``rows``, which is right when they cover the section. The
+    differences see only ``rows``, so the first and last of them are
+    one-sided; along time, a band widened by one row on each side (clipped
+    to the section) gives the inner rows exactly their full-section values.
+    """
+    f, h = f[rows], h[rows]
+    df = np.gradient(f, axis=axis, edge_order=1)
+    dh = np.gradient(h, axis=axis, edge_order=1)
+    env2 = _envelope_squared(f, h)
+    if env2_max is None:
+        env2_max = env2.max()
+    num = f * dh
+    num -= h * df
     out = np.zeros_like(f)
-    np.divide(f * dh - h * df, env2, out=out, where=_trusted(env2))
-    return Grid2(out)
+    np.divide(num, env2, out=out, where=_trusted(env2, env2_max))
+    return out

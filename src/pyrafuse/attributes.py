@@ -13,8 +13,11 @@ A stack gathers the same attribute at every pyramid scale, resized back to
 base resolution, ready for fusion. Scale 0 of a stack is bit-for-bit the
 conventional single-scale attribute. Volumes have no 3D pyramid: dips come
 from per-section 2D pyramids in each orientation (fixed-y sections give dip
-along x, fixed-x sections give dip along y), are expanded to the base
-lattice, and only then combined into dip angle or curvature per scale.
+along x, fixed-x sections give dip along y) and are only then combined into
+dip angle or curvature per scale. A time slice needs one row of each
+section's expanded dip, so only the few level rows that row reads are
+differentiated and expanded; the values are bit-for-bit those of the full
+per-section stack.
 """
 
 from __future__ import annotations
@@ -24,10 +27,25 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import Axis, analytic_section, phase_derivative
+from .analytic import (
+    Axis,
+    _envelope_squared,
+    _phase_derivative_band,
+    _quadrature,
+    analytic_section,
+)
 from .errors import BoundsError, ConfigError, ParameterError, ShapeError, SizeError
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
-from .pyramid import GaussianKernel, build_pyramid, expand_to, make_kernel
+from .pyramid import (
+    GaussianKernel,
+    _blend,
+    _interp_axis,
+    _interp_stencil,
+    _reduce,
+    build_pyramid,
+    expand_to,
+    make_kernel,
+)
 
 # Temporal phase derivatives below this (rad/sample) make the dip quotient
 # unstable; such cells output 0 with quality 0.
@@ -56,10 +74,7 @@ def phase_dip(
         SizeError: section smaller than 4 samples x 3 traces.
         ParameterError: p_max or eps_freq not positive.
     """
-    if p_max <= 0.0 or not np.isfinite(p_max):
-        raise ParameterError(f"p_max must be positive, got {p_max!r}")
-    if eps_freq <= 0.0 or not np.isfinite(eps_freq):
-        raise ParameterError(f"eps_freq must be positive, got {eps_freq!r}")
+    _check_dip_params(p_max, eps_freq)
     rows, cols = section.grid.shape
     if rows < _MIN_DIP_ROWS or cols < _MIN_DIP_COLS:
         raise SizeError(
@@ -67,14 +82,11 @@ def phase_dip(
             f"got {rows}x{cols}"
         )
     a = analytic_section(section)
-    d_time = phase_derivative(a, Axis.TIME).data
-    d_trace = phase_derivative(a, Axis.TRACE).data
-    ok = np.abs(d_time) >= eps_freq  # also false wherever the envelope guard fired
-    dip = np.zeros_like(d_time)
-    np.divide(d_trace, d_time, out=dip, where=ok)
-    np.negative(dip, out=dip)
-    np.clip(dip, -p_max, p_max, out=dip)
-    dip[~ok] = 0.0
+    f, h = a.real.data, a.imag.data
+    # what phase_derivative returns, without copying each result into a Grid2
+    d_time = _phase_derivative_band(f, h, None, slice(None), Axis.TIME.value)
+    d_trace = _phase_derivative_band(f, h, None, slice(None), Axis.TRACE.value)
+    dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
     return AttributeMap(
         grid=Grid2(dip),
         kind=AttributeKind.PHASE_DIP,
@@ -83,6 +95,30 @@ def phase_dip(
         dx=section.dx,
         quality=Grid2(ok.astype(np.float64)),
     )
+
+
+def _check_dip_params(p_max: float, eps_freq: float) -> None:
+    if p_max <= 0.0 or not np.isfinite(p_max):
+        raise ParameterError(f"p_max must be positive, got {p_max!r}")
+    if eps_freq <= 0.0 or not np.isfinite(eps_freq):
+        raise ParameterError(f"eps_freq must be positive, got {eps_freq!r}")
+
+
+def _dip_quotient(
+    d_time: np.ndarray, d_trace: np.ndarray, p_max: float, eps_freq: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dip -d_trace/d_time clamped to [-p_max, p_max], and its trust mask.
+
+    Cells with |d_time| < eps_freq are 0 and untrusted; that includes every
+    cell the envelope guard zeroed.
+    """
+    ok = np.abs(d_time) >= eps_freq
+    dip = np.zeros_like(d_time)
+    np.divide(d_trace, d_time, out=dip, where=ok)
+    np.negative(dip, out=dip)
+    np.clip(dip, -p_max, p_max, out=dip)
+    dip[~ok] = 0.0
+    return dip, ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +296,15 @@ def _dip_max_scales(rows: int, cols: int, kernel: GaussianKernel) -> int:
     return count
 
 
+def _check_dip_scales(rows: int, cols: int, scales: int, kernel: GaussianKernel) -> None:
+    feasible = _dip_max_scales(rows, cols, kernel)
+    if scales > feasible:
+        raise SizeError(
+            f"section {rows}x{cols} supports at most "
+            f"{feasible} dip scale(s), requested {scales}"
+        )
+
+
 def _as_is(grid: Grid2) -> Grid2:
     return grid
 
@@ -279,12 +324,7 @@ def _dip_levels_expanded(
     dip and trust maps before and after expansion. The trust threshold
     comes after it, because rounding can move a value onto 0.5.
     """
-    feasible = _dip_max_scales(section.grid.rows, section.grid.cols, kernel)
-    if int(scales) > feasible:
-        raise SizeError(
-            f"section {section.grid.rows}x{section.grid.cols} supports at most "
-            f"{feasible} dip scale(s), requested {scales}"
-        )
+    _check_dip_scales(section.grid.rows, section.grid.cols, int(scales), kernel)
     pyr = build_pyramid(section.grid, scales, kernel)
     rows, cols = section.grid.shape
     out: list[tuple[np.ndarray, np.ndarray]] = []
@@ -342,6 +382,76 @@ def dip_stack(
     return _dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
 
 
+def _slice_rows(
+    sections: np.ndarray,
+    t: int,
+    scales: int,
+    kernel: GaussianKernel,
+    *,
+    p_max: float,
+    eps_freq: float,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per scale: row ``t`` of every section's expanded (dip, trust).
+
+    ``sections`` is (count, rows, cols), one section per entry; each scale
+    gives two (count, cols) arrays, equal bit for bit to row ``t`` of what
+    :func:`_dip_levels_expanded` returns for each section. Each section's
+    levels are reduced and take their quadrature whole, one section at a
+    time, because the envelope guard compares against the level's maximum.
+    Phase derivatives and the dip quotient then run, for all sections at
+    once, only on the level rows that the time interpolation to row ``t``
+    reads (one more row each side for the time differences), and only that
+    row is expanded across.
+    """
+    count, rows, cols = sections.shape
+    # Per level: ``band``, the rows the time differences need (the rows the
+    # interpolation to row t reads, plus one each side); ``read``, where
+    # those rows sit in the band; ``frac``, their interpolation fraction
+    # (None on the base level, which is not resized); and buffers for f and
+    # h on the band of every section and for each section's maximum of
+    # f^2 + h^2.
+    plan = []
+    level_rows, level_cols = rows, cols
+    for _ in range(scales):
+        if level_rows == rows:
+            lo = up = t
+            frac = None
+        else:
+            lower, upper, fracs = _interp_stencil(level_rows, rows)
+            lo, up, frac = int(lower[t]), int(upper[t]), fracs[t]
+        start = max(lo - 1, 0)
+        band = slice(start, min(up + 2, level_rows))
+        read = slice(lo - start, up + 1 - start)
+        bands = np.empty((2, band.stop - start, count, level_cols))
+        plan.append((band, read, frac, bands, np.empty((count, 1))))
+        level_rows, level_cols = (level_rows + 1) // 2, (level_cols + 1) // 2
+
+    for k in range(count):
+        level = np.ascontiguousarray(sections[k])
+        for i, (band, _, _, bands, env2_max) in enumerate(plan):
+            if i:
+                level = _reduce(level, kernel)
+            h = _quadrature(level, axis=0)
+            env2_max[k] = _envelope_squared(level, h).max()
+            bands[0, :, k] = level[band]
+            bands[1, :, k] = h[band]
+
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for _, read, frac, (f, h), env2_max in plan:
+        d_time = _phase_derivative_band(f, h, env2_max, slice(None), 0)[read]
+        d_trace = _phase_derivative_band(f, h, env2_max, read, 2)
+        dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
+        trust = ok.astype(np.float64)
+        if frac is None:
+            dip_row, trust_row = dip[0], trust[0]
+        else:
+            last = len(dip) - 1
+            dip_row = _blend(dip, 0, last, frac)
+            trust_row = _blend(trust, 0, last, frac)
+        out.append((_interp_axis(dip_row, cols, 1), _interp_axis(trust_row, cols, 1) > 0.5))
+    return out
+
+
 def dip_slice_fields(
     volume: SeismicVolume,
     t_index: int,
@@ -353,44 +463,42 @@ def dip_slice_fields(
 ) -> list[DipField]:
     """Per-scale inline+crossline dip fields at one time slice.
 
-    Each section contributes one row per scale: fixed-y sections fill
-    column y of ``p``, fixed-x sections fill row x of ``q``.
+    Row ``t_index`` of the expanded dip stack of each fixed-y section fills
+    column y of ``p``; that of each fixed-x section fills row x of ``q``.
+    Only the level rows that row reads are differentiated and expanded.
+
+    Raises:
+        BoundsError: t_index outside the volume.
+        ParameterError: scales < 1, or p_max or eps_freq not positive.
+        SizeError: either orientation's sections (nt x nx or nt x ny)
+            cannot support ``scales`` dip scales; checked before any work.
     """
     kernel = kernel if kernel is not None else make_kernel()
     t = int(t_index)
     if t < 0 or t >= volume.nt:
         raise BoundsError(f"time index {t} outside [0, {volume.nt - 1}]")
     scales = int(scales)
-    nx, ny = volume.nx, volume.ny
-    p_vals = np.empty((scales, nx, ny))
-    p_ok = np.empty((scales, nx, ny), dtype=bool)
-    q_vals = np.empty((scales, nx, ny))
-    q_ok = np.empty((scales, nx, ny), dtype=bool)
+    if scales < 1:
+        raise ParameterError(f"scales must be >= 1, got {scales}")
+    _check_dip_params(p_max, eps_freq)
+    _check_dip_scales(volume.nt, volume.nx, scales, kernel)
+    _check_dip_scales(volume.nt, volume.ny, scales, kernel)
 
-    def levels(section: SeismicSection) -> list[tuple[np.ndarray, np.ndarray]]:
-        return _dip_levels_expanded(
-            section, scales, kernel, p_max=p_max, eps_freq=eps_freq
-        )
+    def rows(lateral_axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        sections = np.moveaxis(volume.data, lateral_axis, 0)
+        return _slice_rows(sections, t, scales, kernel, p_max=p_max, eps_freq=eps_freq)
 
-    for y in range(ny):
-        for i, (values, trust) in enumerate(levels(volume.crossline_section(y))):
-            p_vals[i, :, y] = values[t, :]
-            p_ok[i, :, y] = trust[t, :]
-    for x in range(nx):
-        for i, (values, trust) in enumerate(levels(volume.inline_section(x))):
-            q_vals[i, x, :] = values[t, :]
-            q_ok[i, x, :] = trust[t, :]
-
+    # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows of q
     return [
         DipField(
-            p=Grid2(p_vals[i]),
-            q=Grid2(q_vals[i]),
+            p=Grid2(p_vals.T),
+            q=Grid2(q_vals),
             dt=volume.dt,
             dx=volume.dx,
             dy=volume.dy,
-            quality=Grid2((p_ok[i] & q_ok[i]).astype(np.float64)),
+            quality=Grid2((p_ok.T & q_ok).astype(np.float64)),
         )
-        for i in range(scales)
+        for (p_vals, p_ok), (q_vals, q_ok) in zip(rows(2), rows(1))
     ]
 
 

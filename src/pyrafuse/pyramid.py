@@ -125,9 +125,14 @@ def reduce_grid(grid: Grid2, kernel: GaussianKernel) -> Grid2:
             f"grid {grid.rows}x{grid.cols} is smaller than the kernel "
             f"support {support}x{support}"
         )
-    padded = np.pad(grid.data, kernel.radius, mode="symmetric")
+    return Grid2(_reduce(grid.data, kernel))
+
+
+def _reduce(values: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
+    """The array work of :func:`reduce_grid`, without its checks."""
+    padded = np.pad(values, kernel.radius, mode="symmetric")
     half_rows = _downsample_pass(padded, kernel.taps, axis=0)
-    return Grid2(_downsample_pass(half_rows, kernel.taps, axis=1))
+    return _downsample_pass(half_rows, kernel.taps, axis=1)
 
 
 def max_scales(rows: int, cols: int, radius: int) -> int:
@@ -193,19 +198,33 @@ def _interp_axis(values: np.ndarray, target: int, axis: int) -> np.ndarray:
     if size == 1:
         out = np.broadcast_to(moved, (target,) + moved.shape[1:]).copy()
         return np.moveaxis(out, 0, axis)
-    # Edge-aligned sampling: index i maps to i * (size-1) / (target-1), so
-    # both corners land exactly on source corners.
+    lower, upper, frac = _interp_stencil(size, target)
+    out = _blend(moved, lower, upper, frac.reshape((-1,) + (1,) * (moved.ndim - 1)))
+    return np.moveaxis(out, 0, axis)
+
+
+def _interp_stencil(size: int, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source rows and fraction of every target index, for target > size.
+
+    Edge-aligned sampling: index i maps to i * (size-1) / (target-1), so
+    both corners land exactly on source corners.
+    """
     positions = np.arange(target, dtype=np.float64) * float(size - 1) / float(target - 1)
     lower = np.minimum(positions.astype(np.int64), size - 1)
     upper = np.minimum(lower + 1, size - 1)
-    frac = positions - lower
-    a = moved[lower]
-    b = moved[upper]
-    # a + f*(b-a) keeps constants exact for any fractional offset, and
-    # integer positions get f == 0, so on-lattice samples copy through
-    # bit for bit.
-    out = a + frac.reshape((-1,) + (1,) * (moved.ndim - 1)) * (b - a)
-    return np.moveaxis(out, 0, axis)
+    return lower, upper, positions - lower
+
+
+def _blend(values: np.ndarray, lower, upper, frac) -> np.ndarray:
+    """Linear interpolation between rows ``lower`` and ``upper`` of ``values``.
+
+    a + f*(b-a) keeps constants exact for any fractional offset, and
+    integer positions get f == 0, so on-lattice samples copy through bit
+    for bit.
+    """
+    a = values[lower]
+    b = values[upper]
+    return a + frac * (b - a)
 
 
 def expand_to(grid: Grid2, rows: int, cols: int) -> Grid2:

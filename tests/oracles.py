@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from pyrafuse import dip_stack
+from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT
 
 
 def reduce_naive(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -159,25 +160,36 @@ def bilinear_naive(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def dip_slice_reference(volume, t: int, scales: int):
+def dip_slice_reference(
+    volume,
+    t: int,
+    scales: int,
+    kernel=None,
+    *,
+    p_max: float = P_MAX_DEFAULT,
+    eps_freq: float = EPS_FREQ_DEFAULT,
+):
     """Per-scale (p, q, quality) at time slice ``t``, one section at a time.
 
     Row ``t`` of the dip stack of every fixed-y section gives column y of
     ``p``; row ``t`` of every fixed-x section gives row x of ``q``. A cell
-    is trusted where both dips are.
+    is trusted where both dips are. ``kernel``, ``p_max`` and ``eps_freq``
+    go to :func:`pyrafuse.dip_stack` unchanged.
     """
+
+    def stack(section):
+        return dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+
     p = np.zeros((scales, volume.nx, volume.ny))
     q = np.zeros((scales, volume.nx, volume.ny))
     p_ok = np.zeros((scales, volume.nx, volume.ny))
     q_ok = np.zeros((scales, volume.nx, volume.ny))
     for y in range(volume.ny):
-        stack = dip_stack(volume.crossline_section(y), scales)
-        for i, m in enumerate(stack.maps):
+        for i, m in enumerate(stack(volume.crossline_section(y)).maps):
             p[i, :, y] = m.grid.data[t, :]
             p_ok[i, :, y] = m.quality.data[t, :]
     for x in range(volume.nx):
-        stack = dip_stack(volume.inline_section(x), scales)
-        for i, m in enumerate(stack.maps):
+        for i, m in enumerate(stack(volume.inline_section(x)).maps):
             q[i, x, :] = m.grid.data[t, :]
             q_ok[i, x, :] = m.quality.data[t, :]
     return [(p[i], q[i], p_ok[i] * q_ok[i]) for i in range(scales)]

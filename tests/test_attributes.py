@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,14 +22,19 @@ from pyrafuse import (
     ShapeError,
     SizeError,
     SynthSpec,
+    analytic_section,
     attribute_stack,
     curvature,
     dip_angle,
     dip_slice_fields,
     dip_stack,
+    guard_mask,
+    make_kernel,
     make_synthetic,
+    multiscale_attribute,
     phase_dip,
 )
+from pyrafuse import attributes
 
 
 def _plane_wave_section(n=128, m=48, k=6, p=0.5, dt=0.004, dx=25.0):
@@ -223,6 +229,38 @@ class TestDipStack:
             dip_stack(section, 6)
 
 
+@functools.lru_cache(maxsize=1)
+def _odd_volume():
+    """Seeded noisy 45x13x11 volume; with a support-3 kernel both section
+    orientations (45x13 and 45x11) allow exactly three dip scales."""
+    spec = SynthSpec(
+        nt=45, nx=13, ny=11, f_peak=12.0, snr_db=6.0, seed=29,
+        events=(QuadraticEvent(t0=14, kappa=3e-4), QuadraticEvent(t0=31, kappa=-2e-4)),
+    )
+    return make_synthetic(spec)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _packet_volume():
+    """Noise-free dipping Gaussian wave packet on the same 45x13x11 lattice.
+
+    Far from the packet the squared envelope falls below 1e-10 of the
+    section maximum, so the envelope guard fires on whole rows.
+    """
+    t = np.arange(45.0)[:, None, None]
+    x = np.arange(13.0)[None, :, None]
+    y = np.arange(11.0)[None, None, :]
+    tau = t - (12.0 + 0.3 * x + 0.2 * y)
+    data = np.exp(-tau**2 / 18.0) * np.cos(0.5 * np.pi * tau)
+    return SeismicVolume(data, dt=0.004, dx=25.0, dy=25.0)
+
+
+_SLICE_VOLUMES = {"noisy": _odd_volume, "packet": _packet_volume}
+# (volume, p_max, eps_freq): the defaults, a case that clamps and rejects
+# often, and one where the envelope guard fires
+_SLICE_CASES = [("noisy", 5.0, 1e-3), ("noisy", 0.5, 0.05), ("packet", 5.0, 1e-3)]
+
+
 def _plane_wave_volume(nt=96, nx=28, ny=24, k=4, px=0.4, py=-0.3):
     w = 2.0 * math.pi * k / nt
     t = np.arange(nt, dtype=np.float64)[:, None, None]
@@ -263,6 +301,69 @@ class TestVolumeDips:
                 assert np.array_equal(field.p.data, p)
                 assert np.array_equal(field.q.data, q)
                 assert np.array_equal(field.quality.data, quality)
+
+    @pytest.mark.parametrize("volume, p_max, eps_freq", _SLICE_CASES)
+    @pytest.mark.parametrize("t", range(45))
+    def test_slice_fields_equal_reference_at_every_t(self, t, volume, p_max, eps_freq):
+        vol = _SLICE_VOLUMES[volume]()
+        kernel = make_kernel(1.0, 1)
+        fields = dip_slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
+        reference = dip_slice_reference(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
+        assert len(fields) == len(reference) == 3
+        for field, (p, q, quality) in zip(fields, reference):
+            assert np.array_equal(field.p.data, p)
+            assert np.array_equal(field.q.data, q)
+            assert np.array_equal(field.quality.data, quality)
+
+    def test_slice_cases_clamp_reject_and_guard(self):
+        # the exact comparison above only covers the clamp, the eps
+        # rejection and the envelope guard if its cases hit them
+        section = _packet_volume().crossline_section(5)
+        assert not guard_mask(analytic_section(section)).all()
+        vol = _odd_volume()
+        kernel = make_kernel(1.0, 1)
+        _, p_max, eps_freq = _SLICE_CASES[1]
+        clamped = rejected = 0
+        for t in range(vol.nt):
+            p, q, quality = dip_slice_reference(
+                vol, t, 1, kernel, p_max=p_max, eps_freq=eps_freq
+            )[0]
+            clamped += int(np.sum(np.abs(p) == p_max) + np.sum(np.abs(q) == p_max))
+            rejected += int(np.sum(quality == 0.0))
+        assert clamped > 0
+        assert rejected > 0
+
+    @pytest.mark.parametrize("scales", [0, -1])
+    def test_scales_below_one_is_a_parameter_error(self, scales):
+        vol, _ = _plane_wave_volume(nt=32, nx=12, ny=10)
+        with pytest.raises(ParameterError, match=f"scales must be >= 1, got {scales}"):
+            dip_slice_fields(vol, 4, scales)
+        with pytest.raises(ParameterError, match="scales must be >= 1"):
+            attribute_stack(vol, AttributeKind.DIP_ANGLE, scales, time_index=4)
+        with pytest.raises(ParameterError, match="scales must be >= 1"):
+            multiscale_attribute(vol, AttributeKind.CURV_POS, scales=scales, time_index=4)
+
+    @pytest.mark.parametrize(
+        "kw", [{"p_max": 0.0}, {"p_max": -1.0}, {"p_max": math.inf}, {"p_max": math.nan},
+               {"eps_freq": 0.0}, {"eps_freq": -1e-3}, {"eps_freq": math.inf},
+               {"eps_freq": math.nan}],
+    )
+    def test_dip_parameters_out_of_domain(self, kw):
+        vol, _ = _plane_wave_volume(nt=32, nx=12, ny=10)
+        with pytest.raises(ParameterError, match=next(iter(kw))):
+            dip_slice_fields(vol, 4, 1, **kw)
+
+    def test_infeasible_orientation_fails_before_any_work(self, monkeypatch):
+        # fixed-y sections (32x40) allow 4 scales, fixed-x sections (32x4)
+        # none with the default support-5 kernel
+        vol, _ = _plane_wave_volume(nt=32, nx=40, ny=4)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a section was processed before the size check")
+
+        monkeypatch.setattr(attributes, "_quadrature", no_work)
+        with pytest.raises(SizeError, match=r"section 32x4 supports at most 0 dip scale\(s\), requested 2"):
+            dip_slice_fields(vol, 10, 2)
 
 
 class TestAttributeStackDispatch:

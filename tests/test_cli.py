@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from importlib import metadata
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pyrafuse
 from pyrafuse import AttributeKind, encode_ibm32, read_grid
 from pyrafuse.cli import main
 
@@ -300,10 +302,18 @@ class TestExitCodes:
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         src = _synth(tmp_path)
+        # the child finds the package this process imported, also when only
+        # pytest's own path setting put it on sys.path
+        env = dict(os.environ)
+        package_root = str(Path(pyrafuse.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "pyrafuse.cli", "info", src],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "magic=PFGRID1" in proc.stdout
