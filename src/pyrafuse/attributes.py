@@ -14,10 +14,10 @@ base resolution, ready for fusion. Scale 0 of a stack is bit-for-bit the
 conventional single-scale attribute. Volumes have no 3D pyramid: dips come
 from per-section 2D pyramids in each orientation (fixed-y sections give dip
 along x, fixed-x sections give dip along y) and are only then combined into
-dip angle or curvature per scale. A time slice needs one row of each
-section's expanded dip, so only the few level rows that row reads are
-differentiated and expanded; the values are bit-for-bit those of the full
-per-section stack.
+dip angle or curvature per scale. One builder serves section stacks (every
+row) and time slices (one row of each section): it differentiates and
+expands only the level rows those rows read, on plain arrays, so a slice is
+bit-for-bit that row of the full per-section stack.
 """
 
 from __future__ import annotations
@@ -35,15 +35,21 @@ from .analytic import (
     analytic_section,
 )
 from .errors import BoundsError, ConfigError, ParameterError, ShapeError, SizeError
-from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
+from .grid import (
+    AttributeKind,
+    AttributeMap,
+    Grid2,
+    SeismicSection,
+    SeismicVolume,
+    _check_finite,
+)
 from .pyramid import (
     GaussianKernel,
     _blend,
     _interp_axis,
     _interp_stencil,
+    _level_count,
     _reduce,
-    build_pyramid,
-    expand_to,
     make_kernel,
 )
 
@@ -284,61 +290,116 @@ class AttributeStack:
         )
 
 
-def _dip_max_scales(rows: int, cols: int, kernel: GaussianKernel) -> int:
+def _check_dip_request(
+    shapes: tuple[tuple[int, int], ...],
+    scales: int,
+    kernel: GaussianKernel,
+    p_max: float,
+    eps_freq: float,
+) -> int:
+    """Validate a dip-stack request on sections of every shape in ``shapes``."""
+    scales = int(scales)
+    if scales < 1:
+        raise ParameterError(f"scales must be >= 1, got {scales}")
+    _check_dip_params(p_max, eps_freq)
     min_rows = max(kernel.support, _MIN_DIP_ROWS)
     min_cols = max(kernel.support, _MIN_DIP_COLS)
-    count = 0
-    r, c = rows, cols
-    while r >= min_rows and c >= min_cols:
-        count += 1
-        r = (r + 1) // 2
-        c = (c + 1) // 2
-    return count
+    for rows, cols in shapes:
+        feasible = _level_count(rows, cols, min_rows, min_cols)
+        if scales > feasible:
+            raise SizeError(
+                f"section {rows}x{cols} supports at most "
+                f"{feasible} dip scale(s), requested {scales}"
+            )
+    return scales
 
 
-def _check_dip_scales(rows: int, cols: int, scales: int, kernel: GaussianKernel) -> None:
-    feasible = _dip_max_scales(rows, cols, kernel)
-    if scales > feasible:
-        raise SizeError(
-            f"section {rows}x{cols} supports at most "
-            f"{feasible} dip scale(s), requested {scales}"
-        )
-
-
-def _as_is(grid: Grid2) -> Grid2:
-    return grid
-
-
-def _dip_levels_expanded(
-    section: SeismicSection,
+def _dip_rows(
+    sections: np.ndarray,
+    rows: slice,
     scales: int,
     kernel: GaussianKernel,
     *,
     p_max: float,
     eps_freq: float,
-    boundary: Callable[[Grid2], Grid2] = _as_is,
+    boundary: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per scale: (dip values, trust mask), both at the section's base dims.
+    """Per scale: base rows ``rows`` of every section's expanded (dip, trust).
 
-    ``boundary`` is applied to every stage output: each pyramid level, the
-    dip and trust maps before and after expansion. The trust threshold
-    comes after it, because rounding can move a value onto 0.5.
+    ``sections`` is (count, nt, n), one section per entry, and ``rows`` a
+    contiguous slice of its time axis; each scale gives a float dip array
+    and a bool trust array, both (len(rows), count, n). Each section's
+    levels are reduced and take their quadrature whole, one section at a
+    time, because the envelope guard compares against the level's maximum.
+    Phase derivatives and the dip quotient then run, for all sections at
+    once, only on the level rows that the time interpolation to ``rows``
+    reads (one more row each side for the time differences), and only
+    those rows are expanded across.
+
+    ``boundary`` (None: identity) is applied to each level before its
+    quadrature, while the reduction chain stays unrounded, and to the dip
+    and the 0/1 trust before and after expansion; the trust threshold comes
+    after it, because rounding can move a value onto 0.5.
+
+    Raises:
+        ParameterError: a level's quadrature is not finite.
     """
-    _check_dip_scales(section.grid.rows, section.grid.cols, int(scales), kernel)
-    pyr = build_pyramid(section.grid, scales, kernel)
-    rows, cols = section.grid.shape
+    count, nt, n = sections.shape
+    first, stop, _ = rows.indices(nt)
+    # an index array, not a slice: the plan keeps copies of these rows of
+    # each level's stencil, not views that hold the whole stencil alive
+    targets = np.arange(first, stop)
+    # Per level: ``band``, the rows the time differences need; ``read``,
+    # where the interpolation's rows sit in the band; ``blend``, their
+    # (lower, upper, fraction) relative to ``read``, or None on the base
+    # level, which is not resized; buffers for f and h on the band of every
+    # section; and each section's maximum of f^2 + h^2.
+    plan = []
+    level_rows, level_cols = nt, n
+    for _ in range(scales):
+        if level_rows == nt:
+            lo, up, blend = first, stop - 1, None
+        else:
+            lower, upper, fracs = _interp_stencil(level_rows, nt)
+            lower, upper = lower[targets], upper[targets]
+            lo, up = int(lower[0]), int(upper[-1])
+            blend = (lower - lo, upper - lo, fracs[targets, None, None])
+        start = max(lo - 1, 0)
+        band = slice(start, min(up + 2, level_rows))
+        read = slice(lo - start, up + 1 - start)
+        bands = np.empty((2, band.stop - start, count, level_cols))
+        plan.append((band, read, blend, bands, np.empty((count, 1))))
+        level_rows, level_cols = (level_rows + 1) // 2, (level_cols + 1) // 2
+
+    for k in range(count):
+        level = np.ascontiguousarray(sections[k])
+        for i, (band, _, _, bands, env2_max) in enumerate(plan):
+            if i:
+                level = _reduce(level, kernel)
+            f = level if boundary is None else boundary(level)
+            h = _quadrature(f, axis=0)
+            env2_max[k] = _envelope_squared(f, h).max()
+            # a non-finite h makes this maximum NaN or inf; so can finite
+            # values whose squares overflow, which the guard handles
+            if not np.isfinite(env2_max[k, 0]):
+                _check_finite(h)
+            bands[0, :, k] = f[band]
+            bands[1, :, k] = h[band]
+
+    def expand(values: np.ndarray, blend) -> np.ndarray:
+        if boundary is not None:
+            values = boundary(values)
+        if blend is not None:
+            values = _blend(values, *blend)
+        values = _interp_axis(values, n, 2)
+        return values if boundary is None else boundary(values)
+
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    for i, level in enumerate(pyr.levels):
-        level_section = SeismicSection(
-            boundary(level),
-            dt=section.dt * 2**i,
-            dx=section.dx * 2**i,
-            label=section.label,
-        )
-        m = phase_dip(level_section, p_max=p_max, eps_freq=eps_freq, scale=i)
-        values = boundary(expand_to(boundary(m.grid), rows, cols)).data
-        trust = boundary(expand_to(boundary(m.quality), rows, cols)).data > 0.5
-        out.append((values, trust))
+    for _, read, blend, (f, h), env2_max in plan:
+        d_time = _phase_derivative_band(f, h, env2_max, slice(None), 0)[read]
+        d_trace = _phase_derivative_band(f, h, env2_max, read, 2)
+        dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
+        out.append((expand(dip, blend), expand(ok.astype(np.float64), blend) > 0.5))
     return out
 
 
@@ -349,19 +410,21 @@ def _dip_stack(
     *,
     p_max: float,
     eps_freq: float,
-    boundary: Callable[[Grid2], Grid2] = _as_is,
+    boundary: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> AttributeStack:
-    levels = _dip_levels_expanded(
-        section, scales, kernel, p_max=p_max, eps_freq=eps_freq, boundary=boundary
+    scales = _check_dip_request((section.grid.shape,), scales, kernel, p_max, eps_freq)
+    levels = _dip_rows(
+        section.grid.data[None], slice(None), scales, kernel,
+        p_max=p_max, eps_freq=eps_freq, boundary=boundary,
     )
     maps = tuple(
         AttributeMap(
-            grid=Grid2(values),
+            grid=Grid2(values[:, 0]),
             kind=AttributeKind.PHASE_DIP,
             scale=i,
             dt=section.dt,
             dx=section.dx,
-            quality=Grid2(trust.astype(np.float64)),
+            quality=Grid2(trust[:, 0]),
             meta={"sigma": repr(kernel.sigma), "radius": str(kernel.radius)},
         )
         for i, (values, trust) in enumerate(levels)
@@ -380,76 +443,6 @@ def dip_stack(
     """Phase dip at every pyramid scale, expanded to base resolution."""
     kernel = kernel if kernel is not None else make_kernel()
     return _dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
-
-
-def _slice_rows(
-    sections: np.ndarray,
-    t: int,
-    scales: int,
-    kernel: GaussianKernel,
-    *,
-    p_max: float,
-    eps_freq: float,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per scale: row ``t`` of every section's expanded (dip, trust).
-
-    ``sections`` is (count, rows, cols), one section per entry; each scale
-    gives two (count, cols) arrays, equal bit for bit to row ``t`` of what
-    :func:`_dip_levels_expanded` returns for each section. Each section's
-    levels are reduced and take their quadrature whole, one section at a
-    time, because the envelope guard compares against the level's maximum.
-    Phase derivatives and the dip quotient then run, for all sections at
-    once, only on the level rows that the time interpolation to row ``t``
-    reads (one more row each side for the time differences), and only that
-    row is expanded across.
-    """
-    count, rows, cols = sections.shape
-    # Per level: ``band``, the rows the time differences need (the rows the
-    # interpolation to row t reads, plus one each side); ``read``, where
-    # those rows sit in the band; ``frac``, their interpolation fraction
-    # (None on the base level, which is not resized); and buffers for f and
-    # h on the band of every section and for each section's maximum of
-    # f^2 + h^2.
-    plan = []
-    level_rows, level_cols = rows, cols
-    for _ in range(scales):
-        if level_rows == rows:
-            lo = up = t
-            frac = None
-        else:
-            lower, upper, fracs = _interp_stencil(level_rows, rows)
-            lo, up, frac = int(lower[t]), int(upper[t]), fracs[t]
-        start = max(lo - 1, 0)
-        band = slice(start, min(up + 2, level_rows))
-        read = slice(lo - start, up + 1 - start)
-        bands = np.empty((2, band.stop - start, count, level_cols))
-        plan.append((band, read, frac, bands, np.empty((count, 1))))
-        level_rows, level_cols = (level_rows + 1) // 2, (level_cols + 1) // 2
-
-    for k in range(count):
-        level = np.ascontiguousarray(sections[k])
-        for i, (band, _, _, bands, env2_max) in enumerate(plan):
-            if i:
-                level = _reduce(level, kernel)
-            h = _quadrature(level, axis=0)
-            env2_max[k] = _envelope_squared(level, h).max()
-            bands[0, :, k] = level[band]
-            bands[1, :, k] = h[band]
-
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for _, read, frac, (f, h), env2_max in plan:
-        d_time = _phase_derivative_band(f, h, env2_max, slice(None), 0)[read]
-        d_trace = _phase_derivative_band(f, h, env2_max, read, 2)
-        dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
-        trust = ok.astype(np.float64)
-        if frac is None:
-            dip_row, trust_row = dip[0], trust[0]
-        else:
-            last = len(dip) - 1
-            dip_row = _blend(dip, 0, last, frac)
-            trust_row = _blend(trust, 0, last, frac)
-        out.append((_interp_axis(dip_row, cols, 1), _interp_axis(trust_row, cols, 1) > 0.5))
-    return out
 
 
 def dip_slice_fields(
@@ -477,26 +470,24 @@ def dip_slice_fields(
     t = int(t_index)
     if t < 0 or t >= volume.nt:
         raise BoundsError(f"time index {t} outside [0, {volume.nt - 1}]")
-    scales = int(scales)
-    if scales < 1:
-        raise ParameterError(f"scales must be >= 1, got {scales}")
-    _check_dip_params(p_max, eps_freq)
-    _check_dip_scales(volume.nt, volume.nx, scales, kernel)
-    _check_dip_scales(volume.nt, volume.ny, scales, kernel)
+    shapes = ((volume.nt, volume.nx), (volume.nt, volume.ny))
+    scales = _check_dip_request(shapes, scales, kernel, p_max, eps_freq)
 
     def rows(lateral_axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
         sections = np.moveaxis(volume.data, lateral_axis, 0)
-        return _slice_rows(sections, t, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+        return _dip_rows(
+            sections, slice(t, t + 1), scales, kernel, p_max=p_max, eps_freq=eps_freq
+        )
 
     # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows of q
     return [
         DipField(
-            p=Grid2(p_vals.T),
-            q=Grid2(q_vals),
+            p=Grid2(p_vals[0].T),
+            q=Grid2(q_vals[0]),
             dt=volume.dt,
             dx=volume.dx,
             dy=volume.dy,
-            quality=Grid2((p_ok.T & q_ok).astype(np.float64)),
+            quality=Grid2(p_ok[0].T & q_ok[0]),
         )
         for (p_vals, p_ok), (q_vals, q_ok) in zip(rows(2), rows(1))
     ]

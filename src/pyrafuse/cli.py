@@ -62,9 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _f32(grid: Grid2) -> Grid2:
+def _f32(values: np.ndarray) -> np.ndarray:
     """Round to the precision a stage boundary has after a file trip."""
-    return Grid2(grid.data.astype(np.float32).astype(np.float64))
+    return values.astype(np.float32).astype(np.float64)
 
 
 def _positive_int(text: str) -> int:

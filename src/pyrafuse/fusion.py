@@ -18,7 +18,13 @@ from enum import Enum
 
 import numpy as np
 
-from .attributes import AttributeStack, attribute_stack
+from .attributes import (
+    EPS_FREQ_DEFAULT,
+    P_MAX_DEFAULT,
+    VELOCITY_DEFAULT,
+    AttributeStack,
+    attribute_stack,
+)
 from .errors import ConfigError, ParameterError, PyrafuseError
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
 from .pyramid import GaussianKernel, make_kernel
@@ -177,9 +183,9 @@ def multiscale_attribute(
     kernel: GaussianKernel | None = None,
     fusion: FusionSpec | None = None,
     time_index: int | None = None,
-    velocity: float = 2000.0,
-    p_max: float = 5.0,
-    eps_freq: float = 1e-3,
+    velocity: float = VELOCITY_DEFAULT,
+    p_max: float = P_MAX_DEFAULT,
+    eps_freq: float = EPS_FREQ_DEFAULT,
 ) -> AttributeMap:
     """Pyramid -> per-scale attribute -> expand -> fuse, in one call.
 

@@ -27,10 +27,14 @@ def _frozen_array(values, ndim: int) -> np.ndarray:
         raise ShapeError(f"expected a {ndim}D array, got {arr.ndim}D")
     if arr.size == 0:
         raise ShapeError("grid dimensions must all be >= 1")
-    if not np.isfinite(arr).all():
-        raise ParameterError("grid values must be finite (no NaN/Inf)")
+    _check_finite(arr)
     arr.flags.writeable = False
     return arr
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ParameterError("grid values must be finite (no NaN/Inf)")
 
 
 @dataclass(frozen=True, eq=False)

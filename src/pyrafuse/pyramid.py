@@ -138,9 +138,14 @@ def _reduce(values: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
 def max_scales(rows: int, cols: int, radius: int) -> int:
     """Largest level count whose smallest level still fits the kernel support."""
     support = 2 * int(radius) + 1
+    return _level_count(rows, cols, support, support)
+
+
+def _level_count(rows: int, cols: int, min_rows: int, min_cols: int) -> int:
+    """Levels of a rows x cols pyramid, while a level keeps both minimum dims."""
     count = 0
     r, c = int(rows), int(cols)
-    while r >= support and c >= support:
+    while r >= min_rows and c >= min_cols:
         count += 1
         r = (r + 1) // 2
         c = (c + 1) // 2

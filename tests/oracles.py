@@ -3,9 +3,12 @@
 Each oracle is written in the most literal way available — explicit
 loops, direct DFT sums, Python's ``sorted`` — deliberately sharing no
 code path with the package, so agreement between the two is evidence
-rather than tautology. The exception is :func:`dip_slice_reference`,
-which states the volume slice-dip definition in terms of the 2D section
-path so that a faster volume kernel can be gated on exact equality.
+rather than tautology. The exceptions are :func:`dip_stack_reference`,
+which states the dip stack as the composition of the package's public
+stage functions (pyramid, per-level phase dip, expansion), and
+:func:`dip_slice_reference`, which takes time slices of it; the package's
+one dip-row builder, which serves sections and volume slices alike, is
+gated on exact equality with them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from pyrafuse import dip_stack
+from pyrafuse import SeismicSection, build_pyramid, expand_to, make_kernel, phase_dip
 from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT
 
 
@@ -160,6 +163,32 @@ def bilinear_naive(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+def dip_stack_reference(
+    section,
+    scales: int,
+    kernel=None,
+    *,
+    p_max: float = P_MAX_DEFAULT,
+    eps_freq: float = EPS_FREQ_DEFAULT,
+):
+    """Per-scale (dip, quality) of a section, stage by stage.
+
+    Each pyramid level's phase dip and quality are expanded to the base
+    dims on their own; expanded quality is trusted (1.0) where it exceeds
+    0.5.
+    """
+    kernel = kernel if kernel is not None else make_kernel()
+    rows, cols = section.grid.shape
+    out = []
+    for i, level in enumerate(build_pyramid(section.grid, scales, kernel).levels):
+        level_section = SeismicSection(level, dt=section.dt * 2**i, dx=section.dx * 2**i)
+        m = phase_dip(level_section, p_max=p_max, eps_freq=eps_freq, scale=i)
+        values = expand_to(m.grid, rows, cols).data
+        trust = expand_to(m.quality, rows, cols).data > 0.5
+        out.append((values, trust.astype(np.float64)))
+    return out
+
+
 def dip_slice_reference(
     volume,
     t: int,
@@ -174,22 +203,22 @@ def dip_slice_reference(
     Row ``t`` of the dip stack of every fixed-y section gives column y of
     ``p``; row ``t`` of every fixed-x section gives row x of ``q``. A cell
     is trusted where both dips are. ``kernel``, ``p_max`` and ``eps_freq``
-    go to :func:`pyrafuse.dip_stack` unchanged.
+    go to :func:`dip_stack_reference` unchanged.
     """
 
     def stack(section):
-        return dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+        return dip_stack_reference(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
 
     p = np.zeros((scales, volume.nx, volume.ny))
     q = np.zeros((scales, volume.nx, volume.ny))
     p_ok = np.zeros((scales, volume.nx, volume.ny))
     q_ok = np.zeros((scales, volume.nx, volume.ny))
     for y in range(volume.ny):
-        for i, m in enumerate(stack(volume.crossline_section(y)).maps):
-            p[i, :, y] = m.grid.data[t, :]
-            p_ok[i, :, y] = m.quality.data[t, :]
+        for i, (values, quality) in enumerate(stack(volume.crossline_section(y))):
+            p[i, :, y] = values[t, :]
+            p_ok[i, :, y] = quality[t, :]
     for x in range(volume.nx):
-        for i, m in enumerate(stack(volume.inline_section(x)).maps):
-            q[i, x, :] = m.grid.data[t, :]
-            q_ok[i, x, :] = m.quality.data[t, :]
+        for i, (values, quality) in enumerate(stack(volume.inline_section(x))):
+            q[i, x, :] = values[t, :]
+            q_ok[i, x, :] = quality[t, :]
     return [(p[i], q[i], p_ok[i] * q_ok[i]) for i in range(scales)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,7 +367,7 @@ class TestAcceptance:
         assert cli_main(["synth", str(spec_path), "--out", src]) == 0
 
         def payload(path):
-            blob = open(path, "rb").read()
+            blob = Path(path).read_bytes()
             return blob[blob.index(b"\n\n") + 2:]
 
         one = str(tmp_path / "one.pfg")
@@ -378,7 +379,7 @@ class TestAcceptance:
         a, b = str(tmp_path / "a.pfg"), str(tmp_path / "b.pfg")
         assert cli_main(["pipeline", src, "--out", a]) == 0
         assert cli_main(["pipeline", src, "--out", b]) == 0
-        rerun_ok = open(a, "rb").read() == open(b, "rb").read()
+        rerun_ok = Path(a).read_bytes() == Path(b).read_bytes()
 
         ok = single_ok and rerun_ok
         _report(capsys, "A11 pipeline-composition", ok,

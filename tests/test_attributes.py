@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dip_slice_reference
+from oracles import dip_slice_reference, dip_stack_reference
 from pyrafuse import (
     AttributeKind,
     AttributeMap,
@@ -35,6 +35,12 @@ from pyrafuse import (
     phase_dip,
 )
 from pyrafuse import attributes
+from pyrafuse.cli import _f32
+
+
+def _same_bits(a, b):
+    """Exact equality that also tells -0.0 from 0.0 (np.array_equal does not)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _plane_wave_section(n=128, m=48, k=6, p=0.5, dt=0.004, dx=25.0):
@@ -228,6 +234,32 @@ class TestDipStack:
         with pytest.raises(SizeError):
             dip_stack(section, 6)
 
+    @pytest.mark.parametrize(
+        "section, kernel, scales, p_max, eps_freq",
+        [
+            ("odd", (1.0, 2), 4, 5.0, 1e-3),
+            ("odd", (1.3, 3), 3, 5.0, 1e-3),
+            ("noisy", (1.0, 1), 3, 5.0, 1e-3),
+            ("noisy", (1.0, 1), 3, 0.5, 0.05),
+            ("noisy", (1.0, 2), 2, 0.5, 0.05),
+            ("packet", (1.0, 1), 3, 5.0, 1e-3),
+            ("packet", (1.0, 2), 2, 5.0, 1e-3),
+            ("flat", (1.0, 2), 3, 5.0, 1e-3),
+        ],
+    )
+    def test_equals_stage_composition_reference(self, section, kernel, scales, p_max, eps_freq):
+        # odd sizes and kernels; the clamp/eps case and the guard-firing
+        # packet are the ones test_slice_cases_clamp_reject_and_guard checks;
+        # flat events give -0.0 dips, which a blended base level would flip
+        section = _DIP_SECTIONS[section]()
+        kernel = make_kernel(*kernel)
+        stack = dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+        reference = dip_stack_reference(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+        assert len(stack.maps) == len(reference) == scales
+        for m, (values, quality) in zip(stack.maps, reference):
+            assert _same_bits(m.grid.data, values)
+            assert _same_bits(m.quality.data, quality)
+
 
 @functools.lru_cache(maxsize=1)
 def _odd_volume():
@@ -256,6 +288,14 @@ def _packet_volume():
 
 
 _SLICE_VOLUMES = {"noisy": _odd_volume, "packet": _packet_volume}
+_DIP_SECTIONS = {
+    "odd": lambda: SeismicSection(
+        Grid2(np.random.default_rng(31).standard_normal((101, 37))), dt=0.004, dx=25.0
+    ),
+    "noisy": lambda: _odd_volume().crossline_section(4),
+    "packet": lambda: _packet_volume().crossline_section(5),
+    "flat": lambda: _plane_wave_section(n=64, m=32, k=4, p=0.0)[0],
+}
 # (volume, p_max, eps_freq): the defaults, a case that clamps and rejects
 # often, and one where the envelope guard fires
 _SLICE_CASES = [("noisy", 5.0, 1e-3), ("noisy", 0.5, 0.05), ("packet", 5.0, 1e-3)]
@@ -298,9 +338,9 @@ class TestVolumeDips:
             reference = dip_slice_reference(vol, t, 2)
             assert len(fields) == len(reference) == 2
             for field, (p, q, quality) in zip(fields, reference):
-                assert np.array_equal(field.p.data, p)
-                assert np.array_equal(field.q.data, q)
-                assert np.array_equal(field.quality.data, quality)
+                assert _same_bits(field.p.data, p)
+                assert _same_bits(field.q.data, q)
+                assert _same_bits(field.quality.data, quality)
 
     @pytest.mark.parametrize("volume, p_max, eps_freq", _SLICE_CASES)
     @pytest.mark.parametrize("t", range(45))
@@ -311,9 +351,9 @@ class TestVolumeDips:
         reference = dip_slice_reference(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
         assert len(fields) == len(reference) == 3
         for field, (p, q, quality) in zip(fields, reference):
-            assert np.array_equal(field.p.data, p)
-            assert np.array_equal(field.q.data, q)
-            assert np.array_equal(field.quality.data, quality)
+            assert _same_bits(field.p.data, p)
+            assert _same_bits(field.q.data, q)
+            assert _same_bits(field.quality.data, quality)
 
     def test_slice_cases_clamp_reject_and_guard(self):
         # the exact comparison above only covers the clamp, the eps
@@ -364,6 +404,50 @@ class TestVolumeDips:
         monkeypatch.setattr(attributes, "_quadrature", no_work)
         with pytest.raises(SizeError, match=r"section 32x4 supports at most 0 dip scale\(s\), requested 2"):
             dip_slice_fields(vol, 10, 2)
+
+
+class TestQuadratureOverflow:
+    """A level whose quadrature overflows is rejected on every path; the
+    envelope guard would otherwise turn it into untrusted zeros."""
+
+    @staticmethod
+    def _volume():
+        rng = np.random.default_rng(0)
+        return SeismicVolume(
+            rng.standard_normal((64, 16, 16)) * 1e306, dt=0.004, dx=25.0, dy=25.0
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda vol: dip_stack(vol.crossline_section(3), 2),
+            lambda vol: attributes._dip_stack(
+                vol.crossline_section(3), 2, make_kernel(),
+                p_max=5.0, eps_freq=1e-3, boundary=_f32,
+            ),
+            lambda vol: dip_slice_fields(vol, 10, 2),
+            lambda vol: multiscale_attribute(
+                vol, AttributeKind.DIP_ANGLE, scales=2, time_index=10
+            ),
+        ],
+        ids=["dip_stack", "float32_boundary", "dip_slice_fields", "multiscale_attribute"],
+    )
+    def test_non_finite_quadrature_is_a_parameter_error(self, call):
+        vol = self._volume()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ParameterError, match="grid values must be finite"):
+                call(vol)
+
+    def test_finite_quadrature_whose_envelope_overflows_is_untrusted(self):
+        # f^2 + h^2 overflows but f and h are finite: the guard, not the
+        # finiteness check, handles it, on both paths alike
+        rng = np.random.default_rng(0)
+        vol = SeismicVolume(rng.standard_normal((64, 16, 16)) * 1e160, dt=0.004, dx=25.0, dy=25.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = dip_stack(vol.crossline_section(3), 2)
+            fields = dip_slice_fields(vol, 10, 2)
+        for quality in [m.quality for m in stack.maps] + [f.quality for f in fields]:
+            assert not quality.data.any()
 
 
 class TestAttributeStackDispatch:

@@ -34,7 +34,7 @@ event = quadratic, t0=24, kappa=1e-4
 
 
 def _payload(path: str) -> bytes:
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     return blob[blob.index(b"\n\n") + 2 :]
 
 
@@ -74,7 +74,7 @@ class TestSynthCommand:
     def test_reruns_are_byte_identical(self, tmp_path):
         a = _synth(tmp_path, "a.pfg")
         b = _synth(tmp_path, "b.pfg")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_volume_spec_round_trips(self, tmp_path):
         out = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
@@ -150,7 +150,7 @@ class TestPipelineEquivalence:
         a, b = str(tmp_path / "fa.pfg"), str(tmp_path / "fb.pfg")
         for target in (a, b):
             assert main(["pipeline", src, "--out", target]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_fused_header_records_the_recipe(self, tmp_path):
         src = _synth(tmp_path)
@@ -232,7 +232,7 @@ class TestExportPgm:
         src = _synth(tmp_path)
         out = str(tmp_path / "img.pgm")
         assert main(["export-pgm", src, "--out", out]) == 0
-        blob = open(out, "rb").read()
+        blob = Path(out).read_bytes()
         assert blob.startswith(b"P5 48 96 255\n")
         assert len(blob) == len(b"P5 48 96 255\n") + 96 * 48
 
@@ -241,7 +241,7 @@ class TestExportPgm:
         out = str(tmp_path / "img.pgm")
         assert main(["export-pgm", vol, "--out", out]) == 1
         assert main(["export-pgm", vol, "--time-index", "24", "--out", out]) == 0
-        assert open(out, "rb").read().startswith(b"P5 16 20 255\n")
+        assert Path(out).read_bytes().startswith(b"P5 16 20 255\n")
 
 
 class TestExitCodes:

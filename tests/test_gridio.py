@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import glob
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ class TestRoundTrips:
         )
         path = str(tmp_path / "f.pfg")
         write_grid(path, original)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert b"scale=fused\n" in raw
         back = read_grid(path)
         assert back.scale is None and back.is_fused
@@ -113,7 +114,7 @@ class TestRoundTrips:
         grid = Grid2(np.array([[1.0, 3.0], [2.0, 4.0]]))
         path = str(tmp_path / "le.pfg")
         write_grid(path, grid)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         _, offset = parse_header(blob, path=path)
         # column-major: 1, 2, 3, 4; 1.0f little-endian is 00 00 80 3f
         assert blob[offset : offset + 4] == b"\x00\x00\x80\x3f"
@@ -127,10 +128,10 @@ class TestWriteValidation:
     def test_overflow_rejected_and_original_kept(self, tmp_path):
         path = str(tmp_path / "keep.pfg")
         write_grid(path, Grid2(np.full((2, 2), 7.0)))
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         with pytest.raises(ParameterError):
             write_grid(path, Grid2(np.full((2, 2), 1e39)))
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert glob.glob(str(tmp_path / ".pfg-*")) == []
 
     def test_extra_meta_round_trip(self, tmp_path):
@@ -161,7 +162,7 @@ class TestHeaderParsing:
         path = str(tmp_path / "d.pfg")
         write_grid(path, _section(rows=10, cols=3))
         pairs = dict(describe_grid(path))
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         header_len = blob.index(b"\n\n") + 2
         assert pairs["magic"] == "PFGRID1"
         assert pairs["rows"] == "10" and pairs["cols"] == "3"
@@ -195,7 +196,7 @@ class TestHeaderParsing:
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "t.pfg")
         write_grid(path, _section(rows=8, cols=4))
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as f:
             f.write(blob[:-4])
         with pytest.raises(FormatError) as err:
@@ -293,19 +294,19 @@ class TestExportPgm:
         grid = Grid2(np.array([[0.0, 1.0]]))
         path = str(tmp_path / "p.pgm")
         export_pgm(grid, path, clip_lo=0.0, clip_hi=100.0)
-        assert open(path, "rb").read() == b"P5 2 1 255\n\x00\xff"
+        assert Path(path).read_bytes() == b"P5 2 1 255\n\x00\xff"
 
     def test_constant_map_renders_mid_gray(self, tmp_path):
         path = str(tmp_path / "c.pgm")
         export_pgm(Grid2(np.full((3, 2), 5.0)), path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob == b"P5 2 3 255\n" + b"\x80" * 6
 
     def test_percentile_clipping_saturates_tails(self, tmp_path):
         data = np.linspace(0.0, 1.0, 100).reshape(10, 10)
         path = str(tmp_path / "t.pgm")
         export_pgm(Grid2(data), path, clip_lo=10.0, clip_hi=90.0)
-        pixels = np.frombuffer(open(path, "rb").read()[11:], dtype=np.uint8)
+        pixels = np.frombuffer(Path(path).read_bytes()[11:], dtype=np.uint8)
         assert pixels.min() == 0 and pixels.max() == 255
         assert (pixels == 0).sum() >= 10 and (pixels == 255).sum() >= 10
 
@@ -315,7 +316,7 @@ class TestExportPgm:
         )
         path = str(tmp_path / "m.pgm")
         export_pgm(fused, path)
-        assert open(path, "rb").read().startswith(b"P5 4 3 255\n")
+        assert Path(path).read_bytes().startswith(b"P5 4 3 255\n")
 
     def test_percentile_validation(self, tmp_path):
         path = str(tmp_path / "no.pgm")
