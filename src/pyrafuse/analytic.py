@@ -102,14 +102,9 @@ def analytic_section(section: SeismicSection) -> AnalyticSection:
     )
 
 
-def _trusted(env2: np.ndarray, env2_max) -> np.ndarray:
-    return env2 > ENVELOPE_GUARD_REL * env2_max
-
-
 def guard_mask(a: AnalyticSection) -> np.ndarray:
     """Boolean mask, True where the phase quotient is trustworthy."""
-    env2 = a.envelope_squared()
-    return _trusted(env2, env2.max())
+    return _guarded_envelope(a.real.data, a.imag.data)[1]
 
 
 def phase_derivative(a: AnalyticSection, axis: Axis) -> Grid2:
@@ -126,33 +121,42 @@ def phase_derivative(a: AnalyticSection, axis: Axis) -> Grid2:
             f"need >= 3 points along {axis.name.lower()} for central differences, "
             f"got {a.shape[ax]}"
         )
-    return Grid2(_phase_derivative_band(a.real.data, a.imag.data, None, slice(None), ax))
+    f, h = a.real.data, a.imag.data
+    return Grid2(_phase_derivative_band(f, h, *_guarded_envelope(f, h), ax))
+
+
+def _guarded_envelope(f: np.ndarray, h: np.ndarray, env2_max=None):
+    """f^2 + h^2 and the envelope guard's trust mask, for both derivatives.
+
+    ``env2_max`` is the maximum of f^2 + h^2 over the whole section, or an
+    array of per-section maxima that broadcasts against ``f``; None takes
+    it from ``f`` and ``h``, which is right when they cover the section.
+    """
+    env2 = _envelope_squared(f, h)
+    if env2_max is None:
+        env2_max = env2.max()
+    return env2, env2 > ENVELOPE_GUARD_REL * env2_max
 
 
 def _phase_derivative_band(
     f: np.ndarray,
     h: np.ndarray,
-    env2_max,
-    rows: slice,
+    env2: np.ndarray,
+    trusted: np.ndarray,
     axis: int,
 ) -> np.ndarray:
-    """Phase derivative on ``rows`` (along axis 0) of ``f + i h``.
+    """Phase derivative of ``f + i h`` along ``axis``, 0 where not ``trusted``.
 
-    ``env2_max`` is the maximum of f^2 + h^2 over the whole section, or an
-    array of per-section maxima that broadcasts against ``f[rows]``; None
-    takes it from ``rows``, which is right when they cover the section. The
-    differences see only ``rows``, so the first and last of them are
-    one-sided; along time, a band widened by one row on each side (clipped
-    to the section) gives the inner rows exactly their full-section values.
+    ``env2`` and ``trusted`` come from :func:`_guarded_envelope` on the same
+    cells. The differences see only these cells, so along time the first
+    and last rows of a band are one-sided; a band widened by one row on
+    each side (clipped to the section) gives its inner rows exactly their
+    full-section values.
     """
-    f, h = f[rows], h[rows]
     df = np.gradient(f, axis=axis, edge_order=1)
     dh = np.gradient(h, axis=axis, edge_order=1)
-    env2 = _envelope_squared(f, h)
-    if env2_max is None:
-        env2_max = env2.max()
     num = f * dh
     num -= h * df
     out = np.zeros_like(f)
-    np.divide(num, env2, out=out, where=_trusted(env2, env2_max))
+    np.divide(num, env2, out=out, where=trusted)
     return out

@@ -30,6 +30,7 @@ import numpy as np
 from .analytic import (
     Axis,
     _envelope_squared,
+    _guarded_envelope,
     _phase_derivative_band,
     _quadrature,
     analytic_section,
@@ -90,8 +91,9 @@ def phase_dip(
     a = analytic_section(section)
     f, h = a.real.data, a.imag.data
     # what phase_derivative returns, without copying each result into a Grid2
-    d_time = _phase_derivative_band(f, h, None, slice(None), Axis.TIME.value)
-    d_trace = _phase_derivative_band(f, h, None, slice(None), Axis.TRACE.value)
+    guard = _guarded_envelope(f, h)
+    d_time = _phase_derivative_band(f, h, *guard, Axis.TIME.value)
+    d_trace = _phase_derivative_band(f, h, *guard, Axis.TRACE.value)
     dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
     return AttributeMap(
         grid=Grid2(dip),
@@ -396,8 +398,9 @@ def _dip_rows(
 
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for _, read, blend, (f, h), env2_max in plan:
-        d_time = _phase_derivative_band(f, h, env2_max, slice(None), 0)[read]
-        d_trace = _phase_derivative_band(f, h, env2_max, read, 2)
+        env2, trusted = _guarded_envelope(f, h, env2_max)
+        d_time = _phase_derivative_band(f, h, env2, trusted, 0)[read]
+        d_trace = _phase_derivative_band(f[read], h[read], env2[read], trusted[read], 2)
         dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
         out.append((expand(dip, blend), expand(ok.astype(np.float64), blend) > 0.5))
     return out

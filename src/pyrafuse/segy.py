@@ -9,18 +9,39 @@ from the start of the file):
     3220  uint16  samples per trace
     3224  uint16  sample format code (1 = IBM float, 5 = IEEE float32)
 
-Traces are organized into a volume when the inline/crossline trace-header
-words (offsets 188 and 192 inside each trace header) form a complete
-regular grid with at least two distinct values on each axis; anything else
-imports as a single 2D section in file order. Lateral spacings are not
-stored in this header subset, so the importer takes them as options.
+Every trace record is 240 + 4*ns bytes long (SEG-Y rev 1), so the records
+are read through one structured ``np.frombuffer`` view of that item size,
+with three fields: the inline and crossline trace-header words (offsets
+188 and 192 inside each trace header) and the ns samples. The geometry is
+decided from the inline/crossline arrays alone: traces form a volume when
+their pairs fill a complete regular grid, each cell once, with at least
+two distinct values on each axis; anything else imports as a single 2D
+section in file order. The samples are then decoded in blocks of whole
+records (``_BLOCK_WORDS`` sample words or one record), one
+:func:`decode_ibm32` call per block, and each block is written straight
+into its columns of the one (ns, traces) output array: lattice cells for
+a volume, file order for a section. Lateral spacings are not stored in
+this header subset, so the importer takes them as options.
 
 IBM single precision: sign bit, 7-bit base-16 exponent biased by 64,
 24-bit fraction in [0, 1):
 
     value = (1 - 2*sign) * (fraction / 2**24) * 16**(exponent - 64)
 
-so 0x42640000 decodes to +0.390625 * 16**2 = 100.0.
+so 0x42640000 decodes to +0.390625 * 16**2 = 100.0. The decoder looks the
+sign and exponent up by the word's top byte:
+
+    value = (word & 0xFFFFFF) * _IBM_SCALE[word >> 24]
+    _IBM_SCALE[b] = (1 - 2*(b >> 7)) * 16**((b & 0x7F) - 64) / 2**24
+
+Each table entry is a power of two in the float64 normal range and the
+24-bit fraction is an exact float64, so every product is exact: the table
+gives the formula's bits, -0.0 for a negative sign with a zero fraction
+included.
+
+Grid files hold float32, so a sample is accepted only when its float32
+rounding is finite; the first one that is not (NaN, infinity, or an IBM
+value beyond the float32 range) is a ``FormatError`` at its byte offset.
 """
 
 from __future__ import annotations
@@ -48,13 +69,26 @@ FORMAT_IEEE = 5
 SUPPORTED_FORMATS = (FORMAT_IBM, FORMAT_IEEE)
 
 
+def _ibm_scale_table() -> np.ndarray:
+    top = np.arange(256)
+    table = (1 - 2 * (top >> 7)) * np.ldexp(1.0, 4 * ((top & 0x7F) - 64) - 24)
+    table.flags.writeable = False
+    return table
+
+
+# IBM value per unit of fraction, by the word's top byte (sign, exponent)
+_IBM_SCALE = _ibm_scale_table()
+
+# sample words decoded per block; a block holds whole records, at least one
+_BLOCK_WORDS = 1 << 17
+
+
 def decode_ibm32(words) -> np.ndarray:
     """Decode IBM System/360 single-precision words (uint32) to float64."""
-    w = np.asarray(words, dtype=np.uint64)
-    sign = 1.0 - 2.0 * ((w >> 31) & 1).astype(np.float64)
-    exponent = ((w >> 24) & 0x7F).astype(np.int64) - 64
-    fraction = (w & 0xFFFFFF).astype(np.float64) / float(1 << 24)
-    return sign * fraction * np.power(16.0, exponent.astype(np.float64))
+    w = np.asarray(words, dtype=np.uint32)
+    values = (w & 0xFFFFFF).astype(np.float64)
+    values *= _IBM_SCALE[w >> 24]
+    return values
 
 
 def encode_ibm32(values) -> np.ndarray:
@@ -130,10 +164,14 @@ def _read_u16(blob: bytes, offset: int, big_endian: bool) -> int:
 def read_segy(path: str, options: SegyImportOptions | None = None):
     """Import a SEG-Y file as a SeismicSection or SeismicVolume.
 
+    A sample must be finite as float32, the precision of grid files: an
+    IBM value beyond the float32 range is rejected here, not at write time.
+
     Raises:
         FormatError: file shorter than its headers, zero sample interval
-            or trace length, or trailing bytes that do not divide into
-            whole trace records.
+            or trace length, trailing bytes that do not divide into whole
+            trace records, or a sample whose float32 rounding is not
+            finite (the offset is that of the first such sample).
         UnsupportedFormatError: sample format other than 1 or 5.
     """
     options = options or SegyImportOptions()
@@ -156,6 +194,7 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
         raise UnsupportedFormatError(
             f"{path}: sample format {fmt} unsupported (supported: "
             f"{FORMAT_IBM} = IBM float, {FORMAT_IEEE} = IEEE float32)",
+            offset=_OFF_FORMAT_CODE,
         )
 
     record = TRACE_HEADER_BYTES + 4 * ns
@@ -172,44 +211,70 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
     if options.max_traces is not None:
         n_traces = min(n_traces, int(options.max_traces))
 
-    word_order = ">u4" if big else "<u4"
-    ieee_order = ">f4" if big else "<f4"
-    int_order = ">i4" if big else "<i4"
-    traces = np.empty((ns, n_traces), dtype=np.float64)
-    inlines = np.empty(n_traces, dtype=np.int64)
-    crosslines = np.empty(n_traces, dtype=np.int64)
-    for j in range(n_traces):
-        start = HEADER_BYTES + j * record
-        inlines[j] = np.frombuffer(blob, dtype=int_order, count=1, offset=start + _OFF_INLINE)[0]
-        crosslines[j] = np.frombuffer(blob, dtype=int_order, count=1, offset=start + _OFF_CROSSLINE)[0]
-        sample_start = start + TRACE_HEADER_BYTES
-        if fmt == FORMAT_IEEE:
-            traces[:, j] = np.frombuffer(blob, dtype=ieee_order, count=ns, offset=sample_start)
-        else:
-            words = np.frombuffer(blob, dtype=word_order, count=ns, offset=sample_start)
-            traces[:, j] = decode_ibm32(words)
-    if not np.isfinite(traces).all():
-        raise FormatError(f"{path}: non-finite samples after decode", offset=HEADER_BYTES)
+    order = ">" if big else "<"
+    sample = order + ("f4" if fmt == FORMAT_IEEE else "u4")
+    layout = np.dtype({
+        "names": ["inline", "crossline", "samples"],
+        "formats": [order + "i4", order + "i4", (sample, ns)],
+        "offsets": [_OFF_INLINE, _OFF_CROSSLINE, TRACE_HEADER_BYTES],
+        "itemsize": record,
+    })
+    records = np.frombuffer(blob, dtype=layout, count=n_traces, offset=HEADER_BYTES)
+    lattice, cells = _lattice(records["inline"], records["crossline"])
 
+    # one column per trace: file order for a section, lattice cells for a volume
+    out = np.empty((ns, n_traces))
+    samples = records["samples"]
+    per_block = max(1, _BLOCK_WORDS // ns)
+    for start in range(0, n_traces, per_block):
+        stop = min(start + per_block, n_traces)
+        values = samples[start:stop]
+        if fmt == FORMAT_IBM:
+            values = decode_ibm32(values)
+        _check_samples(values, path, HEADER_BYTES + start * record, record)
+        out[:, slice(start, stop) if cells is None else cells[start:stop]] = values.T
+
+    del blob, records, samples, values  # never hold the file and the copy below at once
     dt = dt_us * 1e-6
-    volume = _try_volume(traces, inlines, crosslines, dt, options)
-    if volume is not None:
-        return volume
-    return SeismicSection(Grid2(traces), dt=dt, dx=options.dx, label="segy import")
+    if lattice is None:
+        return SeismicSection(Grid2(out), dt=dt, dx=options.dx, label="segy import")
+    return SeismicVolume(out.reshape(ns, *lattice), dt=dt, dx=options.dx, dy=options.dy)
 
 
-def _try_volume(traces, inlines, crosslines, dt, options):
-    unique_il = np.unique(inlines)
-    unique_xl = np.unique(crosslines)
-    if len(unique_il) < 2 or len(unique_xl) < 2:
-        return None
-    if len(unique_il) * len(unique_xl) != traces.shape[1]:
-        return None
-    il_index = {v: i for i, v in enumerate(unique_il)}
-    xl_index = {v: i for i, v in enumerate(unique_xl)}
-    data = np.full((traces.shape[0], len(unique_il), len(unique_xl)), np.nan)
-    for j in range(traces.shape[1]):
-        data[:, il_index[inlines[j]], xl_index[crosslines[j]]] = traces[:, j]
-    if np.isnan(data).any():  # duplicate pair left a hole: irregular geometry
-        return None
-    return SeismicVolume(data, dt=dt, dx=options.dx, dy=options.dy)
+def _lattice(inlines: np.ndarray, crosslines: np.ndarray):
+    """The (inline, crossline) lattice the traces fill, and each one's cell.
+
+    The shape is None unless the pairs fill a complete lattice, each cell
+    once, with at least two distinct values on each axis. Cells count
+    inline-major; they are None where they are the file order, as in a
+    section or a volume written inline by inline.
+    """
+    il_values, il_index = np.unique(inlines, return_inverse=True)
+    xl_values, xl_index = np.unique(crosslines, return_inverse=True)
+    shape = (len(il_values), len(xl_values))
+    if min(shape) < 2 or shape[0] * shape[1] != len(inlines):
+        return None, None
+    cells = il_index * shape[1] + xl_index
+    if np.bincount(cells).max() > 1:  # a duplicate pair leaves a hole
+        return None, None
+    if (cells == np.arange(cells.size)).all():
+        return shape, None
+    return shape, cells
+
+
+def _check_samples(values: np.ndarray, path: str, first: int, record: int) -> None:
+    """Reject a block whose float32 rounding is not finite everywhere.
+
+    ``values`` is (traces, ns) in file order and ``first`` the byte offset
+    of its first record.
+    """
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(values.astype(np.float32))
+    if finite.all():
+        return
+    j, i = np.unravel_index(np.argmin(finite), finite.shape)
+    offset = int(first + j * record + TRACE_HEADER_BYTES + 4 * i)
+    value = float(values[j, i])
+    if np.isfinite(value):
+        raise FormatError(f"{path}: sample {value!r} is beyond the float32 range", offset=offset)
+    raise FormatError(f"{path}: non-finite samples after decode", offset=offset)

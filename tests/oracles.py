@@ -3,7 +3,11 @@
 Each oracle is written in the most literal way available — explicit
 loops, direct DFT sums, Python's ``sorted`` — deliberately sharing no
 code path with the package, so agreement between the two is evidence
-rather than tautology. The exceptions are :func:`dip_stack_reference`,
+rather than tautology. :func:`read_segy_reference` and
+:func:`decode_ibm32_reference` are the package's SEG-Y reader and IBM
+decoder as they were before the reader was vectorised: a per-trace loop
+and the sign * fraction * 16**exponent formula. The exceptions are
+:func:`dip_stack_reference`,
 which states the dip stack as the composition of the package's public
 stage functions (pyramid, per-level phase dip, expansion), and
 :func:`dip_slice_reference`, which takes time slices of it; the package's
@@ -18,8 +22,31 @@ import math
 
 import numpy as np
 
-from pyrafuse import SeismicSection, build_pyramid, expand_to, make_kernel, phase_dip
+from pyrafuse import (
+    FormatError,
+    Grid2,
+    SegyImportOptions,
+    SeismicSection,
+    SeismicVolume,
+    UnsupportedFormatError,
+    build_pyramid,
+    expand_to,
+    make_kernel,
+    phase_dip,
+)
 from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT
+from pyrafuse.segy import (
+    _OFF_CROSSLINE,
+    _OFF_FORMAT_CODE,
+    _OFF_INLINE,
+    _OFF_SAMPLE_INTERVAL,
+    _OFF_SAMPLES_PER_TRACE,
+    FORMAT_IBM,
+    FORMAT_IEEE,
+    HEADER_BYTES,
+    SUPPORTED_FORMATS,
+    TRACE_HEADER_BYTES,
+)
 
 
 def reduce_naive(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -222,3 +249,105 @@ def dip_slice_reference(
             q[i, x, :] = values[t, :]
             q_ok[i, x, :] = quality[t, :]
     return [(p[i], q[i], p_ok[i] * q_ok[i]) for i in range(scales)]
+
+
+def decode_ibm32_reference(words) -> np.ndarray:
+    """Decode IBM System/360 single-precision words (uint32) to float64."""
+    w = np.asarray(words, dtype=np.uint64)
+    sign = 1.0 - 2.0 * ((w >> 31) & 1).astype(np.float64)
+    exponent = ((w >> 24) & 0x7F).astype(np.int64) - 64
+    fraction = (w & 0xFFFFFF).astype(np.float64) / float(1 << 24)
+    return sign * fraction * np.power(16.0, exponent.astype(np.float64))
+
+
+def _read_u16(blob: bytes, offset: int, big_endian: bool) -> int:
+    order = ">u2" if big_endian else "<u2"
+    return int(np.frombuffer(blob, dtype=order, count=1, offset=offset)[0])
+
+
+def read_segy_reference(path: str, options: SegyImportOptions | None = None):
+    """Import a SEG-Y file as a SeismicSection or SeismicVolume, trace by trace.
+
+    Raises:
+        FormatError: file shorter than its headers, zero sample interval
+            or trace length, or trailing bytes that do not divide into
+            whole trace records.
+        UnsupportedFormatError: sample format other than 1 or 5.
+    """
+    options = options or SegyImportOptions()
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    if len(blob) < HEADER_BYTES:
+        raise FormatError(
+            f"{path}: file holds {len(blob)} bytes, SEG-Y headers need {HEADER_BYTES}",
+            offset=len(blob),
+        )
+    big = options.big_endian
+    dt_us = _read_u16(blob, _OFF_SAMPLE_INTERVAL, big)
+    ns = _read_u16(blob, _OFF_SAMPLES_PER_TRACE, big)
+    fmt = options.format_code or _read_u16(blob, _OFF_FORMAT_CODE, big)
+    if dt_us == 0:
+        raise FormatError(f"{path}: sample interval is 0", offset=_OFF_SAMPLE_INTERVAL)
+    if ns == 0:
+        raise FormatError(f"{path}: samples per trace is 0", offset=_OFF_SAMPLES_PER_TRACE)
+    if fmt not in SUPPORTED_FORMATS:
+        raise UnsupportedFormatError(
+            f"{path}: sample format {fmt} unsupported (supported: "
+            f"{FORMAT_IBM} = IBM float, {FORMAT_IEEE} = IEEE float32)",
+        )
+
+    record = TRACE_HEADER_BYTES + 4 * ns
+    body = len(blob) - HEADER_BYTES
+    n_traces = body // record
+    if n_traces < 1:
+        raise FormatError(f"{path}: no complete trace records", offset=HEADER_BYTES)
+    if body % record != 0:
+        raise FormatError(
+            f"{path}: {body} bytes of traces is not a whole number of "
+            f"{record}-byte records",
+            offset=HEADER_BYTES + n_traces * record,
+        )
+    if options.max_traces is not None:
+        n_traces = min(n_traces, int(options.max_traces))
+
+    word_order = ">u4" if big else "<u4"
+    ieee_order = ">f4" if big else "<f4"
+    int_order = ">i4" if big else "<i4"
+    traces = np.empty((ns, n_traces), dtype=np.float64)
+    inlines = np.empty(n_traces, dtype=np.int64)
+    crosslines = np.empty(n_traces, dtype=np.int64)
+    for j in range(n_traces):
+        start = HEADER_BYTES + j * record
+        inlines[j] = np.frombuffer(blob, dtype=int_order, count=1, offset=start + _OFF_INLINE)[0]
+        crosslines[j] = np.frombuffer(blob, dtype=int_order, count=1, offset=start + _OFF_CROSSLINE)[0]
+        sample_start = start + TRACE_HEADER_BYTES
+        if fmt == FORMAT_IEEE:
+            traces[:, j] = np.frombuffer(blob, dtype=ieee_order, count=ns, offset=sample_start)
+        else:
+            words = np.frombuffer(blob, dtype=word_order, count=ns, offset=sample_start)
+            traces[:, j] = decode_ibm32_reference(words)
+    if not np.isfinite(traces).all():
+        raise FormatError(f"{path}: non-finite samples after decode", offset=HEADER_BYTES)
+
+    dt = dt_us * 1e-6
+    volume = _try_volume(traces, inlines, crosslines, dt, options)
+    if volume is not None:
+        return volume
+    return SeismicSection(Grid2(traces), dt=dt, dx=options.dx, label="segy import")
+
+
+def _try_volume(traces, inlines, crosslines, dt, options):
+    unique_il = np.unique(inlines)
+    unique_xl = np.unique(crosslines)
+    if len(unique_il) < 2 or len(unique_xl) < 2:
+        return None
+    if len(unique_il) * len(unique_xl) != traces.shape[1]:
+        return None
+    il_index = {v: i for i, v in enumerate(unique_il)}
+    xl_index = {v: i for i, v in enumerate(unique_xl)}
+    data = np.full((traces.shape[0], len(unique_il), len(unique_xl)), np.nan)
+    for j in range(traces.shape[1]):
+        data[:, il_index[inlines[j]], xl_index[crosslines[j]]] = traces[:, j]
+    if np.isnan(data).any():  # duplicate pair left a hole: irregular geometry
+        return None
+    return SeismicVolume(data, dt=dt, dx=options.dx, dy=options.dy)

@@ -226,6 +226,21 @@ class TestSegyImport:
         path.write_bytes(bytes(blob))
         assert main(["segy-import", str(path), "--out", str(tmp_path / "o.pfg")]) == 2
 
+    def test_ibm_beyond_float32_exits_two(self, tmp_path, caplog):
+        blob = bytearray(b"C" * 3200) + bytearray(400)
+        blob[3216:3218] = (4000).to_bytes(2, "big")
+        blob[3220:3222] = (4).to_bytes(2, "big")
+        blob[3224:3226] = (1).to_bytes(2, "big")
+        words = np.full(4, 0x41100000, dtype=">u4")  # 1.0
+        words[2] = 0x7FFFFFFF  # about 7.2e75: a valid IBM float, not a float32
+        blob += bytes(240) + words.tobytes()
+        path = tmp_path / "big.sgy"
+        path.write_bytes(bytes(blob))
+        out = tmp_path / "o.pfg"
+        assert main(["segy-import", str(path), "--out", str(out)]) == 2
+        assert f"byte offset {3600 + 240 + 8}" in caplog.text
+        assert not out.exists()
+
 
 class TestExportPgm:
     def test_golden_header_and_size(self, tmp_path):

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
+from oracles import decode_ibm32_reference, read_segy_reference
 from pyrafuse import (
     FormatError,
     ParameterError,
+    PyrafuseError,
     SegyImportOptions,
     SeismicSection,
     SeismicVolume,
@@ -13,6 +18,7 @@ from pyrafuse import (
     decode_ibm32,
     encode_ibm32,
     read_segy,
+    segy,
 )
 
 
@@ -25,8 +31,13 @@ def _build_segy(
     big: bool = True,
     trailing: bytes = b"",
     header_fmt: int | None = None,
+    raw: bool = False,
 ) -> bytes:
-    """Assemble a minimal SEG-Y byte stream around the given trace matrix."""
+    """Assemble a minimal SEG-Y byte stream around the given trace matrix.
+
+    With ``raw``, ``traces`` holds the samples as stored (uint32 IBM words
+    or float32 values), written in the file's byte order.
+    """
     ns, n = traces.shape
     u2 = ">u2" if big else "<u2"
     i4 = ">i4" if big else "<i4"
@@ -40,7 +51,10 @@ def _build_segy(
         header[188:192] = np.array([inlines[j]], dtype=i4).tobytes()
         header[192:196] = np.array([crosslines[j]], dtype=i4).tobytes()
         blob += header
-        if fmt == 5:
+        if raw:
+            stored = traces.dtype.newbyteorder(">" if big else "<")
+            blob += traces[:, j].astype(stored).tobytes()
+        elif fmt == 5:
             blob += np.asarray(traces[:, j], dtype=">f4" if big else "<f4").tobytes()
         else:
             words = encode_ibm32(traces[:, j])
@@ -207,17 +221,229 @@ class TestReadErrors:
         with pytest.raises(UnsupportedFormatError) as err:
             read_segy(path)
         assert "format 3" in str(err.value)
+        assert err.value.offset == 3224
         with pytest.raises(UnsupportedFormatError):
             SegyImportOptions(format_code=3)
 
     def test_non_finite_samples(self, tmp_path):
         traces = np.ones((8, 2))
         traces[3, 1] = np.inf
+        traces[5, 1] = np.nan
         path = _write(tmp_path, _build_segy(traces, [1, 1], [1, 2], fmt=5))
         with pytest.raises(FormatError) as err:
             read_segy(path)
         assert "non-finite" in str(err.value)
+        # trace 1, sample 3: the first bad sample in file order
+        assert err.value.offset == 3600 + 1 * (240 + 4 * 8) + 240 + 4 * 3
+
+    @pytest.mark.parametrize("block_words", [None, 1])
+    def test_ibm_beyond_float32_is_a_format_error(self, tmp_path, monkeypatch, block_words):
+        if block_words is not None:
+            monkeypatch.setattr(segy, "_BLOCK_WORDS", block_words)
+        words = np.full((8, 3), 0x41100000, dtype=np.uint32)  # 1.0
+        words[6, 1] = 0x7FFFFFFF  # about 7.2e75
+        words[2, 2] = 0x7FFFFFFF
+        path = _write(tmp_path, _build_segy(words, [1] * 3, [1, 2, 3], raw=True))
+        with pytest.raises(FormatError) as err:
+            read_segy(path)
+        assert "float32" in str(err.value)
+        assert err.value.offset == 3600 + 1 * (240 + 4 * 8) + 240 + 4 * 6
+        assert path in str(err.value)
+
+    def test_float32_boundary_of_ibm_values(self, tmp_path):
+        # 0x60FFFFFF is exactly the largest float32; 0x61100000 is 2**128
+        words = np.full((4, 2), 0x60FFFFFF, dtype=np.uint32)
+        words[1, 0] = 0xE0FFFFFF
+        path = _write(tmp_path, _build_segy(words, [1, 1], [1, 2], raw=True))
+        values = read_segy(path).grid.data
+        assert values.max() == np.finfo(np.float32).max == -values.min()
+        words[3, 1] = 0x61100000
+        path = _write(tmp_path, _build_segy(words, [1, 1], [1, 2], raw=True))
+        with pytest.raises(FormatError) as err:
+            read_segy(path)
+        assert err.value.offset == 3600 + (240 + 4 * 4) + 240 + 4 * 3
 
     def test_bad_max_traces(self):
         with pytest.raises(ParameterError):
             SegyImportOptions(max_traces=0)
+
+
+def _same_import(actual, expected) -> None:
+    """Same container, sampling and payload bits (so -0.0 counts)."""
+    assert type(actual) is type(expected)
+    if isinstance(expected, SeismicVolume):
+        got, want = actual.data, expected.data
+        assert (actual.dt, actual.dx, actual.dy) == (expected.dt, expected.dx, expected.dy)
+    else:
+        got, want = actual.grid.data, expected.grid.data
+        assert (actual.dt, actual.dx, actual.label) == (expected.dt, expected.dx, expected.label)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _ibm_words(ns: int, n: int, rng) -> np.ndarray:
+    """IBM words over every top byte: zero, tiny, random and full fractions.
+
+    A word whose value float32 cannot hold keeps its top byte with a zero
+    fraction, so it decodes to +-0.0 and the file stays valid.
+    """
+    top = rng.permutation(np.arange(ns * n) % 256).astype(np.uint32)
+    fraction = rng.integers(0, 1 << 24, ns * n).astype(np.uint32)
+    fraction[::5] = 0
+    fraction[1::7] = 0xFFFFFF
+    fraction[2::11] = rng.integers(1, 16, fraction[2::11].size)
+    words = top << np.uint32(24) | fraction
+    with np.errstate(over="ignore"):
+        beyond = ~np.isfinite(decode_ibm32_reference(words).astype(np.float32))
+    words[beyond] &= np.uint32(0xFF000000)
+    return words.reshape(ns, n)
+
+
+def _ieee_values(ns: int, n: int, rng) -> np.ndarray:
+    """Finite float32 over random bit patterns, with signed zeros and subnormals."""
+    bits = rng.integers(0, 1 << 32, ns * n, dtype=np.uint64).astype(np.uint32)
+    bits[(bits >> np.uint32(23)) & np.uint32(0xFF) == 0xFF] &= np.uint32(0x807FFFFF)
+    bits[:4] = [0x80000000, 0x00000000, 0x00000001, 0x7F7FFFFF]
+    return bits.view(np.float32).reshape(ns, n)
+
+
+_N_IL, _N_XL = 3, 4
+_INLINE_MAJOR = (np.repeat([7, 8, 9], _N_XL), np.tile([20, 22, 24, 26], _N_IL))
+_CROSSLINE_MAJOR = (np.tile([7, 8, 9], _N_XL), np.repeat([20, 22, 24, 26], _N_IL))
+_SHUFFLE = np.random.default_rng(4).permutation(_N_IL * _N_XL)
+# name: ((inlines, crosslines), max_traces, volume lattice or None for a section)
+_LAYOUTS = {
+    "inline-major": (_INLINE_MAJOR, None, (3, 4)),
+    "crossline-major": (_CROSSLINE_MAJOR, None, (3, 4)),
+    "shuffled": (tuple(a[_SHUFFLE] for a in _INLINE_MAJOR), None, (3, 4)),
+    "duplicate-pair": ((_INLINE_MAJOR[0], np.r_[_INLINE_MAJOR[1][:-1], 20]), None, None),
+    "single-inline": ((np.full(12, 7), np.arange(12)), None, None),
+    "max-traces-volume": (_INLINE_MAJOR, 8, (2, 4)),
+    "max-traces-section": (_INLINE_MAJOR, 5, None),
+}
+
+
+class TestMatchesReference:
+    """Bit for bit against the per-trace reader in ``tests/oracles.py``."""
+
+    NS = 64
+
+    @pytest.mark.parametrize("block_words", [None, 1, 150])
+    @pytest.mark.parametrize("big", [True, False], ids=["big", "little"])
+    @pytest.mark.parametrize("fmt", [1, 5], ids=["ibm", "ieee"])
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_layouts(self, tmp_path, monkeypatch, layout, fmt, big, block_words):
+        if block_words is not None:  # 1: one trace per block; 150: two
+            monkeypatch.setattr(segy, "_BLOCK_WORDS", block_words)
+        (inlines, crosslines), cap, lattice = _LAYOUTS[layout]
+        rng = np.random.default_rng(fmt * 10 + big)
+        samples = _ibm_words(self.NS, 12, rng) if fmt == 1 else _ieee_values(self.NS, 12, rng)
+        blob = _build_segy(samples, inlines, crosslines, fmt=fmt, big=big, raw=True)
+        path = _write(tmp_path, blob)
+        options = SegyImportOptions(big_endian=big, max_traces=cap, dx=12.5, dy=30.0)
+        expected = read_segy_reference(path, options)
+        _same_import(read_segy(path, options), expected)
+        if lattice is None:
+            assert isinstance(expected, SeismicSection)
+        else:
+            assert expected.data.shape == (self.NS, *lattice)
+
+    @pytest.mark.parametrize("stored, override", [(1, 5), (5, 1)])
+    def test_format_override(self, tmp_path, stored, override):
+        rng = np.random.default_rng(9)
+        samples = _ibm_words(self.NS, 12, rng) if override == 1 else _ieee_values(self.NS, 12, rng)
+        blob = _build_segy(samples, *_INLINE_MAJOR, fmt=override, header_fmt=stored, raw=True)
+        path = _write(tmp_path, blob)
+        options = SegyImportOptions(format_code=override)
+        _same_import(read_segy(path, options), read_segy_reference(path, options))
+
+    def test_decodes_once_per_block(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(words):
+            calls.append(np.shape(words))
+            return decode_ibm32(words)
+
+        monkeypatch.setattr(segy, "decode_ibm32", counting)
+        monkeypatch.setattr(segy, "_BLOCK_WORDS", 5 * self.NS)
+        samples = _ibm_words(self.NS, 12, np.random.default_rng(2))
+        read_segy(_write(tmp_path, _build_segy(samples, *_INLINE_MAJOR, raw=True)))
+        assert calls == [(5, self.NS), (5, self.NS), (2, self.NS)]
+
+
+class TestDecodeMatchesReference:
+    def test_every_top_byte(self):
+        fractions = np.array([0, 1, 0xF, 0x100000, 0x7FFFFF, 0x800000, 0xFFFFFF], dtype=np.uint32)
+        words = (np.arange(256, dtype=np.uint32)[:, None] << np.uint32(24)) | fractions
+        assert decode_ibm32(words).tobytes() == decode_ibm32_reference(words).tobytes()
+
+    def test_random_words(self):
+        rng = np.random.default_rng(11)
+        words = rng.integers(0, 1 << 32, 1 << 18, dtype=np.uint64).astype(np.uint32)
+        assert decode_ibm32(words).tobytes() == decode_ibm32_reference(words).tobytes()
+
+    def test_negative_zero_fraction_gives_negative_zero(self):
+        words = np.array([0x80000000, 0xC1000000, 0x00000000, 0x41000000], dtype=np.uint32)
+        assert np.signbit(decode_ibm32(words)).tolist() == [True, True, False, False]
+
+
+_FUZZ_NS = 6
+# per (layout, stored format, big-endian): a valid file to truncate and edit
+_FUZZ_BASES = {
+    (layout, fmt, big): _build_segy(
+        _ibm_words(_FUZZ_NS, 12, np.random.default_rng(3))
+        if fmt == 1
+        else _ieee_values(_FUZZ_NS, 12, np.random.default_rng(3)),
+        *_LAYOUTS[layout][0], fmt=fmt, big=big, raw=True,
+    )
+    for layout in ("inline-major", "shuffled", "duplicate-pair")
+    for fmt in (1, 5)
+    for big in (True, False)
+}
+_FUZZ_BYTES = len(next(iter(_FUZZ_BASES.values())))
+# the binary-header words read, and each record's inline, crossline and first sample
+_FUZZ_HOT = list(range(3216, 3226)) + [
+    3600 + j * (240 + 4 * _FUZZ_NS) + k
+    for j in range(12)
+    for k in (188, 191, 192, 195, 240, 243)
+]
+
+
+@pytest.fixture
+def hypothesis_home(tmp_path):
+    """Hypothesis files (its constants cache) go here, not into ./.hypothesis."""
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    yield
+    set_hypothesis_home_dir(None)
+
+
+def test_mutated_files_raise_only_package_errors(tmp_path, hypothesis_home):
+    """Truncated or byte-edited files import or raise a PyrafuseError.
+
+    Whatever imports is bit-identical to the per-trace reference.
+    """
+    path = tmp_path / "fuzz.sgy"
+    position = st.one_of(st.sampled_from(_FUZZ_HOT), st.integers(0, _FUZZ_BYTES - 1))
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(
+        base=st.sampled_from(sorted(_FUZZ_BASES)),
+        cut=st.one_of(st.none(), st.integers(3590, _FUZZ_BYTES)),
+        at=st.lists(position, max_size=6),
+        values=st.binary(min_size=6, max_size=6),
+        fmt=st.sampled_from([None, 1, 5]),
+        cap=st.one_of(st.none(), st.integers(1, 14)),
+    )
+    def check(base, cut, at, values, fmt, cap):
+        blob = bytearray(_FUZZ_BASES[base])
+        for i, value in zip(at, values):
+            blob[i] = value
+        path.write_bytes(bytes(blob[:cut]))
+        options = SegyImportOptions(format_code=fmt, big_endian=base[2], max_traces=cap)
+        try:
+            result = read_segy(str(path), options)
+        except PyrafuseError:
+            return
+        _same_import(result, read_segy_reference(str(path), options))
+
+    check()
