@@ -232,7 +232,7 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
         if fmt == FORMAT_IBM:
             values = decode_ibm32(values)
         _check_samples(values, path, HEADER_BYTES + start * record, record)
-        out[:, slice(start, stop) if cells is None else cells[start:stop]] = values.T
+        out[:, cells[start:stop]] = values.T
 
     del blob, records, samples, values  # never hold the file and the copy below at once
     dt = dt_us * 1e-6
@@ -246,19 +246,17 @@ def _lattice(inlines: np.ndarray, crosslines: np.ndarray):
 
     The shape is None unless the pairs fill a complete lattice, each cell
     once, with at least two distinct values on each axis. Cells count
-    inline-major; they are None where they are the file order, as in a
-    section or a volume written inline by inline.
+    inline-major; a section's cells are the file order.
     """
     il_values, il_index = np.unique(inlines, return_inverse=True)
     xl_values, xl_index = np.unique(crosslines, return_inverse=True)
     shape = (len(il_values), len(xl_values))
+    section = None, np.arange(len(inlines))
     if min(shape) < 2 or shape[0] * shape[1] != len(inlines):
-        return None, None
+        return section
     cells = il_index * shape[1] + xl_index
     if np.bincount(cells).max() > 1:  # a duplicate pair leaves a hole
-        return None, None
-    if (cells == np.arange(cells.size)).all():
-        return shape, None
+        return section
     return shape, cells
 
 
