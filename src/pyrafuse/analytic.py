@@ -125,17 +125,19 @@ def phase_derivative(a: AnalyticSection, axis: Axis) -> Grid2:
     return Grid2(_phase_derivative_band(f, h, *_guarded_envelope(f, h), ax))
 
 
-def _guarded_envelope(f: np.ndarray, h: np.ndarray, env2_max=None):
-    """f^2 + h^2 and the envelope guard's trust mask, for both derivatives.
+def _guarded_envelope(f: np.ndarray, h: np.ndarray):
+    """f^2 + h^2 of a whole section and its trust mask, for both derivatives."""
+    env2 = _envelope_squared(f, h)
+    return env2, _trusted(env2, env2.max())
+
+
+def _trusted(env2: np.ndarray, env2_max) -> np.ndarray:
+    """The envelope guard: True where f^2 + h^2 is above its relative floor.
 
     ``env2_max`` is the maximum of f^2 + h^2 over the whole section, or an
-    array of per-section maxima that broadcasts against ``f``; None takes
-    it from ``f`` and ``h``, which is right when they cover the section.
+    array of per-section maxima that broadcasts against ``env2``.
     """
-    env2 = _envelope_squared(f, h)
-    if env2_max is None:
-        env2_max = env2.max()
-    return env2, env2 > ENVELOPE_GUARD_REL * env2_max
+    return env2 > ENVELOPE_GUARD_REL * env2_max
 
 
 def _phase_derivative_band(
@@ -147,11 +149,11 @@ def _phase_derivative_band(
 ) -> np.ndarray:
     """Phase derivative of ``f + i h`` along ``axis``, 0 where not ``trusted``.
 
-    ``env2`` and ``trusted`` come from :func:`_guarded_envelope` on the same
-    cells. The differences see only these cells, so along time the first
-    and last rows of a band are one-sided; a band widened by one row on
-    each side (clipped to the section) gives its inner rows exactly their
-    full-section values.
+    ``env2`` is f^2 + h^2 and ``trusted`` its guard (:func:`_trusted`) on
+    the same cells. The differences see only these cells, so along time
+    the first and last rows of a band are one-sided; a band widened by one
+    row on each side (clipped to the section) gives its inner rows exactly
+    their full-section values.
     """
     df = np.gradient(f, axis=axis, edge_order=1)
     dh = np.gradient(h, axis=axis, edge_order=1)

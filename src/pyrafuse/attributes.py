@@ -33,6 +33,7 @@ from .analytic import (
     _guarded_envelope,
     _phase_derivative_band,
     _quadrature,
+    _trusted,
     analytic_section,
 )
 from .errors import BoundsError, ConfigError, ParameterError, ShapeError, SizeError
@@ -292,6 +293,42 @@ class AttributeStack:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class _Layers:
+    """A stack as arrays: what fusion reads, without the per-scale maps.
+
+    ``values`` is (K, rows, cols) float and ``valid`` the matching bool
+    trust; ``dt``, ``dx``, ``dy`` and ``meta`` are those of every map.
+    """
+
+    values: np.ndarray
+    valid: np.ndarray
+    kind: AttributeKind
+    dt: float
+    dx: float
+    dy: float | None
+    meta: dict[str, str]
+
+
+def _as_stack(layers: _Layers) -> AttributeStack:
+    """The public per-scale maps of ``layers``."""
+    return AttributeStack(
+        tuple(
+            AttributeMap(
+                grid=Grid2(values),
+                kind=layers.kind,
+                scale=i,
+                dt=layers.dt,
+                dx=layers.dx,
+                dy=layers.dy,
+                quality=Grid2(valid),
+                meta=layers.meta,
+            )
+            for i, (values, valid) in enumerate(zip(layers.values, layers.valid))
+        )
+    )
+
+
 def _check_dip_request(
     shapes: tuple[tuple[int, int], ...],
     scales: int,
@@ -325,12 +362,12 @@ def _dip_rows(
     p_max: float,
     eps_freq: float,
     boundary: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per scale: base rows ``rows`` of every section's expanded (dip, trust).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Base rows ``rows`` of every section's expanded dip and trust, per scale.
 
     ``sections`` is (count, nt, n), one section per entry, and ``rows`` a
-    contiguous slice of its time axis; each scale gives a float dip array
-    and a bool trust array, both (len(rows), count, n). Each section's
+    contiguous slice of its time axis. Returns a float dip array and a bool
+    trust array, both (scales, len(rows), count, n). Each section's
     levels are reduced and take their quadrature whole, one section at a
     time, because the envelope guard compares against the level's maximum.
     Phase derivatives and the dip quotient then run, for all sections at
@@ -355,7 +392,8 @@ def _dip_rows(
     # where the interpolation's rows sit in the band; ``blend``, their
     # (lower, upper, fraction) relative to ``read``, or None on the base
     # level, which is not resized; buffers for f and h on the band of every
-    # section; and each section's maximum of f^2 + h^2.
+    # section, and for f^2 + h^2 too when the band is the whole level; and
+    # each section's maximum of f^2 + h^2.
     plan = []
     level_rows, level_cols = nt, n
     for _ in range(scales):
@@ -369,7 +407,8 @@ def _dip_rows(
         start = max(lo - 1, 0)
         band = slice(start, min(up + 2, level_rows))
         read = slice(lo - start, up + 1 - start)
-        bands = np.empty((2, band.stop - start, count, level_cols))
+        planes = 3 if band == slice(0, level_rows) else 2
+        bands = np.empty((planes, band.stop - start, count, level_cols))
         plan.append((band, read, blend, bands, np.empty((count, 1))))
         level_rows, level_cols = (level_rows + 1) // 2, (level_cols + 1) // 2
 
@@ -380,33 +419,45 @@ def _dip_rows(
                 level = _reduce(level, kernel)
             f = level if boundary is None else boundary(level)
             h = _quadrature(f, axis=0)
-            env2_max[k] = _envelope_squared(f, h).max()
+            env2 = _envelope_squared(f, h)
+            env2_max[k] = env2.max()
             # a non-finite h makes this maximum NaN or inf; so can finite
             # values whose squares overflow, which the guard handles
             if not np.isfinite(env2_max[k, 0]):
                 _check_finite(h)
             bands[0, :, k] = f[band]
             bands[1, :, k] = h[band]
+            if len(bands) == 3:
+                bands[2, :, k] = env2
+            del env2  # not held through the next level's reduction
 
-    def expand(values: np.ndarray, blend) -> np.ndarray:
+    dips = np.empty((scales, len(targets), count, n))
+    trust = np.empty(dips.shape, dtype=bool)
+
+    def expand(values: np.ndarray, blend, out: np.ndarray) -> None:
         if boundary is not None:
             values = boundary(values)
         if blend is not None:
             values = _blend(values, *blend)
-        values = _interp_axis(values, n, 2)
-        return values if boundary is None else boundary(values)
+        _interp_axis(values, n, 2, out)
+        if boundary is not None:
+            out[...] = boundary(out)
 
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for _, read, blend, (f, h), env2_max in plan:
-        env2, trusted = _guarded_envelope(f, h, env2_max)
+    for i, (_, read, blend, bands, env2_max) in enumerate(plan):
+        f, h = bands[:2]
+        env2 = bands[2] if len(bands) == 3 else _envelope_squared(f, h)
+        trusted = _trusted(env2, env2_max)
         d_time = _phase_derivative_band(f, h, env2, trusted, 0)[read]
         d_trace = _phase_derivative_band(f[read], h[read], env2[read], trusted[read], 2)
         dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
-        out.append((expand(dip, blend), expand(ok.astype(np.float64), blend) > 0.5))
-    return out
+        # the 0/1 trust is expanded through dips[i] before its dip is
+        expand(ok.astype(np.float64), blend, dips[i])
+        np.greater(dips[i], 0.5, out=trust[i])
+        expand(dip, blend, dips[i])
+    return dips, trust
 
 
-def _dip_stack(
+def _dip_layers(
     section: SeismicSection,
     scales: int,
     kernel: GaussianKernel,
@@ -414,25 +465,21 @@ def _dip_stack(
     p_max: float,
     eps_freq: float,
     boundary: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> AttributeStack:
+) -> _Layers:
     scales = _check_dip_request((section.grid.shape,), scales, kernel, p_max, eps_freq)
-    levels = _dip_rows(
+    dips, trust = _dip_rows(
         section.grid.data[None], slice(None), scales, kernel,
         p_max=p_max, eps_freq=eps_freq, boundary=boundary,
     )
-    maps = tuple(
-        AttributeMap(
-            grid=Grid2(values[:, 0]),
-            kind=AttributeKind.PHASE_DIP,
-            scale=i,
-            dt=section.dt,
-            dx=section.dx,
-            quality=Grid2(trust[:, 0]),
-            meta={"sigma": repr(kernel.sigma), "radius": str(kernel.radius)},
-        )
-        for i, (values, trust) in enumerate(levels)
+    return _Layers(
+        values=dips[:, :, 0],
+        valid=trust[:, :, 0],
+        kind=AttributeKind.PHASE_DIP,
+        dt=section.dt,
+        dx=section.dx,
+        dy=None,
+        meta={"sigma": repr(kernel.sigma), "radius": str(kernel.radius)},
     )
-    return AttributeStack(maps)
 
 
 def dip_stack(
@@ -445,7 +492,7 @@ def dip_stack(
 ) -> AttributeStack:
     """Phase dip at every pyramid scale, expanded to base resolution."""
     kernel = kernel if kernel is not None else make_kernel()
-    return _dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+    return _as_stack(_dip_layers(section, scales, kernel, p_max=p_max, eps_freq=eps_freq))
 
 
 def dip_slice_fields(
@@ -476,24 +523,92 @@ def dip_slice_fields(
     shapes = ((volume.nt, volume.nx), (volume.nt, volume.ny))
     scales = _check_dip_request(shapes, scales, kernel, p_max, eps_freq)
 
-    def rows(lateral_axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    def rows(lateral_axis: int) -> tuple[np.ndarray, np.ndarray]:
         sections = np.moveaxis(volume.data, lateral_axis, 0)
         return _dip_rows(
             sections, slice(t, t + 1), scales, kernel, p_max=p_max, eps_freq=eps_freq
         )
 
     # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows of q
+    (p_vals, p_ok), (q_vals, q_ok) = rows(2), rows(1)
     return [
         DipField(
-            p=Grid2(p_vals[0].T),
-            q=Grid2(q_vals[0]),
+            p=Grid2(p_vals[i, 0].T),
+            q=Grid2(q_vals[i, 0]),
             dt=volume.dt,
             dx=volume.dx,
             dy=volume.dy,
-            quality=Grid2(p_ok[0].T & q_ok[0]),
+            quality=Grid2(p_ok[i, 0].T & q_ok[i, 0]),
         )
-        for (p_vals, p_ok), (q_vals, q_ok) in zip(rows(2), rows(1))
+        for i in range(scales)
     ]
+
+
+def _attribute_layers(
+    data: SeismicSection | SeismicVolume,
+    kind: AttributeKind,
+    scales: int,
+    kernel: GaussianKernel | None = None,
+    *,
+    time_index: int | None = None,
+    velocity: float = VELOCITY_DEFAULT,
+    p_max: float = P_MAX_DEFAULT,
+    eps_freq: float = EPS_FREQ_DEFAULT,
+) -> _Layers:
+    """:func:`attribute_stack` as arrays, before any map is built."""
+    kernel = kernel if kernel is not None else make_kernel()
+    if kind is AttributeKind.RAW:
+        raise ParameterError("raw data is not a computable attribute")
+    if isinstance(data, SeismicSection):
+        if kind is not AttributeKind.PHASE_DIP:
+            raise ConfigError(
+                f"{kind.value} needs a volume; a section only supports phase dip"
+            )
+        return _dip_layers(data, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+    if not isinstance(data, SeismicVolume):
+        raise ConfigError(f"unsupported input type {type(data).__name__}")
+    if kind is AttributeKind.PHASE_DIP:
+        raise ConfigError("phase dip runs on sections; extract one from the volume first")
+    if kind not in (AttributeKind.DIP_ANGLE, AttributeKind.CURV_POS, AttributeKind.CURV_NEG):
+        raise ConfigError(f"unsupported attribute kind {kind.value}")
+    if time_index is None:
+        raise ConfigError(f"{kind.value} on a volume needs a time index")
+    fields = dip_slice_fields(
+        volume=data,
+        t_index=time_index,
+        scales=scales,
+        kernel=kernel,
+        p_max=p_max,
+        eps_freq=eps_freq,
+    )
+    values = []
+    for field in fields:
+        if kind is AttributeKind.DIP_ANGLE:
+            p_map = AttributeMap(
+                field.p, AttributeKind.PHASE_DIP, dt=data.dt, dx=data.dx, quality=field.quality,
+            )
+            q_map = AttributeMap(
+                field.q, AttributeKind.PHASE_DIP, dt=data.dt, dx=data.dx, quality=field.quality,
+            )
+            m = dip_angle(p_map, q_map, data.dt, data.dx, data.dy, velocity)
+        else:
+            pair = curvature(field, velocity)
+            m = pair.k_pos if kind is AttributeKind.CURV_POS else pair.k_neg
+        values.append(m.grid.data)
+    meta = dict(m.meta)  # the velocity and convention, alike at every scale
+    meta.update(
+        {"sigma": repr(kernel.sigma), "radius": str(kernel.radius),
+         "time_index": str(int(time_index))}
+    )
+    return _Layers(
+        values=np.stack(values),
+        valid=np.stack([field.quality.data > 0.5 for field in fields]),
+        kind=kind,
+        dt=data.dt,
+        dx=data.dx,
+        dy=data.dy,
+        meta=meta,
+    )
 
 
 def attribute_stack(
@@ -516,54 +631,9 @@ def attribute_stack(
         ConfigError: kind/input combination unsupported, or missing
             time_index for a volume attribute.
     """
-    kernel = kernel if kernel is not None else make_kernel()
-    if kind is AttributeKind.RAW:
-        raise ParameterError("raw data is not a computable attribute")
-    if isinstance(data, SeismicSection):
-        if kind is not AttributeKind.PHASE_DIP:
-            raise ConfigError(
-                f"{kind.value} needs a volume; a section only supports phase dip"
-            )
-        return dip_stack(data, scales, kernel, p_max=p_max, eps_freq=eps_freq)
-    if not isinstance(data, SeismicVolume):
-        raise ConfigError(f"unsupported input type {type(data).__name__}")
-    if kind is AttributeKind.PHASE_DIP:
-        raise ConfigError("phase dip runs on sections; extract one from the volume first")
-    if kind not in (AttributeKind.DIP_ANGLE, AttributeKind.CURV_POS, AttributeKind.CURV_NEG):
-        raise ConfigError(f"unsupported attribute kind {kind.value}")
-    if time_index is None:
-        raise ConfigError(f"{kind.value} on a volume needs a time index")
-    fields = dip_slice_fields(
-        volume=data,
-        t_index=time_index,
-        scales=scales,
-        kernel=kernel,
-        p_max=p_max,
-        eps_freq=eps_freq,
-    )
-    maps: list[AttributeMap] = []
-    for i, field in enumerate(fields):
-        if kind is AttributeKind.DIP_ANGLE:
-            p_map = AttributeMap(
-                field.p, AttributeKind.PHASE_DIP, scale=i,
-                dt=data.dt, dx=data.dx, quality=field.quality,
-            )
-            q_map = AttributeMap(
-                field.q, AttributeKind.PHASE_DIP, scale=i,
-                dt=data.dt, dx=data.dx, quality=field.quality,
-            )
-            m = dip_angle(p_map, q_map, data.dt, data.dx, data.dy, velocity)
-        else:
-            pair = curvature(field, velocity)
-            picked = pair.k_pos if kind is AttributeKind.CURV_POS else pair.k_neg
-            m = AttributeMap(
-                picked.grid, picked.kind, scale=i,
-                dt=picked.dt, dx=picked.dx, dy=picked.dy,
-                quality=picked.quality, meta=picked.meta,
-            )
-        m.meta.update(
-            {"sigma": repr(kernel.sigma), "radius": str(kernel.radius),
-             "time_index": str(int(time_index))}
+    return _as_stack(
+        _attribute_layers(
+            data, kind, scales, kernel, time_index=time_index, velocity=velocity,
+            p_max=p_max, eps_freq=eps_freq,
         )
-        maps.append(m)
-    return AttributeStack(tuple(maps))
+    )

@@ -24,12 +24,13 @@ from .attributes import (
     P_MAX_DEFAULT,
     VELOCITY_DEFAULT,
     AttributeStack,
-    _dip_stack,
+    _attribute_layers,
+    _dip_layers,
     attribute_stack,
     phase_dip,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
-from .fusion import FusionMethod, FusionSpec, default_weights, fuse
+from .fusion import FusionMethod, FusionSpec, _fuse_arrays, default_weights, fuse
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
 from .pyramid import build_pyramid, expand_to, make_kernel
@@ -357,7 +358,7 @@ def _cmd_pipeline(args) -> None:
             raise ConfigError("dip runs on 2D sections; extract a section first")
         if isinstance(obj, AttributeMap):
             raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
-        stack = _dip_stack(
+        layers = _dip_layers(
             obj, args.scales, kernel, p_max=args.pmax, eps_freq=args.eps_freq,
             boundary=_f32,
         )
@@ -366,12 +367,12 @@ def _cmd_pipeline(args) -> None:
             raise ConfigError(f"{args.attr} needs a volume input")
         if args.time_index is None:
             raise UsageError(f"--attr {args.attr} needs --time-index")
-        stack = attribute_stack(
+        layers = _attribute_layers(
             obj, kind, args.scales, kernel,
             time_index=args.time_index, velocity=args.velocity,
             p_max=args.pmax, eps_freq=args.eps_freq,
         )
-    fused = fuse(stack, spec)
+    fused = _fuse_arrays(layers, spec)
     write_grid(args.out, fused)
     log.info("wrote %s", args.out)
 

@@ -9,6 +9,16 @@ zeros, not measurements, so they are dropped wherever at least one scale is
 trusted; a cell guarded at every scale fuses to 0. Weighted mean and rank
 use all K values because per-scale weights and rank positions do not
 survive per-cell exclusion.
+
+Median and rank order each cell's K values with a stable odd-even
+transposition network (Knuth, TAOCP vol. 3, 5.3.4): K rounds of
+compare-exchanges between neighbouring scales, each one whole-map
+``np.minimum``/``np.maximum`` pair. Both return their second operand when
+the two compare equal, which each exchange uses to keep the pair in place,
+so equal values keep scale order: of -0.0 on one scale and +0.0 on a later
+one, -0.0 sorts first. The sign of a fused zero therefore depends only on
+the data, not on which sorting kernel the CPU runs. Guarded entries hold
++inf and sort last; the median is then read at each cell's valid count.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from .attributes import (
     P_MAX_DEFAULT,
     VELOCITY_DEFAULT,
     AttributeStack,
-    attribute_stack,
+    _attribute_layers,
+    _Layers,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
@@ -99,17 +110,36 @@ def _masked_mean(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sort_rows(values: np.ndarray) -> list[np.ndarray]:
+    """Cell-wise ascending order of ``values[0..K-1]``, stable, in place.
+
+    Returns the K sorted maps, all views into ``values``' buffer; the
+    order of ``values`` itself is lost.
+    """
+    rows = list(values)
+    spare = np.empty_like(values[0])
+    for start in range(len(rows)):
+        for i in range(start % 2, len(rows) - 1, 2):
+            a, b = rows[i], rows[i + 1]
+            # on ties np.minimum(b, a) gives a and np.maximum(a, b) gives b
+            np.minimum(b, a, out=spare)
+            np.maximum(a, b, out=b)
+            rows[i], spare = spare, a
+    return rows
+
+
 def _masked_median(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Per-cell median of the valid entries; overwrites ``values``."""
     counts = valid.sum(axis=0)
-    # Push guarded entries to +inf so they sort past every real value, then
-    # index the middle of each cell's valid run.
-    padded = np.where(valid, values, np.inf)
-    padded.sort(axis=0)
-    safe = np.maximum(counts, 1)
-    lower = np.take_along_axis(padded, ((safe - 1) // 2)[None], axis=0)[0]
-    upper = np.take_along_axis(padded, (safe // 2)[None], axis=0)[0]
-    out = 0.5 * (lower + upper)
-    out[counts == 0] = 0.0
+    # guarded entries go to +inf, past every real value, so a cell's c
+    # valid entries are its first c sorted ones
+    np.copyto(values, np.inf, where=~valid)
+    rows = _sort_rows(values)
+    out = np.zeros(values.shape[1:])
+    for c in range(1, len(rows) + 1):
+        lower, upper = rows[(c - 1) // 2], rows[c // 2]
+        middle = lower if c % 2 else 0.5 * (lower + upper)
+        np.copyto(out, middle, where=counts == c)
     return out
 
 
@@ -119,8 +149,22 @@ def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
     Raises:
         ParameterError: weights/rank missing, mis-sized, or out of range.
     """
-    values = stack.values()
-    valid = stack.validity()
+    first = stack.maps[0]
+    layers = _Layers(
+        values=stack.values(),
+        valid=stack.validity(),
+        kind=stack.kind,
+        dt=first.dt,
+        dx=first.dx,
+        dy=first.dy,
+        meta=first.meta,
+    )
+    return _fuse_arrays(layers, spec)
+
+
+def _fuse_arrays(layers: _Layers, spec: FusionSpec) -> AttributeMap:
+    """:func:`fuse` on the arrays of a stack; overwrites ``layers.values``."""
+    values, valid = layers.values, layers.valid
     scales = values.shape[0]
     method = spec.method
     if method is FusionMethod.MEAN:
@@ -146,11 +190,10 @@ def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
         r = int(spec.rank)
         if r < 0 or r >= scales:
             raise ParameterError(f"rank {r} outside [0, {scales - 1}]")
-        fused = np.sort(values, axis=0)[r]
+        fused = _sort_rows(values)[r]
     else:  # pragma: no cover - enum is closed
         raise ParameterError(f"unknown fusion method {method!r}")
 
-    first = stack.maps[0]
     any_valid = valid.any(axis=0)
     meta = {
         "method": method.value,
@@ -161,15 +204,15 @@ def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
     if spec.rank is not None and method is FusionMethod.RANK:
         meta["rank"] = str(int(spec.rank))
     for key in ("sigma", "radius", "velocity", "time_index"):
-        if key in first.meta:
-            meta[key] = first.meta[key]
+        if key in layers.meta:
+            meta[key] = layers.meta[key]
     return AttributeMap(
         grid=Grid2(fused),
-        kind=stack.kind,
+        kind=layers.kind,
         scale=None,
-        dt=first.dt,
-        dx=first.dx,
-        dy=first.dy,
+        dt=layers.dt,
+        dx=layers.dx,
+        dy=layers.dy,
         quality=Grid2(any_valid.astype(np.float64)),
         meta=meta,
     )
@@ -202,7 +245,7 @@ def multiscale_attribute(
     if fusion.method is FusionMethod.WEIGHTED_MEAN and fusion.weights is None:
         fusion = FusionSpec.weighted(default_weights(scales))
     try:
-        stack = attribute_stack(
+        layers = _attribute_layers(
             data,
             kind,
             scales,
@@ -217,6 +260,6 @@ def multiscale_attribute(
     except PyrafuseError as exc:
         raise type(exc)(f"attribute stage: {exc}") from exc
     try:
-        return fuse(stack, fusion)
+        return _fuse_arrays(layers, fusion)
     except PyrafuseError as exc:
         raise type(exc)(f"fusion stage: {exc}") from exc

@@ -195,17 +195,25 @@ def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None
     return Pyramid(levels=tuple(levels), kernel=kernel)
 
 
-def _interp_axis(values: np.ndarray, target: int, axis: int) -> np.ndarray:
+def _interp_axis(
+    values: np.ndarray, target: int, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Edge-aligned linear resize of ``values`` along ``axis`` to ``target``.
+
+    Writes into ``out`` when given, otherwise into a new C-contiguous array;
+    a same-size call without ``out`` returns ``values`` itself.
+    """
     size = values.shape[axis]
-    if target == size:
-        return values
-    moved = np.moveaxis(values, axis, 0)
-    if size == 1:
-        out = np.broadcast_to(moved, (target,) + moved.shape[1:]).copy()
-        return np.moveaxis(out, 0, axis)
+    if size == target or size == 1:
+        if out is None:
+            if size == target:
+                return values
+            out = np.empty(values.shape[:axis] + (target,) + values.shape[axis + 1 :])
+        np.copyto(out, values)
+        return out
     lower, upper, frac = _interp_stencil(size, target)
-    out = _blend(moved, lower, upper, frac.reshape((-1,) + (1,) * (moved.ndim - 1)))
-    return np.moveaxis(out, 0, axis)
+    frac = frac.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
+    return _blend(values, lower, upper, frac, axis, out)
 
 
 def _interp_stencil(size: int, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,16 +228,22 @@ def _interp_stencil(size: int, target: int) -> tuple[np.ndarray, np.ndarray, np.
     return lower, upper, positions - lower
 
 
-def _blend(values: np.ndarray, lower, upper, frac) -> np.ndarray:
-    """Linear interpolation between rows ``lower`` and ``upper`` of ``values``.
+def _blend(values: np.ndarray, lower, upper, frac, axis: int = 0, out=None) -> np.ndarray:
+    """Linear interpolation between entries ``lower`` and ``upper`` along ``axis``.
 
     a + f*(b-a) keeps constants exact for any fractional offset, and
     integer positions get f == 0, so on-lattice samples copy through bit
-    for bit.
+    for bit. It is evaluated in place on the gathered ``b`` (into ``out``
+    when given), with the same IEEE operations in the same order.
     """
-    a = values[lower]
-    b = values[upper]
-    return a + frac * (b - a)
+    a = np.take(values, lower, axis=axis)
+    # mode="clip" lets take write straight into ``out``; the stencil's
+    # indices are always in range, so it never clips
+    b = np.take(values, upper, axis=axis, out=out, mode="clip")
+    b -= a
+    b *= frac
+    b += a
+    return b
 
 
 def expand_to(grid: Grid2, rows: int, cols: int) -> Grid2:

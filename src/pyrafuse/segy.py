@@ -95,39 +95,38 @@ def encode_ibm32(values) -> np.ndarray:
     """Encode floats as IBM single-precision words (uint32).
 
     Round-trips IEEE float32 values within float32 precision; used to build
-    fixtures and to verify the decoder.
+    fixtures and to verify the decoder. With |v| = m * 2**k, m in [0.5, 1)
+    (``np.frexp``), the hex exponent e = ceil(k / 4) puts |v| / 16**e in
+    [1/16, 1); the 24-bit fraction ``ldexp(|v|, 24 - 4e)`` is exact before
+    it is rounded half to even, and a fraction that rounds up to 2**24
+    moves to the next exponent. Zeros of either sign encode as word 0.
 
     Raises:
-        ParameterError: magnitude outside the representable IBM range.
+        ParameterError: a non-finite value, or a magnitude outside the
+            representable IBM range; the first such value in C order is
+            named.
     """
     vals = np.asarray(values, dtype=np.float64)
-    out = np.zeros(vals.shape, dtype=np.uint32)
-    flat = vals.ravel()
-    out_flat = out.ravel()
-    for i, v in enumerate(flat):
-        if v == 0.0 or not np.isfinite(v):
-            if not np.isfinite(v):
-                raise ParameterError(f"cannot encode non-finite value {v!r}")
-            continue
-        sign = 1 if v < 0 else 0
-        mag = abs(v)
-        # choose e with mag / 16**e in [1/16, 1)
-        e = int(np.floor(np.log2(mag) / 4.0)) + 1
-        frac = mag / 16.0**e
-        while frac >= 1.0:
-            e += 1
-            frac /= 16.0
-        while frac < 1.0 / 16.0:
-            e -= 1
-            frac *= 16.0
-        mantissa = int(round(frac * (1 << 24)))
-        if mantissa == 1 << 24:
-            e += 1
-            mantissa = 1 << 20
-        if not -64 <= e <= 63:
-            raise ParameterError(f"value {v!r} outside the IBM float range")
-        out_flat[i] = (sign << 31) | ((e + 64) << 24) | mantissa
-    return out
+    mag = np.abs(vals)
+    _, k = np.frexp(mag)
+    e = -((-k) // 4)
+    mantissa = np.rint(np.ldexp(mag, 24 - 4 * e))
+    carry = mantissa == 1 << 24
+    e = np.where(carry, e + 1, e)
+    mantissa = np.where(carry, 1 << 20, mantissa)
+    zero = mag == 0.0
+    bad = ~np.isfinite(vals) | (~zero & ((e < -64) | (e > 63)))
+    if bad.any():
+        v = vals.flat[np.argmax(bad)]
+        if not np.isfinite(v):
+            raise ParameterError(f"cannot encode non-finite value {v!r}")
+        raise ParameterError(f"value {v!r} outside the IBM float range")
+    words = (
+        (vals < 0.0).astype(np.uint32) << np.uint32(31)
+        | (e + 64).astype(np.uint32) << np.uint32(24)
+        | mantissa.astype(np.uint32)
+    )
+    return np.where(zero, np.uint32(0), words)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,16 @@
 Each oracle is written in the most literal way available — explicit
 loops, direct DFT sums, Python's ``sorted`` — deliberately sharing no
 code path with the package, so agreement between the two is evidence
-rather than tautology. :func:`read_segy_reference` and
-:func:`decode_ibm32_reference` are the package's SEG-Y reader and IBM
-decoder as they were before the reader was vectorised: a per-trace loop
-and the sign * fraction * 16**exponent formula. The exceptions are
+rather than tautology. :func:`read_segy_reference`,
+:func:`decode_ibm32_reference` and :func:`encode_ibm32_reference` are the
+package's SEG-Y reader and IBM codec as they were before they were
+vectorised: a per-trace loop, the sign * fraction * 16**exponent formula
+and a per-value encoding loop. :func:`fuse_median_sort`,
+:func:`fuse_rank_sort` and :func:`interp_axis_reference` are the median,
+rank and linear-resize kernels as they were before fusion used a sorting
+network and expansion worked in place; ``np.sort`` is not stable, so the
+two sort oracles agree with the package by value, while the Python
+``sorted`` oracles agree bit for bit. The exceptions are
 :func:`dip_stack_reference`,
 which states the dip stack as the composition of the package's public
 stage functions (pyramid, per-level phase dip, expansion), and
@@ -25,6 +31,7 @@ import numpy as np
 from pyrafuse import (
     FormatError,
     Grid2,
+    ParameterError,
     SegyImportOptions,
     SeismicSection,
     SeismicVolume,
@@ -35,6 +42,7 @@ from pyrafuse import (
     phase_dip,
 )
 from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT
+from pyrafuse.pyramid import _interp_stencil
 from pyrafuse.segy import (
     _OFF_CROSSLINE,
     _OFF_FORMAT_CODE,
@@ -136,6 +144,41 @@ def fuse_median_naive(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
+def fuse_median_sort(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Masked median through ``np.sort``, whose ties may land in any order."""
+    counts = valid.sum(axis=0)
+    # Push guarded entries to +inf so they sort past every real value, then
+    # index the middle of each cell's valid run.
+    padded = np.where(valid, values, np.inf)
+    padded.sort(axis=0)
+    safe = np.maximum(counts, 1)
+    lower = np.take_along_axis(padded, ((safe - 1) // 2)[None], axis=0)[0]
+    upper = np.take_along_axis(padded, (safe // 2)[None], axis=0)[0]
+    out = 0.5 * (lower + upper)
+    out[counts == 0] = 0.0
+    return out
+
+
+def fuse_rank_sort(values: np.ndarray, rank: int) -> np.ndarray:
+    """Rank-``rank`` order statistic of every cell through ``np.sort``."""
+    return np.sort(values, axis=0)[rank]
+
+
+def fuse_rank_naive(values: np.ndarray, rank: int) -> np.ndarray:
+    """Cell-by-cell order statistic via Python sort (stable: ties keep scale order)."""
+    k, rows, cols = values.shape
+    out = np.zeros((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            out[i, j] = sorted(float(values[s, i, j]) for s in range(k))[rank]
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Exact equality that also tells -0.0 from 0.0 (np.array_equal does not)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def correlation_lag(a: np.ndarray, b: np.ndarray) -> float:
     """Sub-sample shift of ``b`` relative to ``a`` (positive = delayed).
 
@@ -188,6 +231,27 @@ def bilinear_naive(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
             bottom = values[y1, x0] + fx * (values[y1, x1] - values[y1, x0])
             out[i, j] = top + fy * (bottom - top)
     return out
+
+
+def blend_reference(values: np.ndarray, lower, upper, frac) -> np.ndarray:
+    """Linear interpolation between rows ``lower`` and ``upper`` of ``values``."""
+    a = values[lower]
+    b = values[upper]
+    return a + frac * (b - a)
+
+
+def interp_axis_reference(values: np.ndarray, target: int, axis: int) -> np.ndarray:
+    """Edge-aligned linear resize along ``axis`` with :func:`blend_reference`."""
+    size = values.shape[axis]
+    if target == size:
+        return values
+    moved = np.moveaxis(values, axis, 0)
+    if size == 1:
+        out = np.broadcast_to(moved, (target,) + moved.shape[1:]).copy()
+        return np.moveaxis(out, 0, axis)
+    lower, upper, frac = _interp_stencil(size, target)
+    out = blend_reference(moved, lower, upper, frac.reshape((-1,) + (1,) * (moved.ndim - 1)))
+    return np.moveaxis(out, 0, axis)
 
 
 def dip_stack_reference(
@@ -258,6 +322,45 @@ def decode_ibm32_reference(words) -> np.ndarray:
     exponent = ((w >> 24) & 0x7F).astype(np.int64) - 64
     fraction = (w & 0xFFFFFF).astype(np.float64) / float(1 << 24)
     return sign * fraction * np.power(16.0, exponent.astype(np.float64))
+
+
+def encode_ibm32_reference(values) -> np.ndarray:
+    """Encode floats as IBM single-precision words (uint32).
+
+    Round-trips IEEE float32 values within float32 precision; used to build
+    fixtures and to verify the decoder.
+
+    Raises:
+        ParameterError: magnitude outside the representable IBM range.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    out = np.zeros(vals.shape, dtype=np.uint32)
+    flat = vals.ravel()
+    out_flat = out.ravel()
+    for i, v in enumerate(flat):
+        if v == 0.0 or not np.isfinite(v):
+            if not np.isfinite(v):
+                raise ParameterError(f"cannot encode non-finite value {v!r}")
+            continue
+        sign = 1 if v < 0 else 0
+        mag = abs(v)
+        # choose e with mag / 16**e in [1/16, 1)
+        e = int(np.floor(np.log2(mag) / 4.0)) + 1
+        frac = mag / 16.0**e
+        while frac >= 1.0:
+            e += 1
+            frac /= 16.0
+        while frac < 1.0 / 16.0:
+            e -= 1
+            frac *= 16.0
+        mantissa = int(round(frac * (1 << 24)))
+        if mantissa == 1 << 24:
+            e += 1
+            mantissa = 1 << 20
+        if not -64 <= e <= 63:
+            raise ParameterError(f"value {v!r} outside the IBM float range")
+        out_flat[i] = (sign << 31) | ((e + 64) << 24) | mantissa
+    return out
 
 
 def _read_u16(blob: bytes, offset: int, big_endian: bool) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import fuse_median_naive, reduce_naive
+from oracles import fuse_median_naive, reduce_naive, same_bits
 from pyrafuse import (
     AttributeKind,
     AttributeMap,
@@ -256,7 +256,7 @@ class TestAcceptance:
             )
             fused = fuse(AttributeStack(maps), FusionSpec(FusionMethod.MEDIAN))
             want = fuse_median_naive(values, valid)
-            if not np.array_equal(fused.grid.data, want):
+            if not same_bits(fused.grid.data, want):
                 _report(capsys, "A07 median-vs-sort-oracle", False,
                         f"mismatch at K={k}")
                 raise AssertionError(k)
@@ -271,7 +271,7 @@ class TestAcceptance:
         )
         tie_ok = tie.grid.data[0, 0] == 2.5
         _report(capsys, "A07 median-vs-sort-oracle", tie_ok,
-                f"exact match on {cells} random stacks across K=1..8; "
+                f"bitwise match on {cells} random stacks across K=1..8; "
                 f"tie case (1,2,3,100) → {tie.grid.data[0, 0]}")
         assert tie_ok
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dip_slice_reference, dip_stack_reference
+from oracles import dip_slice_reference, dip_stack_reference, same_bits
 from pyrafuse import (
     AttributeKind,
     AttributeMap,
@@ -36,11 +36,6 @@ from pyrafuse import (
 )
 from pyrafuse import attributes
 from pyrafuse.cli import _f32
-
-
-def _same_bits(a, b):
-    """Exact equality that also tells -0.0 from 0.0 (np.array_equal does not)."""
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _plane_wave_section(n=128, m=48, k=6, p=0.5, dt=0.004, dx=25.0):
@@ -257,8 +252,8 @@ class TestDipStack:
         reference = dip_stack_reference(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
         assert len(stack.maps) == len(reference) == scales
         for m, (values, quality) in zip(stack.maps, reference):
-            assert _same_bits(m.grid.data, values)
-            assert _same_bits(m.quality.data, quality)
+            assert same_bits(m.grid.data, values)
+            assert same_bits(m.quality.data, quality)
 
 
 @functools.lru_cache(maxsize=1)
@@ -338,9 +333,9 @@ class TestVolumeDips:
             reference = dip_slice_reference(vol, t, 2)
             assert len(fields) == len(reference) == 2
             for field, (p, q, quality) in zip(fields, reference):
-                assert _same_bits(field.p.data, p)
-                assert _same_bits(field.q.data, q)
-                assert _same_bits(field.quality.data, quality)
+                assert same_bits(field.p.data, p)
+                assert same_bits(field.q.data, q)
+                assert same_bits(field.quality.data, quality)
 
     @pytest.mark.parametrize("volume, p_max, eps_freq", _SLICE_CASES)
     @pytest.mark.parametrize("t", range(45))
@@ -351,9 +346,9 @@ class TestVolumeDips:
         reference = dip_slice_reference(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
         assert len(fields) == len(reference) == 3
         for field, (p, q, quality) in zip(fields, reference):
-            assert _same_bits(field.p.data, p)
-            assert _same_bits(field.q.data, q)
-            assert _same_bits(field.quality.data, quality)
+            assert same_bits(field.p.data, p)
+            assert same_bits(field.q.data, q)
+            assert same_bits(field.quality.data, quality)
 
     def test_slice_cases_clamp_reject_and_guard(self):
         # the exact comparison above only covers the clamp, the eps
@@ -421,7 +416,7 @@ class TestQuadratureOverflow:
         "call",
         [
             lambda vol: dip_stack(vol.crossline_section(3), 2),
-            lambda vol: attributes._dip_stack(
+            lambda vol: attributes._dip_layers(
                 vol.crossline_section(3), 2, make_kernel(),
                 p_max=5.0, eps_freq=1e-3, boundary=_f32,
             ),

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import fuse_median_naive, median_listwise
+from oracles import (
+    fuse_median_naive,
+    fuse_median_sort,
+    fuse_rank_naive,
+    fuse_rank_sort,
+    median_listwise,
+    same_bits,
+)
 from pyrafuse import (
     AttributeKind,
     AttributeMap,
@@ -82,8 +90,8 @@ class TestMedian:
             valid = rng.random((k, 6, 7)) > 0.3
             stack = _stack(list(values), masks=list(valid.astype(float)))
             out = fuse(stack, FusionSpec.median())
-            want = fuse_median_naive(values, valid)
-            assert np.array_equal(out.grid.data, want)
+            assert same_bits(out.grid.data, fuse_median_naive(values, valid))
+            assert np.array_equal(out.grid.data, fuse_median_sort(values, valid))
 
     def test_single_layer_is_identity(self):
         values = np.random.default_rng(14).standard_normal((4, 5)).astype(np.float32)
@@ -141,6 +149,16 @@ class TestRank:
         assert fuse(stack, FusionSpec.rank_of(1)).grid.data[0, 0] == 3.0
         assert fuse(stack, FusionSpec.rank_of(2)).grid.data[0, 0] == 5.0
 
+    def test_matches_sort_oracles(self):
+        rng = np.random.default_rng(16)
+        for k in range(1, 9):
+            values = rng.standard_normal((k, 6, 7))
+            stack = _stack(list(values))
+            for r in range(k):
+                out = fuse(stack, FusionSpec.rank_of(r)).grid.data
+                assert same_bits(out, fuse_rank_naive(values, r))
+                assert np.array_equal(out, fuse_rank_sort(values, r))
+
     def test_rank_out_of_range(self):
         stack = _stack([[[1.0]], [[2.0]]])
         with pytest.raises(ParameterError):
@@ -152,6 +170,59 @@ class TestRank:
         stack = _stack([[[1.0]], [[2.0]]])
         with pytest.raises(ParameterError):
             fuse(stack, FusionSpec(FusionMethod.RANK))
+
+
+class TestTieOrder:
+    """Equal values keep scale order, so the sign of a fused zero follows
+    the data (Python's stable ``sorted``), not the CPU's sorting kernel."""
+
+    @staticmethod
+    def _every_combination(k):
+        """(k, 1, n) values and validity: every pattern of {-0, +0, 1} x mask."""
+        values = np.array(list(itertools.product((-0.0, 0.0, 1.0), repeat=k))).T
+        masks = np.array(list(itertools.product((False, True), repeat=k))).T
+        n_masks = masks.shape[1]
+        return (
+            np.repeat(values, n_masks, axis=1)[:, None, :],
+            np.tile(masks, values.shape[1])[:, None, :],
+        )
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_signed_zero_median_is_bitwise_stable(self, k):
+        values, valid = self._every_combination(k)
+        stack = _stack(list(values), masks=list(valid.astype(float)))
+        out = fuse(stack, FusionSpec.median())
+        assert same_bits(out.grid.data, fuse_median_naive(values, valid))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_signed_zero_rank_is_bitwise_stable(self, k):
+        values = np.array(list(itertools.product((-0.0, 0.0, 1.0), repeat=k))).T[:, None, :]
+        stack = _stack(list(values))
+        for r in range(k):
+            out = fuse(stack, FusionSpec.rank_of(r))
+            assert same_bits(out.grid.data, fuse_rank_naive(values, r))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_random_ties_are_bitwise_stable(self, k):
+        rng = np.random.default_rng(40 + k)
+        # few distinct values, zeros of both signs among them, so most cells tie
+        values = rng.choice([-0.0, 0.0, -1.5, 1.5, 2.0], size=(k, 9, 11))
+        valid = rng.random((k, 9, 11)) > 0.3
+        stack = _stack(list(values), masks=list(valid.astype(float)))
+        out = fuse(stack, FusionSpec.median())
+        assert same_bits(out.grid.data, fuse_median_naive(values, valid))
+        for r in range(k):
+            out = fuse(stack, FusionSpec.rank_of(r))
+            assert same_bits(out.grid.data, fuse_rank_naive(values, r))
+
+    def test_inputs_are_not_written(self):
+        values = np.array([[[0.0, 3.0]], [[-0.0, 1.0]], [[2.0, -0.0]]])
+        stack = _stack(list(values), masks=[[[1.0, 0.0]], [[1.0, 1.0]], [[0.0, 1.0]]])
+        before = [(m.grid.data.copy(), m.quality.data.copy()) for m in stack.maps]
+        for spec in (FusionSpec.median(), FusionSpec.rank_of(1), FusionSpec.mean()):
+            fuse(stack, spec)
+        for m, (grid, quality) in zip(stack.maps, before):
+            assert same_bits(m.grid.data, grid) and same_bits(m.quality.data, quality)
 
 
 class TestFusedMapShape:
@@ -238,7 +309,7 @@ class TestMultiscaleAttribute:
             multiscale_attribute(small, AttributeKind.PHASE_DIP, scales=4)
         assert str(err.value).startswith("attribute stage:")
 
-    @pytest.mark.parametrize("stage", ["attribute_stack", "fuse"])
+    @pytest.mark.parametrize("stage", ["_attribute_layers", "_fuse_arrays"])
     def test_foreign_errors_escape_unchanged(self, monkeypatch, stage):
         class ArrayMemoryError(MemoryError):
             # like numpy's allocation error: no one-argument constructor

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bilinear_naive, reduce_naive
+from oracles import bilinear_naive, interp_axis_reference, reduce_naive, same_bits
 from pyrafuse import (
     Grid2,
     ParameterError,
@@ -17,6 +17,7 @@ from pyrafuse import (
     max_scales,
     reduce_grid,
 )
+from pyrafuse.pyramid import _interp_axis
 
 
 class TestKernel:
@@ -221,3 +222,51 @@ class TestExpand:
         assert out.shape == (21, 17)
         assert out.min() >= level.data.min() - 1e-12
         assert out.max() <= level.data.max() + 1e-12
+
+
+class TestInPlaceBlend:
+    """Expansion evaluates a + f*(b - a) in place on the gathered b; the
+    bytes are those of the out-of-place formula it replaced."""
+
+    SHAPES = [((7, 5), (13, 9)), ((1, 4), (5, 11)), ((6, 1), (6, 8)), ((3, 3), (3, 3)),
+              ((2, 9), (17, 9)), ((64, 32), (512, 256))]
+
+    def test_expand_matches_reference_bitwise(self):
+        rng = np.random.default_rng(30)
+        for src, dst in self.SHAPES:
+            values = rng.standard_normal(src)
+            want = interp_axis_reference(interp_axis_reference(values, dst[0], 0), dst[1], 1)
+            assert same_bits(expand_to(Grid2(values), *dst).data, want)
+
+    def test_flat_negative_zero_matches_reference(self):
+        # resized cells come out +0.0 (-0.0 - -0.0 is +0.0), on-lattice ones too
+        values = np.full((4, 3), -0.0)
+        for dst in ((4, 3), (9, 7), (4, 8)):
+            want = interp_axis_reference(interp_axis_reference(values, dst[0], 0), dst[1], 1)
+            assert same_bits(expand_to(Grid2(values), *dst).data, want)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_interp_axis_matches_reference_on_every_axis(self, axis):
+        values = np.random.default_rng(31 + axis).standard_normal((5, 4, 6))
+        for target in (values.shape[axis], values.shape[axis] + 1, 3 * values.shape[axis] - 1):
+            got = _interp_axis(values, target, axis)
+            assert same_bits(got, interp_axis_reference(values, target, axis))
+            out = np.full(got.shape, np.nan)
+            assert _interp_axis(values, target, axis, out) is out
+            assert same_bits(out, got)
+            if target != values.shape[axis]:
+                assert got.flags.c_contiguous
+
+    def test_inputs_are_not_written(self):
+        rng = np.random.default_rng(32)
+        values = rng.standard_normal((6, 5, 4))
+        before = values.copy()
+        for axis in range(3):
+            target = 2 * values.shape[axis] + 1
+            out = np.empty(values.shape[:axis] + (target,) + values.shape[axis + 1 :])
+            _interp_axis(values, target, axis)
+            _interp_axis(values, target, axis, out)
+        assert same_bits(values, before)
+        grid = Grid2(before[0])
+        expand_to(grid, 11, 13)
+        assert same_bits(grid.data, before[0])

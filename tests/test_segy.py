@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from oracles import decode_ibm32_reference, read_segy_reference
+from oracles import decode_ibm32_reference, encode_ibm32_reference, read_segy_reference
 from pyrafuse import (
     FormatError,
     ParameterError,
@@ -97,6 +97,72 @@ class TestIbmCodec:
             encode_ibm32(np.array([np.inf]))
         with pytest.raises(ParameterError):
             encode_ibm32(np.array([np.nan]))
+
+
+class TestEncodeMatchesReference:
+    """The vectorised encoder against the per-value loop it replaced."""
+
+    @staticmethod
+    def _same_words(values):
+        got = encode_ibm32(values)
+        want = encode_ibm32_reference(values)
+        return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+    def test_every_hex_exponent(self):
+        # fractions at both ends of [1/16, 1) and inside, at every exponent
+        fractions = np.array([1.0 / 16.0, 1.0 / 16.0 + 2.0**-40, 0.1, 0.5, 0.75, 1.0 - 2.0**-24])
+        e = np.arange(-64, 64, dtype=np.float64)
+        mags = fractions[None, :] * 16.0 ** e[:, None]
+        values = np.concatenate([mags.ravel(), -mags.ravel()])
+        assert self._same_words(values)
+        words = encode_ibm32(values)
+        assert sorted(set((words >> 24 & 0x7F).tolist())) == list(range(128))
+
+    def test_fractions_that_carry_to_the_next_exponent(self):
+        # 2**24 - 0.5 rounds half to even, up to 2**24; 2**24 - 0.25 rounds up;
+        # 2**24 - 0.75 stays below
+        e = np.arange(-64, 63, dtype=np.float64)
+        steps = np.array([0.25, 0.5, 0.75, 1.5])
+        mags = ((2.0**24 - steps[None, :]) / 2.0**24) * 16.0 ** e[:, None]
+        values = np.concatenate([mags.ravel(), -mags.ravel()])
+        assert self._same_words(values)
+        carried = encode_ibm32(((2.0**24 - 0.5) / 2.0**24) * 16.0 ** e)
+        assert np.array_equal(carried & 0xFFFFFF, np.full(e.shape, 1 << 20))
+
+    def test_signed_zeros_and_shapes(self):
+        assert self._same_words(np.array([-0.0, 0.0, 1.0, -0.0]))
+        assert encode_ibm32(np.array([-0.0, 0.0])).tolist() == [0, 0]
+        assert self._same_words(np.float64(-2.5))
+        assert self._same_words(np.arange(-12.0, 12.0).reshape(2, 3, 4) * 0.37)
+
+    def test_range_ends(self):
+        smallest = 16.0**-65  # fraction 1/16 at exponent -64
+        largest = (1.0 - 2.0**-24) * 16.0**63
+        # just below the smallest, a fraction that rounds up carries into range
+        below = smallest * (1.0 - 2.0**-30)
+        assert self._same_words(np.array([smallest, -smallest, largest, -largest, below]))
+        assert encode_ibm32(np.array([smallest, largest, below])).tolist() == [
+            0x00100000, 0x7FFFFFFF, 0x00100000]
+        for outside in (smallest * (1.0 - 2.0**-20), (1.0 - 2.0**-26) * 16.0**63, 1e-300, 5e-324,
+                        1e80, np.finfo(np.float64).max):
+            with pytest.raises(ParameterError, match="outside the IBM float range"):
+                encode_ibm32(np.array([outside]))
+
+    def test_random_float32_values(self):
+        rng = np.random.default_rng(35)
+        values = np.float32(rng.standard_normal(5000) * 10.0 ** rng.integers(-30, 30, 5000))
+        assert self._same_words(values.astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.inf], [np.nan], [-np.inf], [1e80], [-1e-80], [1.0, 1e80, np.nan], [2.0, np.nan, 1e80]],
+    )
+    def test_errors_name_the_first_bad_value(self, values):
+        with pytest.raises(ParameterError) as want:
+            encode_ibm32_reference(np.array(values))
+        with pytest.raises(ParameterError) as got:
+            encode_ibm32(np.array(values))
+        assert str(got.value) == str(want.value)
 
 
 class TestReadSection:
