@@ -45,7 +45,8 @@ def _quadrature(values: np.ndarray, axis: int) -> np.ndarray:
         mult[-1] = 0.0  # real Nyquist bin has no quadrature counterpart
     shape = [1] * spectrum.ndim
     shape[axis] = -1
-    return np.fft.irfft(spectrum * mult.reshape(shape), n=n, axis=axis)
+    spectrum *= mult.reshape(shape)
+    return np.fft.irfft(spectrum, n=n, axis=axis)
 
 
 def hilbert_trace(trace) -> np.ndarray:
@@ -80,7 +81,9 @@ class AnalyticSection:
 
 
 def _envelope_squared(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return f * f + h * h
+    env2 = f * f
+    env2 += h * h
+    return env2
 
 
 def analytic_section(section: SeismicSection) -> AnalyticSection:
@@ -155,10 +158,12 @@ def _phase_derivative_band(
     row on each side (clipped to the section) gives its inner rows exactly
     their full-section values.
     """
-    df = np.gradient(f, axis=axis, edge_order=1)
-    dh = np.gradient(h, axis=axis, edge_order=1)
-    num = f * dh
-    num -= h * df
-    out = np.zeros_like(f)
-    np.divide(num, env2, out=out, where=trusted)
-    return out
+    num = np.gradient(h, axis=axis, edge_order=1)
+    num *= f
+    h_df = np.gradient(f, axis=axis, edge_order=1)
+    h_df *= h
+    num -= h_df
+    del h_df
+    np.divide(num, env2, out=num, where=trusted)
+    num[~trusted] = 0.0
+    return num

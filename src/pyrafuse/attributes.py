@@ -391,9 +391,8 @@ def _dip_rows(
     # Per level: ``band``, the rows the time differences need; ``read``,
     # where the interpolation's rows sit in the band; ``blend``, their
     # (lower, upper, fraction) relative to ``read``, or None on the base
-    # level, which is not resized; buffers for f and h on the band of every
-    # section, and for f^2 + h^2 too when the band is the whole level; and
-    # each section's maximum of f^2 + h^2.
+    # level, which is not resized; buffers for f, h and f^2 + h^2 on the
+    # band of every section; and each section's maximum of f^2 + h^2.
     plan = []
     level_rows, level_cols = nt, n
     for _ in range(scales):
@@ -407,8 +406,7 @@ def _dip_rows(
         start = max(lo - 1, 0)
         band = slice(start, min(up + 2, level_rows))
         read = slice(lo - start, up + 1 - start)
-        planes = 3 if band == slice(0, level_rows) else 2
-        bands = np.empty((planes, band.stop - start, count, level_cols))
+        bands = np.empty((3, band.stop - start, count, level_cols))
         plan.append((band, read, blend, bands, np.empty((count, 1))))
         level_rows, level_cols = (level_rows + 1) // 2, (level_cols + 1) // 2
 
@@ -427,9 +425,8 @@ def _dip_rows(
                 _check_finite(h)
             bands[0, :, k] = f[band]
             bands[1, :, k] = h[band]
-            if len(bands) == 3:
-                bands[2, :, k] = env2
-            del env2  # not held through the next level's reduction
+            bands[2, :, k] = env2[band]
+            del f, h, env2  # not held through the next level's reduction
 
     dips = np.empty((scales, len(targets), count, n))
     trust = np.empty(dips.shape, dtype=bool)
@@ -444,8 +441,7 @@ def _dip_rows(
             out[...] = boundary(out)
 
     for i, (_, read, blend, bands, env2_max) in enumerate(plan):
-        f, h = bands[:2]
-        env2 = bands[2] if len(bands) == 3 else _envelope_squared(f, h)
+        f, h, env2 = bands
         trusted = _trusted(env2, env2_max)
         d_time = _phase_derivative_band(f, h, env2, trusted, 0)[read]
         d_trace = _phase_derivative_band(f[read], h[read], env2[read], trusted[read], 2)

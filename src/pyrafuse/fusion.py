@@ -10,15 +10,16 @@ trusted; a cell guarded at every scale fuses to 0. Weighted mean and rank
 use all K values because per-scale weights and rank positions do not
 survive per-cell exclusion.
 
-Median and rank order each cell's K values with a stable odd-even
-transposition network (Knuth, TAOCP vol. 3, 5.3.4): K rounds of
-compare-exchanges between neighbouring scales, each one whole-map
-``np.minimum``/``np.maximum`` pair. Both return their second operand when
-the two compare equal, which each exchange uses to keep the pair in place,
-so equal values keep scale order: of -0.0 on one scale and +0.0 on a later
-one, -0.0 sorts first. The sign of a fused zero therefore depends only on
-the data, not on which sorting kernel the CPU runs. Guarded entries hold
-+inf and sort last; the median is then read at each cell's valid count.
+Median and rank order each cell's K values with an odd-even transposition
+network (Knuth, TAOCP vol. 3, 5.3.4): K rounds of compare-exchanges
+between neighbouring scales, each one whole-map ``np.minimum``/
+``np.maximum`` pair. Guarded entries hold +inf and sort last; the median is
+then read at each cell's valid count. Equal values keep scale order: -0.0
+and +0.0 are the only equal values whose bits differ, and min/max
+instructions disagree across CPUs on which of them comes first, so every
+cell that holds a zero is ordered again with ``np.sort(kind="stable")``.
+Of -0.0 on one scale and +0.0 on a later one, -0.0 sorts first, and the
+sign of a fused zero depends only on the data.
 """
 
 from __future__ import annotations
@@ -111,21 +112,45 @@ def _masked_mean(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def _sort_rows(values: np.ndarray) -> list[np.ndarray]:
-    """Cell-wise ascending order of ``values[0..K-1]``, stable, in place.
+    """Cell-wise ascending order of ``values[0..K-1]``, in place.
 
-    Returns the K sorted maps, all views into ``values``' buffer; the
-    order of ``values`` itself is lost.
+    Returns the K sorted maps: K of the K + 1 buffers made up of
+    ``values``' rows and one spare row; the order of ``values`` itself is
+    lost. Each value is exact, but where -0.0 meets +0.0 the order of the
+    two zeros is whatever the CPU's min/max instructions make it; see
+    :func:`_zero_ties`.
     """
     rows = list(values)
     spare = np.empty_like(values[0])
     for start in range(len(rows)):
         for i in range(start % 2, len(rows) - 1, 2):
             a, b = rows[i], rows[i + 1]
-            # on ties np.minimum(b, a) gives a and np.maximum(a, b) gives b
-            np.minimum(b, a, out=spare)
+            np.minimum(a, b, out=spare)
             np.maximum(a, b, out=b)
             rows[i], spare = spare, a
     return rows
+
+
+def _zero_ties(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells holding a zero, and their K values in stable ascending order.
+
+    Only zeros of opposite sign compare equal yet differ in their bits, so
+    these cells are the only ones whose fused bits the network's tie order
+    can change; ``np.sort(kind="stable")`` keeps equal values in scale
+    order. Call before :func:`_sort_rows` overwrites ``values``.
+    """
+    cells = (values == 0.0).any(axis=0)
+    return cells, np.sort(values[:, cells], axis=0, kind="stable")
+
+
+def _median_of_sorted(rows, counts: np.ndarray) -> np.ndarray:
+    """Per-cell median of the first ``counts`` of the ascending ``rows``."""
+    out = np.zeros(counts.shape)
+    for c in range(1, len(rows) + 1):
+        lower, upper = rows[(c - 1) // 2], rows[c // 2]
+        middle = lower if c % 2 else 0.5 * (lower + upper)
+        np.copyto(out, middle, where=counts == c)
+    return out
 
 
 def _masked_median(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -134,12 +159,9 @@ def _masked_median(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     # guarded entries go to +inf, past every real value, so a cell's c
     # valid entries are its first c sorted ones
     np.copyto(values, np.inf, where=~valid)
-    rows = _sort_rows(values)
-    out = np.zeros(values.shape[1:])
-    for c in range(1, len(rows) + 1):
-        lower, upper = rows[(c - 1) // 2], rows[c // 2]
-        middle = lower if c % 2 else 0.5 * (lower + upper)
-        np.copyto(out, middle, where=counts == c)
+    cells, tied = _zero_ties(values)
+    out = _median_of_sorted(_sort_rows(values), counts)
+    out[cells] = _median_of_sorted(tied, counts[cells])
     return out
 
 
@@ -190,7 +212,9 @@ def _fuse_arrays(layers: _Layers, spec: FusionSpec) -> AttributeMap:
         r = int(spec.rank)
         if r < 0 or r >= scales:
             raise ParameterError(f"rank {r} outside [0, {scales - 1}]")
+        cells, tied = _zero_ties(values)
         fused = _sort_rows(values)[r]
+        fused[cells] = tied[r]
     else:  # pragma: no cover - enum is closed
         raise ParameterError(f"unknown fusion method {method!r}")
 

@@ -172,9 +172,42 @@ class TestRank:
             fuse(stack, FusionSpec(FusionMethod.RANK))
 
 
+def _sort_rows_by_sign(negative_first):
+    """The sorting network as it runs where min/max order -0.0 and +0.0 by
+    sign (as aarch64 FMIN/FMAX do) rather than by operand position."""
+
+    def sort_rows(values):
+        rows = [row.copy() for row in values]
+        for start in range(len(rows)):
+            for i in range(start % 2, len(rows) - 1, 2):
+                a, b = rows[i], rows[i + 1]
+                first = np.signbit(a) == negative_first
+                keep = (a < b) | ((a == b) & first)
+                rows[i], rows[i + 1] = np.where(keep, a, b), np.where(keep, b, a)
+        return rows
+
+    return sort_rows
+
+
+def test_emulated_min_max_order_zeros_by_sign():
+    values = np.array([[[0.0]], [[-0.0]]])
+    for negative_first in (True, False):
+        lower = _sort_rows_by_sign(negative_first)(values)[0]
+        assert np.signbit(lower[0, 0]) == negative_first
+
+
 class TestTieOrder:
     """Equal values keep scale order, so the sign of a fused zero follows
-    the data (Python's stable ``sorted``), not the CPU's sorting kernel."""
+    the data (Python's stable ``sorted``), not the CPU's sorting kernel or
+    min/max instructions."""
+
+    @pytest.fixture(autouse=True, params=["native", "negative-first", "positive-first"])
+    def zero_order(self, request, monkeypatch):
+        if request.param != "native":
+            monkeypatch.setattr(
+                "pyrafuse.fusion._sort_rows",
+                _sort_rows_by_sign(request.param == "negative-first"),
+            )
 
     @staticmethod
     def _every_combination(k):
