@@ -149,14 +149,16 @@ def _phase_derivative_band(
     env2: np.ndarray,
     trusted: np.ndarray,
     axis: int,
+    read: slice = slice(None),
 ) -> np.ndarray:
     """Phase derivative of ``f + i h`` along ``axis``, 0 where not ``trusted``.
 
-    ``env2`` is f^2 + h^2 and ``trusted`` its guard (:func:`_trusted`) on
-    the same cells. The differences see only these cells, so along time
+    The differences see only the cells of ``f`` and ``h``, so along time
     the first and last rows of a band are one-sided; a band widened by one
     row on each side (clipped to the section) gives its inner rows exactly
-    their full-section values.
+    their full-section values. Only rows ``read`` (of axis 0) of the
+    numerator are divided and returned: ``env2`` is f^2 + h^2 and
+    ``trusted`` its guard (:func:`_trusted`) on those rows alone.
     """
     num = np.gradient(h, axis=axis, edge_order=1)
     num *= f
@@ -164,6 +166,7 @@ def _phase_derivative_band(
     h_df *= h
     num -= h_df
     del h_df
+    num = num[read]
     np.divide(num, env2, out=num, where=trusted)
     num[~trusted] = 0.0
     return num

@@ -17,7 +17,9 @@ along x, fixed-x sections give dip along y) and are only then combined into
 dip angle or curvature per scale. One builder serves section stacks (every
 row) and time slices (one row of each section): it differentiates and
 expands only the level rows those rows read, on plain arrays, so a slice is
-bit-for-bit that row of the full per-section stack.
+bit-for-bit that row of the full per-section stack. It builds the base
+level one section at a time and the smaller levels above it for batches of
+four sections, which changes no byte of the output.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .analytic import (
     Axis,
-    _envelope_squared,
     _guarded_envelope,
     _phase_derivative_band,
     _quadrature,
@@ -64,6 +65,12 @@ VELOCITY_DEFAULT = 2000.0  # m/s
 
 _MIN_DIP_ROWS = 4
 _MIN_DIP_COLS = 3
+
+# Sections whose pyramid levels above the base are reduced and take their
+# quadrature together. With 2x2 decimation four level-1 arrays hold about
+# as many cells as one base level, which runs one section at a time and
+# sets the peak memory.
+_BATCH = 4
 
 
 def phase_dip(
@@ -368,12 +375,15 @@ def _dip_rows(
     ``sections`` is (count, nt, n), one section per entry, and ``rows`` a
     contiguous slice of its time axis. Returns a float dip array and a bool
     trust array, both (scales, len(rows), count, n). Each section's
-    levels are reduced and take their quadrature whole, one section at a
-    time, because the envelope guard compares against the level's maximum.
-    Phase derivatives and the dip quotient then run, for all sections at
-    once, only on the level rows that the time interpolation to ``rows``
-    reads (one more row each side for the time differences), and only
-    those rows are expanded across.
+    levels are reduced and take their quadrature whole, because the
+    envelope guard compares against the level's maximum: level 0 one
+    section at a time, since it is the largest level and sets the peak
+    memory, and the levels above it for ``_BATCH`` sections at once. Phase
+    derivatives and the dip quotient then run, for all sections at once,
+    only on the level rows that the time interpolation to ``rows`` reads
+    (one more row each side for the time differences), and only those rows
+    are expanded across. Batching changes no bytes: every section's
+    arithmetic is the same.
 
     ``boundary`` (None: identity) is applied to each level before its
     quadrature, while the reduction chain stays unrounded, and to the dip
@@ -391,8 +401,9 @@ def _dip_rows(
     # Per level: ``band``, the rows the time differences need; ``read``,
     # where the interpolation's rows sit in the band; ``blend``, their
     # (lower, upper, fraction) relative to ``read``, or None on the base
-    # level, which is not resized; buffers for f, h and f^2 + h^2 on the
-    # band of every section; and each section's maximum of f^2 + h^2.
+    # level, which is not resized; buffers for f and h on the band and for
+    # f^2 + h^2 on the read rows, of every section; and each section's
+    # maximum of f^2 + h^2.
     plan = []
     level_rows, level_cols = nt, n
     for _ in range(scales):
@@ -406,27 +417,49 @@ def _dip_rows(
         start = max(lo - 1, 0)
         band = slice(start, min(up + 2, level_rows))
         read = slice(lo - start, up + 1 - start)
-        bands = np.empty((3, band.stop - start, count, level_cols))
-        plan.append((band, read, blend, bands, np.empty((count, 1))))
+        fh = np.empty((2, band.stop - start, count, level_cols))
+        env2 = np.empty((up + 1 - lo, count, level_cols))
+        plan.append((band, read, blend, fh, env2, np.empty((count, 1))))
         level_rows, level_cols = (level_rows + 1) // 2, (level_cols + 1) // 2
 
-    for k in range(count):
-        level = np.ascontiguousarray(sections[k])
-        for i, (band, _, _, bands, env2_max) in enumerate(plan):
-            if i:
-                level = _reduce(level, kernel)
-            f = level if boundary is None else boundary(level)
-            h = _quadrature(f, axis=0)
-            env2 = _envelope_squared(f, h)
-            env2_max[k] = env2.max()
-            # a non-finite h makes this maximum NaN or inf; so can finite
-            # values whose squares overflow, which the guard handles
-            if not np.isfinite(env2_max[k, 0]):
-                _check_finite(h)
-            bands[0, :, k] = f[band]
-            bands[1, :, k] = h[band]
-            bands[2, :, k] = env2[band]
-            del f, h, env2  # not held through the next level's reduction
+    def record(i: int, k: int, levels: np.ndarray) -> None:
+        """Keep the plan's rows of level ``i`` of sections k, k+1, ...
+
+        ``levels`` is (b, rows, cols), one level per section, before
+        ``boundary``.
+        """
+        band, read, _, fh, env2_read, env2_max = plan[i]
+        f = levels if boundary is None else boundary(levels)
+        h = _quadrature(f, axis=-2)
+        batch = slice(k, k + len(f))
+        fh[0, :, batch] = f[:, band].swapaxes(0, 1)
+        fh[1, :, batch] = h[:, band].swapaxes(0, 1)
+        # f^2 + h^2 in the order _envelope_squared uses, squaring h in place
+        env2 = f * f
+        env2 += np.square(h, out=h)
+        env2_max[batch, 0] = env2.max(axis=(1, 2))
+        # a non-finite h makes a maximum NaN or inf, and so can finite
+        # values whose squares overflow, which the guard handles; h now
+        # holds squares, so that rare case takes the quadrature again
+        if not np.isfinite(env2_max[batch]).all():
+            _check_finite(_quadrature(f, axis=-2))
+        read_rows = slice(band.start + read.start, band.start + read.stop)
+        env2_read[:, batch] = env2[:, read_rows].swapaxes(0, 1)
+
+    for k in range(0, count, _BATCH):
+        batch = sections[k : k + _BATCH]
+        # level 1 of the batch, one section's at a time after its base level
+        upper = np.empty((len(batch), (nt + 1) // 2, (n + 1) // 2)) if scales > 1 else None
+        for j, section in enumerate(batch):
+            level = np.ascontiguousarray(section)
+            record(0, k + j, level[None])
+            if upper is not None:
+                upper[j] = _reduce(level, kernel)
+            del level  # not held through the next section's base level
+        for i in range(1, scales):
+            if i > 1:
+                upper = _reduce(upper, kernel)
+            record(i, k, upper)
 
     dips = np.empty((scales, len(targets), count, n))
     trust = np.empty(dips.shape, dtype=bool)
@@ -440,11 +473,10 @@ def _dip_rows(
         if boundary is not None:
             out[...] = boundary(out)
 
-    for i, (_, read, blend, bands, env2_max) in enumerate(plan):
-        f, h, env2 = bands
+    for i, (_, read, blend, (f, h), env2, env2_max) in enumerate(plan):
         trusted = _trusted(env2, env2_max)
-        d_time = _phase_derivative_band(f, h, env2, trusted, 0)[read]
-        d_trace = _phase_derivative_band(f[read], h[read], env2[read], trusted[read], 2)
+        d_time = _phase_derivative_band(f, h, env2, trusted, 0, read)
+        d_trace = _phase_derivative_band(f[read], h[read], env2, trusted, 2)
         dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
         # the 0/1 trust is expanded through dips[i] before its dip is
         expand(ok.astype(np.float64), blend, dips[i])

@@ -20,7 +20,8 @@ stored first-axis-fastest: all rows of column 0, then column 1, ... (for a
 section that makes each trace contiguous; for a volume the time axis varies
 fastest, then x, then y). The data offset is wherever the blank line ends;
 `info` reports it and format errors carry the byte offset of the first
-inconsistency. Values are float32 in the file and float64 in memory.
+inconsistency, and a non-finite sample is an error at its own offset.
+Values are float32 in the file and float64 in memory.
 
 Writes go to a temp file in the target directory followed by an atomic
 rename, so readers never observe a half-written grid.
@@ -54,12 +55,14 @@ _STRUCTURAL_KEYS = {
 _MAX_CELLS = 1 << 34  # refuse absurd headers before allocating
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, *chunks) -> None:
+    """Write ``chunks`` (bytes or C-contiguous arrays), in order, to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(prefix=".pfg-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -73,7 +76,14 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _header_and_payload(obj, extra_meta: dict[str, str] | None = None) -> bytes:
+def _header_and_payload(
+    obj, extra_meta: dict[str, str] | None = None
+) -> tuple[bytes, np.ndarray]:
+    """The header bytes, and the payload as a C-contiguous float32 array.
+
+    The payload array is the transpose of the Fortran-order samples, so its
+    buffer is the file's first-axis-fastest payload without another copy.
+    """
     pairs: list[tuple[str, str]] = [("magic", MAGIC)]
     if isinstance(obj, Grid2):
         obj = AttributeMap(obj, AttributeKind.RAW)
@@ -138,7 +148,7 @@ def _header_and_payload(obj, extra_meta: dict[str, str] | None = None) -> bytes:
     if not np.isfinite(samples).all():
         raise ParameterError("values overflow float32; cannot serialize")
     header = "".join(f"{k}={v}\n" for k, v in pairs) + "\n"
-    return header.encode("ascii") + samples.tobytes(order="F")
+    return header.encode("ascii"), samples.T
 
 
 def write_grid(path: str, obj, extra_meta: dict[str, str] | None = None) -> None:
@@ -147,7 +157,7 @@ def write_grid(path: str, obj, extra_meta: dict[str, str] | None = None) -> None
     ``extra_meta`` adds free-form header pairs on top of the object's own
     metadata (same restrictions: no '=', no newlines, no structural keys).
     """
-    _atomic_write(path, _header_and_payload(obj, extra_meta))
+    _atomic_write(path, *_header_and_payload(obj, extra_meta))
 
 
 def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
@@ -226,7 +236,8 @@ def read_grid(path: str):
     Raises:
         FormatError: bad magic, malformed header, unknown kind/units/scale,
             a dt/dx/dy that is not positive and finite, a negative scale,
-            or a payload whose byte count disagrees with the header.
+            a payload whose byte count disagrees with the header, or a
+            non-finite sample (at its byte offset).
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -247,10 +258,17 @@ def read_grid(path: str):
             offset=data_offset + min(actual, expected),
         )
     flat = np.frombuffer(blob, dtype="<f4", count=cells, offset=data_offset)
+    # checked at float32: casting a signalling NaN would raise a warning first
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise FormatError(
+            f"{path}: payload contains non-finite samples",
+            offset=data_offset + 4 * int(np.argmin(finite)),
+        )
+    del finite
     shape = (rows, cols) if planes is None else (rows, cols, planes)
-    data = np.asarray(flat.reshape(shape, order="F"), dtype=np.float64)
-    if not np.isfinite(data).all():
-        raise FormatError(f"{path}: payload contains non-finite samples", offset=data_offset)
+    # a float32 view; the container makes the one float64 copy
+    data = flat.reshape(shape, order="F")
 
     dt = _optional_interval(pairs, "dt", path, data_offset)
     dx = _optional_interval(pairs, "dx", path, data_offset)
@@ -341,4 +359,4 @@ def export_pgm(
         unit = np.clip((data - lo) / (hi - lo), 0.0, 1.0)
         pixels = np.rint(unit * 255.0).astype(np.uint8)
     header = f"P5 {grid.cols} {grid.rows} 255\n".encode("ascii")
-    _atomic_write(path, header + pixels.tobytes(order="C"))
+    _atomic_write(path, header, pixels)

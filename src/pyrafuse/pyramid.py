@@ -8,13 +8,16 @@ sampled Gaussian and keeping every other row/column:
 with mirror (symmetric, edge-repeating) padding at the borders. Output
 dimensions follow the ceiling rule: an output index m exists while 2m is a
 valid input row, i.e. ceil(rows / 2) rows survive. The kernel is separable,
-so the implementation runs two 1D passes; a brute-force evaluation of the
-sum above lives in the test suite as an independent oracle.
+so the implementation runs two 1D passes, each gathering the mirrored
+entries through a cached index instead of building a padded copy, on one
+grid or on a batch of grids; a brute-force evaluation of the sum above lives
+in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,17 +99,22 @@ def make_kernel(sigma: float = 1.0, radius: int = 2) -> GaussianKernel:
     return GaussianKernel(sigma=float(sigma), radius=int(radius), taps=taps, weights=weights)
 
 
-def _downsample_pass(padded: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate along ``axis`` (already padded by radius) at even offsets."""
-    radius = len(taps) // 2
-    n = padded.shape[axis] - 2 * radius
-    out_len = (n + 1) // 2
-    index: list[slice] = [slice(None)] * padded.ndim
-    index[axis] = slice(0, 2 * out_len - 1, 2)
-    acc = taps[0] * padded[tuple(index)]
+def _downsample_pass(values: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate along ``axis``, mirror-padded by radius, at even offsets.
+
+    Tap k reads the padded entries k, k + 2, ..., gathered from ``values``
+    through :func:`_mirror_index`, so no padded copy is built; the terms are
+    summed in tap order.
+    """
+    n = values.shape[axis]
+    index = _mirror_index(n, len(taps) // 2)
+    stop = 2 * ((n + 1) // 2) - 1
+    acc = values.take(index[0:stop:2], axis=axis)
+    acc *= taps[0]
     for k in range(1, len(taps)):
-        index[axis] = slice(k, k + 2 * out_len - 1, 2)
-        acc += taps[k] * padded[tuple(index)]
+        term = values.take(index[k : k + stop : 2], axis=axis)
+        term *= taps[k]
+        acc += term
     return acc
 
 
@@ -129,10 +137,26 @@ def reduce_grid(grid: Grid2, kernel: GaussianKernel) -> Grid2:
 
 
 def _reduce(values: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
-    """The array work of :func:`reduce_grid`, without its checks."""
-    padded = np.pad(values, kernel.radius, mode="symmetric")
-    half_rows = _downsample_pass(padded, kernel.taps, axis=0)
-    return _downsample_pass(half_rows, kernel.taps, axis=1)
+    """The array work of :func:`reduce_grid`, without its checks.
+
+    ``values`` is (..., rows, cols); leading axes are a batch of grids,
+    each reduced on its own.
+    """
+    half_rows = _downsample_pass(values, kernel.taps, axis=-2)
+    return _downsample_pass(half_rows, kernel.taps, axis=-1)
+
+
+@lru_cache(maxsize=128)
+def _mirror_index(n: int, radius: int) -> np.ndarray:
+    """Source index of every entry of an axis of ``n`` padded by ``radius``.
+
+    Built by ``np.pad`` itself, so gathering through it repeats the
+    symmetric (edge-repeating) reflection exactly, also where ``radius``
+    exceeds ``n``.
+    """
+    index = np.pad(np.arange(n), radius, mode="symmetric")
+    index.flags.writeable = False
+    return index
 
 
 def max_scales(rows: int, cols: int, radius: int) -> int:

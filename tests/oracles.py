@@ -7,10 +7,13 @@ rather than tautology. :func:`read_segy_reference`,
 :func:`decode_ibm32_reference` and :func:`encode_ibm32_reference` are the
 package's SEG-Y reader and IBM codec as they were before they were
 vectorised: a per-trace loop, the sign * fraction * 16**exponent formula
-and a per-value encoding loop. :func:`fuse_median_sort`,
-:func:`fuse_rank_sort` and :func:`interp_axis_reference` are the median,
-rank and linear-resize kernels as they were before fusion used a sorting
-network and expansion worked in place; ``np.sort`` is not stable, so the
+and a per-value encoding loop. :func:`reduce_reference` is the pyramid
+reduction as it was before it gathered mirrored entries per tap:
+``np.pad``, then the same separable passes, so it agrees with the package
+bit for bit. :func:`fuse_median_sort`, :func:`fuse_rank_sort` and
+:func:`interp_axis_reference` are the median, rank and linear-resize
+kernels as they were before fusion used a sorting network and expansion
+worked in place; ``np.sort`` is not stable, so the
 two sort oracles agree with the package by value, while the Python
 ``sorted`` oracles agree bit for bit. The exceptions are
 :func:`dip_stack_reference`,
@@ -80,6 +83,29 @@ def reduce_naive(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
                     acc += weights[k + r, l + r] * padded[2 * m + k + r, 2 * n + l + r]
             out[m, n] = acc
     return out
+
+
+def reduce_reference(values: np.ndarray, kernel) -> np.ndarray:
+    """The package's separable reduction as it was before it gathered
+    mirrored entries per tap: ``np.pad`` both axes, then a row pass and a
+    column pass."""
+    padded = np.pad(values, kernel.radius, mode="symmetric")
+    half_rows = _downsample_pass_reference(padded, kernel.taps, axis=0)
+    return _downsample_pass_reference(half_rows, kernel.taps, axis=1)
+
+
+def _downsample_pass_reference(padded: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate along ``axis`` (already padded by radius) at even offsets."""
+    radius = len(taps) // 2
+    n = padded.shape[axis] - 2 * radius
+    out_len = (n + 1) // 2
+    index: list[slice] = [slice(None)] * padded.ndim
+    index[axis] = slice(0, 2 * out_len - 1, 2)
+    acc = taps[0] * padded[tuple(index)]
+    for k in range(1, len(taps)):
+        index[axis] = slice(k, k + 2 * out_len - 1, 2)
+        acc += taps[k] * padded[tuple(index)]
+    return acc
 
 
 def hilbert_direct(trace: np.ndarray) -> np.ndarray:

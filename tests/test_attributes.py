@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,50 @@ class TestVolumeDips:
         monkeypatch.setattr(attributes, "_quadrature", no_work)
         with pytest.raises(SizeError, match=r"section 32x4 supports at most 0 dip scale\(s\), requested 2"):
             dip_slice_fields(vol, 10, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _slice_reference(volume, t, p_max, eps_freq):
+    return dip_slice_reference(
+        _SLICE_VOLUMES[volume](), t, 3, make_kernel(1.0, 1), p_max=p_max, eps_freq=eps_freq
+    )
+
+
+class TestBatchedLevels:
+    """Levels above the base run ``_BATCH`` sections at a time."""
+
+    # 13 and 11 sections: batches of 3 and 4 leave remainders of 1, 2 and 3
+    @pytest.mark.parametrize("batch", [1, 3, 4, 64])
+    @pytest.mark.parametrize("volume, p_max, eps_freq", _SLICE_CASES)
+    def test_no_batch_size_changes_a_bit(self, monkeypatch, batch, volume, p_max, eps_freq):
+        monkeypatch.setattr(attributes, "_BATCH", batch)
+        vol = _SLICE_VOLUMES[volume]()
+        kernel = make_kernel(1.0, 1)
+        for t in (0, 9, 22, 44):
+            fields = dip_slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
+            reference = _slice_reference(volume, t, p_max, eps_freq)
+            for field, (p, q, quality) in zip(fields, reference):
+                assert same_bits(field.p.data, p)
+                assert same_bits(field.q.data, q)
+                assert same_bits(field.quality.data, quality)
+
+    def test_batches_hold_the_peak(self, monkeypatch):
+        # the base level runs one section at a time and sets the peak; four
+        # sections' level 1 together are about one base level
+        vol, _ = _plane_wave_volume(nt=96, nx=24, ny=20)
+
+        def peak() -> int:
+            dip_slice_fields(vol, 40, 3)
+            tracemalloc.start()
+            try:
+                dip_slice_fields(vol, 40, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batched = peak()
+        monkeypatch.setattr(attributes, "_BATCH", 1)
+        assert batched <= 1.25 * peak()
 
 
 class TestQuadratureOverflow:

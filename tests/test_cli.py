@@ -33,6 +33,18 @@ event = quadratic, t0=24, kappa=1e-4
 """
 
 
+def _child_env() -> dict[str, str]:
+    """The environment for a child process that imports this package.
+
+    The child finds the package this process imported, also when only
+    pytest's own path setting put it on sys.path.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(pyrafuse.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _payload(path: str) -> bytes:
     blob = Path(path).read_bytes()
     return blob[blob.index(b"\n\n") + 2 :]
@@ -301,6 +313,24 @@ class TestExitCodes:
         assert main(["expand", str(path), "--rows", "16", "--cols", "16",
                      "--out", out]) == 2
 
+    def test_signalling_nan_exits_two_without_a_warning(self, tmp_path):
+        # a child process, so that a warning reaches stderr as a user sees
+        # it instead of being raised by the suite's warning filter
+        path = tmp_path / "snan.pfg"
+        payload = np.ones(8 * 8, dtype="<f4").view("<u4").copy()
+        payload[5] = 0x7F800001
+        path.write_bytes(b"magic=PFGRID1\nrows=8\ncols=8\n\n" + payload.tobytes())
+        proc = subprocess.run(
+            [sys.executable, "-m", "pyrafuse.cli", "pipeline", str(path),
+             "--out", str(tmp_path / "o.pfg")],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_bad_spec_exits_one(self, tmp_path):
         bad = tmp_path / "bad.spec"
         bad.write_text("nt = 64\nnx = 16\nevent = blob, t0=5\n")
@@ -317,18 +347,11 @@ class TestExitCodes:
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         src = _synth(tmp_path)
-        # the child finds the package this process imported, also when only
-        # pytest's own path setting put it on sys.path
-        env = dict(os.environ)
-        package_root = str(Path(pyrafuse.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "pyrafuse.cli", "info", src],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "magic=PFGRID1" in proc.stdout

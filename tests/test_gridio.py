@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import glob
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrafuse import (
     AttributeKind,
@@ -13,6 +16,7 @@ from pyrafuse import (
     FormatError,
     Grid2,
     ParameterError,
+    PyrafuseError,
     SeismicSection,
     SeismicVolume,
     describe_grid,
@@ -23,6 +27,9 @@ from pyrafuse import (
 )
 
 MAGIC_LINE = b"magic=PFGRID1\n"
+# float32 words that are not finite: quiet NaN, signalling NaNs of either
+# sign and the largest signalling payload, and both infinities
+NON_FINITE_WORDS = [0x7FC00000, 0x7F800001, 0xFF800001, 0x7FBFFFFF, 0x7F800000, 0xFF800000]
 
 
 def _section(rows=16, cols=9, label=""):
@@ -156,6 +163,23 @@ class TestWriteValidation:
         with pytest.raises(ParameterError):
             write_grid(str(tmp_path / "no.pfg"), {"not": "a grid"})
 
+    def test_volume_write_holds_one_float32_copy(self, tmp_path):
+        # the Fortran-order float32 samples are written from their own
+        # buffer, without a bytes copy or a header-plus-payload join
+        volume = SeismicVolume(
+            np.random.default_rng(3).standard_normal((200, 30, 20)), dt=0.004, dx=25.0, dy=25.0
+        )
+        path = str(tmp_path / "v.pfg")
+        tracemalloc.start()
+        try:
+            write_grid(path, volume)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * volume.data.size * 4
+        back = read_grid(path)
+        assert np.array_equal(back.data, volume.data.astype(np.float32))
+
 
 class TestHeaderParsing:
     def test_describe_reports_offsets(self, tmp_path):
@@ -280,6 +304,18 @@ class TestHeaderParsing:
             read_grid(path)
         assert "non-finite" in str(err.value)
 
+    @pytest.mark.parametrize("word", NON_FINITE_WORDS)
+    def test_non_finite_word_is_an_error_at_its_offset(self, tmp_path, word):
+        # a signalling NaN must not reach a float64 cast, which warns
+        path = tmp_path / "snan.pfg"
+        header = MAGIC_LINE + b"rows=2\ncols=3\n\n"
+        words = np.array([1.0, -2.0, 0.5, 3.0, 0.0, 7.0], dtype="<f4").view("<u4").copy()
+        words[4] = word
+        path.write_bytes(header + words.tobytes())
+        with pytest.raises(FormatError, match="non-finite") as err:
+            read_grid(str(path))
+        assert err.value.offset == len(header) + 16
+
     def test_absurd_cell_count_rejected_before_allocation(self, tmp_path):
         path = str(tmp_path / "big.pfg")
         with open(path, "wb") as f:
@@ -327,3 +363,69 @@ class TestExportPgm:
         with pytest.raises(ParameterError):
             export_pgm(Grid2(np.zeros((2, 2))), path, clip_lo=2.0, clip_hi=101.0)
         assert not os.path.exists(path)
+
+
+_FUZZ_HEADER_VALUES = [
+    "0", "-1", "1", "2", "3", "12", "99999999999", "x", "", " 2", "nan", "inf", "-0.5",
+    "1e-320", "fused", "-2", "dip", "raw", "radians", "samples_per_trace", "PFGRID1",
+]
+
+
+def test_mutated_grid_files_raise_only_package_errors(tmp_path, hypothesis_home):
+    """Truncated or edited grid files read, or raise a PyrafuseError.
+
+    Edits favour header values and non-finite float32 payload words; what
+    reads holds the file's payload.
+    """
+    bases = {}
+    rng = np.random.default_rng(17)
+    for name, obj in {
+        "section": _section(rows=6, cols=5, label="fuzz"),
+        "volume": SeismicVolume(rng.standard_normal((4, 3, 2)), dt=0.004, dx=25.0, dy=12.5),
+        "map": AttributeMap(
+            Grid2(rng.standard_normal((5, 4))), AttributeKind.PHASE_DIP, scale=1,
+            dt=0.004, dx=25.0, meta={"note": "fuzz"},
+        ),
+    }.items():
+        path = tmp_path / f"{name}.pfg"
+        write_grid(str(path), obj)
+        bases[name] = path.read_bytes()
+    path = tmp_path / "fuzz.pfg"
+    word = st.one_of(st.sampled_from(NON_FINITE_WORDS), st.integers(0, (1 << 32) - 1))
+    value = st.one_of(
+        st.sampled_from(_FUZZ_HEADER_VALUES), st.text("0123456789.-+einfx", max_size=5)
+    )
+
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(
+        base=st.sampled_from(sorted(bases)),
+        values=st.lists(st.tuples(st.integers(0, 15), value), max_size=2),
+        words=st.lists(st.tuples(st.integers(0, 63), word), max_size=3),
+        flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=2),
+        cut=st.one_of(st.none(), st.integers(0, 400)),
+    )
+    def check(base, values, words, flips, cut):
+        head, _, payload = bases[base].partition(b"\n\n")
+        lines = head.split(b"\n")
+        for line, text in values:
+            key = lines[line % len(lines)].partition(b"=")[0]
+            lines[line % len(lines)] = key + b"=" + text.encode("ascii")
+        payload = bytearray(payload)
+        for at, w in words:
+            j = 4 * (at % (len(payload) // 4))
+            payload[j : j + 4] = w.to_bytes(4, "little")
+        blob = bytearray(b"\n".join(lines) + b"\n\n" + payload)
+        for at, byte in flips:
+            blob[at % len(blob)] = byte
+        blob = bytes(blob[:cut])
+        path.write_bytes(blob)
+        try:
+            result = read_grid(str(path))
+        except PyrafuseError:
+            return
+        data = result.data if isinstance(result, SeismicVolume) else result.grid.data
+        _, offset = parse_header(blob)
+        stored = np.frombuffer(blob, dtype="<f4", offset=offset)
+        assert np.array_equal(data.ravel(order="F"), stored)
+
+    check()

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bilinear_naive, interp_axis_reference, reduce_naive, same_bits
+from oracles import (
+    bilinear_naive,
+    interp_axis_reference,
+    reduce_naive,
+    reduce_reference,
+    same_bits,
+)
 from pyrafuse import (
     Grid2,
     ParameterError,
@@ -17,7 +23,7 @@ from pyrafuse import (
     max_scales,
     reduce_grid,
 )
-from pyrafuse.pyramid import _interp_axis
+from pyrafuse.pyramid import _interp_axis, _reduce
 
 
 class TestKernel:
@@ -113,6 +119,43 @@ class TestReduce:
         kernel = make_kernel()
         out = reduce_grid(Grid2(np.ones((8, 8))), kernel)
         assert out.data[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+
+class TestReduceMatchesPadReference:
+    """Gathering through the mirror index instead of ``np.pad`` changes no bit."""
+
+    @staticmethod
+    def _values(rng, shape):
+        values = rng.standard_normal(shape)
+        values[..., ::3, ::2] = -0.0
+        return values
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_every_small_size(self, radius):
+        kernel = make_kernel(1.0, radius)
+        rng = np.random.default_rng(radius)
+        for rows in range(kernel.support, kernel.support + 6):
+            for cols in range(kernel.support, kernel.support + 5):
+                values = self._values(rng, (rows, cols))
+                assert same_bits(_reduce(values, kernel), reduce_reference(values, kernel))
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_batch_entries_reduce_on_their_own(self, radius):
+        kernel = make_kernel(1.5, radius)
+        rng = np.random.default_rng(10 + radius)
+        s = kernel.support
+        for rows, cols in [(s, s), (s + 1, s + 4), (2 * s + 1, s + 3), (40, 17)]:
+            stack = self._values(rng, (3, rows, cols))
+            got = _reduce(stack, kernel)
+            assert got.shape == (3, (rows + 1) // 2, (cols + 1) // 2)
+            for j in range(3):
+                assert same_bits(got[j], reduce_reference(stack[j], kernel))
+
+    def test_strided_input(self):
+        kernel = make_kernel()
+        volume = np.random.default_rng(5).standard_normal((33, 7, 19))
+        section = volume[:, 3, :]
+        assert same_bits(_reduce(section, kernel), reduce_reference(section, kernel))
 
 
 class TestBuildPyramid:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from oracles import decode_ibm32_reference, encode_ibm32_reference, read_segy_reference
 from pyrafuse import (
@@ -473,14 +472,6 @@ _FUZZ_HOT = list(range(3216, 3226)) + [
     for j in range(12)
     for k in (188, 191, 192, 195, 240, 243)
 ]
-
-
-@pytest.fixture
-def hypothesis_home(tmp_path):
-    """Hypothesis files (its constants cache) go here, not into ./.hypothesis."""
-    set_hypothesis_home_dir(tmp_path / "hypothesis")
-    yield
-    set_hypothesis_home_dir(None)
 
 
 def test_mutated_files_raise_only_package_errors(tmp_path, hypothesis_home):
