@@ -19,7 +19,9 @@ row) and time slices (one row of each section): it differentiates and
 expands only the level rows those rows read, on plain arrays, so a slice is
 bit-for-bit that row of the full per-section stack. It builds the base
 level one section at a time and the smaller levels above it for batches of
-four sections, which changes no byte of the output.
+four sections. Both orientations of a volume hold the same traces, so one
+pass over the fixed-x sections takes the base level's quadrature for both.
+None of this changes a byte of the output.
 """
 
 from __future__ import annotations
@@ -361,7 +363,7 @@ def _check_dip_request(
 
 
 def _dip_rows(
-    sections: np.ndarray,
+    data: np.ndarray,
     rows: slice,
     scales: int,
     kernel: GaussianKernel,
@@ -369,21 +371,29 @@ def _dip_rows(
     p_max: float,
     eps_freq: float,
     boundary: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Base rows ``rows`` of every section's expanded dip and trust, per scale.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Base rows ``rows`` of the expanded dip and trust of ``data``, per scale.
 
-    ``sections`` is (count, nt, n), one section per entry, and ``rows`` a
-    contiguous slice of its time axis. Returns a float dip array and a bool
-    trust array, both (scales, len(rows), count, n). Each section's
-    levels are reduced and take their quadrature whole, because the
-    envelope guard compares against the level's maximum: level 0 one
-    section at a time, since it is the largest level and sets the peak
-    memory, and the levels above it for ``_BATCH`` sections at once. Phase
-    derivatives and the dip quotient then run, for all sections at once,
-    only on the level rows that the time interpolation to ``rows`` reads
-    (one more row each side for the time differences), and only those rows
-    are expanded across. Batching changes no bytes: every section's
-    arithmetic is the same.
+    ``data`` is a section (nt, n) or a volume (nt, nx, ny), and ``rows`` a
+    contiguous slice of its time axis. Returns one (dips, trust) pair per
+    lateral axis, a float dip array and a bool trust array, both (scales,
+    len(rows), count, n) for ``count`` sections of ``n`` traces: the one
+    section of a section; a volume's ny fixed-y sections (dip along x),
+    then its nx fixed-x sections (dip along y).
+
+    Each section's levels are reduced and take their quadrature whole,
+    because the envelope guard compares against the level's maximum: level
+    0 one section at a time, since it is the largest level and sets the
+    peak memory, and the levels above it for ``_BATCH`` sections at once.
+    Both orientations of a volume hold the same traces, so one pass over
+    the fixed-x sections takes the base level's quadrature for both: the
+    fixed-y sections read its f, h and f^2 + h^2 through transposed views
+    and their maxima as a running maximum over x, and are only reduced.
+    Phase derivatives and the dip quotient then run, for all sections of an
+    orientation at once, only on the level rows that the time interpolation
+    to ``rows`` reads (one more row each side for the time differences),
+    and only those rows are expanded across. None of this changes a byte:
+    every section's arithmetic is the same, and a maximum is exact.
 
     ``boundary`` (None: identity) is applied to each level before its
     quadrature, while the reduction chain stays unrounded, and to the dip
@@ -393,7 +403,7 @@ def _dip_rows(
     Raises:
         ParameterError: a level's quadrature is not finite.
     """
-    count, nt, n = sections.shape
+    nt = data.shape[0]
     first, stop, _ = rows.indices(nt)
     # an index array, not a slice: the plan keeps copies of these rows of
     # each level's stencil, not views that hold the whole stencil alive
@@ -401,11 +411,10 @@ def _dip_rows(
     # Per level: ``band``, the rows the time differences need; ``read``,
     # where the interpolation's rows sit in the band; ``blend``, their
     # (lower, upper, fraction) relative to ``read``, or None on the base
-    # level, which is not resized; buffers for f and h on the band and for
-    # f^2 + h^2 on the read rows, of every section; and each section's
-    # maximum of f^2 + h^2.
-    plan = []
-    level_rows, level_cols = nt, n
+    # level, which is not resized. They depend on the level's row count
+    # alone, so every section of ``data`` shares them.
+    levels = []
+    level_rows = nt
     for _ in range(scales):
         if level_rows == nt:
             lo, up, blend = first, stop - 1, None
@@ -415,21 +424,37 @@ def _dip_rows(
             lo, up = int(lower[0]), int(upper[-1])
             blend = (lower - lo, upper - lo, fracs[targets, None, None])
         start = max(lo - 1, 0)
-        band = slice(start, min(up + 2, level_rows))
-        read = slice(lo - start, up + 1 - start)
-        fh = np.empty((2, band.stop - start, count, level_cols))
-        env2 = np.empty((up + 1 - lo, count, level_cols))
-        plan.append((band, read, blend, fh, env2, np.empty((count, 1))))
-        level_rows, level_cols = (level_rows + 1) // 2, (level_cols + 1) // 2
+        levels.append(
+            (slice(start, min(up + 2, level_rows)), slice(lo - start, up + 1 - start), blend)
+        )
+        level_rows = (level_rows + 1) // 2
 
-    def record(i: int, k: int, levels: np.ndarray) -> None:
+    def plan(count: int, n: int, base: tuple | None = None) -> list[tuple]:
+        """Per level, buffers for ``count`` sections of ``n`` traces: f and h
+        on the band, f^2 + h^2 on the read rows, and each section's maximum
+        of f^2 + h^2. ``base``, if given, is the base level's."""
+        buffers = []
+        for i, (band, read, _) in enumerate(levels):
+            if i == 0 and base is not None:
+                buffers.append(base)
+            else:
+                buffers.append((
+                    np.empty((2, band.stop - band.start, count, n)),
+                    np.empty((read.stop - read.start, count, n)),
+                    np.empty((count, 1)),
+                ))
+            n = (n + 1) // 2
+        return buffers
+
+    def record(buffers: list, i: int, k: int, values: np.ndarray) -> np.ndarray:
         """Keep the plan's rows of level ``i`` of sections k, k+1, ...
 
-        ``levels`` is (b, rows, cols), one level per section, before
-        ``boundary``.
+        ``values`` is (b, rows, cols), one level per section, before
+        ``boundary``. Returns the levels' f^2 + h^2.
         """
-        band, read, _, fh, env2_read, env2_max = plan[i]
-        f = levels if boundary is None else boundary(levels)
+        band, read, _ = levels[i]
+        fh, env2_read, env2_max = buffers[i]
+        f = values if boundary is None else boundary(values)
         h = _quadrature(f, axis=-2)
         batch = slice(k, k + len(f))
         fh[0, :, batch] = f[:, band].swapaxes(0, 1)
@@ -445,26 +470,29 @@ def _dip_rows(
             _check_finite(_quadrature(f, axis=-2))
         read_rows = slice(band.start + read.start, band.start + read.stop)
         env2_read[:, batch] = env2[:, read_rows].swapaxes(0, 1)
+        return env2
 
-    for k in range(0, count, _BATCH):
-        batch = sections[k : k + _BATCH]
-        # level 1 of the batch, one section's at a time after its base level
-        upper = np.empty((len(batch), (nt + 1) // 2, (n + 1) // 2)) if scales > 1 else None
-        for j, section in enumerate(batch):
-            level = np.ascontiguousarray(section)
-            record(0, k + j, level[None])
-            if upper is not None:
-                upper[j] = _reduce(level, kernel)
-            del level  # not held through the next section's base level
-        for i in range(1, scales):
-            if i > 1:
-                upper = _reduce(upper, kernel)
-            record(i, k, upper)
+    def pyramid(sections: np.ndarray, buffers: list, base: Callable | None) -> None:
+        """Record every level above the base of (count, nt, n) ``sections``;
+        ``base(k, level)``, if given, takes section k's base level."""
+        count, _, n = sections.shape
+        for k in range(0, count, _BATCH):
+            batch = sections[k : k + _BATCH]
+            # level 1 of the batch, one section's at a time after its base level
+            upper = np.empty((len(batch), (nt + 1) // 2, (n + 1) // 2)) if scales > 1 else None
+            for j, section in enumerate(batch):
+                level = np.ascontiguousarray(section)
+                if base is not None:
+                    base(k + j, level[None])
+                if upper is not None:
+                    upper[j] = _reduce(level, kernel)
+                del level  # not held through the next section's base level
+            for i in range(1, scales):
+                if i > 1:
+                    upper = _reduce(upper, kernel)
+                record(buffers, i, k, upper)
 
-    dips = np.empty((scales, len(targets), count, n))
-    trust = np.empty(dips.shape, dtype=bool)
-
-    def expand(values: np.ndarray, blend, out: np.ndarray) -> None:
+    def expand(values: np.ndarray, blend, n: int, out: np.ndarray) -> None:
         if boundary is not None:
             values = boundary(values)
         if blend is not None:
@@ -473,16 +501,44 @@ def _dip_rows(
         if boundary is not None:
             out[...] = boundary(out)
 
-    for i, (_, read, blend, (f, h), env2, env2_max) in enumerate(plan):
-        trusted = _trusted(env2, env2_max)
-        d_time = _phase_derivative_band(f, h, env2, trusted, 0, read)
-        d_trace = _phase_derivative_band(f[read], h[read], env2, trusted, 2)
-        dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
-        # the 0/1 trust is expanded through dips[i] before its dip is
-        expand(ok.astype(np.float64), blend, dips[i])
-        np.greater(dips[i], 0.5, out=trust[i])
-        expand(dip, blend, dips[i])
-    return dips, trust
+    def finish(buffers: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives, quotient and expansion of the recorded rows."""
+        dips = np.empty((scales, len(targets), buffers[0][1].shape[1], n))
+        trust = np.empty(dips.shape, dtype=bool)
+        for i, ((_, read, blend), ((f, h), env2, env2_max)) in enumerate(zip(levels, buffers)):
+            trusted = _trusted(env2, env2_max)
+            d_time = _phase_derivative_band(f, h, env2, trusted, 0, read)
+            d_trace = _phase_derivative_band(f[read], h[read], env2, trusted, 2)
+            dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
+            # the 0/1 trust is expanded through dips[i] before its dip is
+            expand(ok.astype(np.float64), blend, n, dips[i])
+            np.greater(dips[i], 0.5, out=trust[i])
+            expand(dip, blend, n, dips[i])
+        return dips, trust
+
+    if data.ndim == 2:
+        buffers = plan(1, data.shape[1])
+        pyramid(data[None], buffers, lambda k, level: record(buffers, 0, k, level))
+        return [finish(buffers, data.shape[1])]
+    _, nx, ny = data.shape
+    q = plan(nx, ny)
+    # each fixed-y section's maximum of f^2 + h^2 at the base level, raised
+    # by every fixed-x section where its traces are larger
+    y_max = np.full((1, ny), -np.inf)
+
+    def base(k: int, level: np.ndarray) -> None:
+        np.maximum(y_max, record(q, 0, k, level).max(axis=1), out=y_max)
+
+    pyramid(np.moveaxis(data, 1, 0), q, base)
+    q_rows = finish(q, ny)
+    # the fixed-y sections' base level is the fixed-x one, transposed; the
+    # buffers above it are freed before the fixed-y ones are made
+    fh, env2_read, _ = q[0]
+    del q
+    p = plan(ny, nx, (fh.transpose(0, 1, 3, 2), env2_read.transpose(0, 2, 1), y_max.T))
+    if scales > 1:
+        pyramid(np.moveaxis(data, 2, 0), p, None)
+    return [finish(p, nx), q_rows]
 
 
 def _dip_layers(
@@ -495,8 +551,8 @@ def _dip_layers(
     boundary: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> _Layers:
     scales = _check_dip_request((section.grid.shape,), scales, kernel, p_max, eps_freq)
-    dips, trust = _dip_rows(
-        section.grid.data[None], slice(None), scales, kernel,
+    ((dips, trust),) = _dip_rows(
+        section.grid.data, slice(None), scales, kernel,
         p_max=p_max, eps_freq=eps_freq, boundary=boundary,
     )
     return _Layers(
@@ -536,7 +592,10 @@ def dip_slice_fields(
 
     Row ``t_index`` of the expanded dip stack of each fixed-y section fills
     column y of ``p``; that of each fixed-x section fills row x of ``q``.
-    Only the level rows that row reads are differentiated and expanded.
+    Only the level rows that row reads are differentiated and expanded. Both
+    orientations share one base-level pass: each trace's quadrature is
+    taken once, in its fixed-x section, and the fixed-y sections are only
+    reduced to the levels above.
 
     Raises:
         BoundsError: t_index outside the volume.
@@ -551,14 +610,10 @@ def dip_slice_fields(
     shapes = ((volume.nt, volume.nx), (volume.nt, volume.ny))
     scales = _check_dip_request(shapes, scales, kernel, p_max, eps_freq)
 
-    def rows(lateral_axis: int) -> tuple[np.ndarray, np.ndarray]:
-        sections = np.moveaxis(volume.data, lateral_axis, 0)
-        return _dip_rows(
-            sections, slice(t, t + 1), scales, kernel, p_max=p_max, eps_freq=eps_freq
-        )
-
     # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows of q
-    (p_vals, p_ok), (q_vals, q_ok) = rows(2), rows(1)
+    (p_vals, p_ok), (q_vals, q_ok) = _dip_rows(
+        volume.data, slice(t, t + 1), scales, kernel, p_max=p_max, eps_freq=eps_freq
+    )
     return [
         DipField(
             p=Grid2(p_vals[i, 0].T),

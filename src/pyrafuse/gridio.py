@@ -81,8 +81,8 @@ def _header_and_payload(
 ) -> tuple[bytes, np.ndarray]:
     """The header bytes, and the payload as a C-contiguous float32 array.
 
-    The payload array is the transpose of the Fortran-order samples, so its
-    buffer is the file's first-axis-fastest payload without another copy.
+    The payload array is the transpose of the samples, so its buffer is the
+    file's first-axis-fastest payload without another copy.
     """
     pairs: list[tuple[str, str]] = [("magic", MAGIC)]
     if isinstance(obj, Grid2):
@@ -143,12 +143,25 @@ def _header_and_payload(
             raise ParameterError(f"metadata key {key!r} shadows a structural key")
         pairs.append((key, str(value)))
 
-    with np.errstate(over="ignore"):
-        samples = np.asarray(data, dtype="<f4", order="F")
+    samples = _float32_payload(data)
     if not np.isfinite(samples).all():
         raise ParameterError("values overflow float32; cannot serialize")
     header = "".join(f"{k}={v}\n" for k, v in pairs) + "\n"
-    return header.encode("ascii"), samples.T
+    return header.encode("ascii"), samples
+
+
+def _float32_payload(data: np.ndarray) -> np.ndarray:
+    """``data`` as float32, transposed and C-contiguous: the file's order.
+
+    It is filled from blocks of 32 first-axis rows, whose transposes stay
+    in cache; one transposing cast of a C-order volume took about twice as
+    long. Values beyond float32 become inf, for the caller to reject.
+    """
+    samples = np.empty(data.shape[::-1], dtype="<f4")
+    with np.errstate(over="ignore"):
+        for i in range(0, data.shape[0], 32):
+            samples[..., i : i + 32] = data[i : i + 32].T
+    return samples
 
 
 def write_grid(path: str, obj, extra_meta: dict[str, str] | None = None) -> None:

@@ -49,7 +49,7 @@ def ricker(f_peak: float, dt: float, half_length: int) -> np.ndarray:
     dt = float(dt)
     if dt <= 0.0 or not np.isfinite(dt):
         raise ParameterError(f"dt must be positive, got {dt!r}")
-    if f_peak <= 0.0 or f_peak >= 0.5 / dt:
+    if not 0.0 < f_peak < 0.5 / dt:  # NaN fails too
         raise ParameterError(
             f"f_peak must lie in (0, {0.5 / dt:g}) Hz for dt={dt:g}, got {f_peak!r}"
         )
@@ -122,6 +122,8 @@ class SynthSpec:
         if self.ny is not None:
             object.__setattr__(self, "ny", int(self.ny))
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.nt < 8 or self.nx < 3:
             raise SizeError(f"need nt >= 8 and nx >= 3, got nt={self.nt}, nx={self.nx}")
         if self.ny is not None and self.ny < 3:
@@ -130,7 +132,7 @@ class SynthSpec:
             value = float(getattr(self, name))
             if value <= 0.0 or not np.isfinite(value):
                 raise ParameterError(f"{name} must be positive, got {value!r}")
-        if self.f_peak <= 0.0 or self.f_peak >= 0.5 / self.dt:
+        if not 0.0 < self.f_peak < 0.5 / self.dt:  # NaN fails too
             raise ParameterError(
                 f"f_peak must lie in (0, {0.5 / self.dt:g}) Hz, got {self.f_peak!r}"
             )
@@ -138,13 +140,6 @@ class SynthSpec:
             raise ParameterError(f"velocity must be positive, got {self.velocity!r}")
         if not self.events:
             raise ParameterError("spec needs at least one event")
-        for ev in self.events:
-            if not isinstance(ev, (PlaneEvent, QuadraticEvent)):
-                raise ParameterError(f"unsupported event type {type(ev).__name__}")
-            if not 0.0 <= float(ev.t0) <= self.nt - 1:
-                raise ParameterError(
-                    f"event t0={ev.t0!r} outside the time window [0, {self.nt - 1}]"
-                )
         for flt in self.faults:
             if int(flt.throw) != flt.throw:
                 raise ParameterError(f"fault throw must be an integer, got {flt.throw!r}")
@@ -152,6 +147,67 @@ class SynthSpec:
                 raise ParameterError(f"fault trace {flt.trace} outside [0, {self.nx - 1}]")
         if self.snr_db is not None and not np.isfinite(float(self.snr_db)):
             raise ParameterError(f"snr_db must be finite, got {self.snr_db!r}")
+        # a sample lies at most |t| + shift samples from an event at time t
+        shift = self.nt + sum(abs(int(flt.throw)) for flt in self.faults)
+        if not _wavelet_is_finite(shift, self):
+            raise ParameterError(f"fault throws of {shift - self.nt} samples are out of range")
+        total = 0.0  # bounds every sample, since the wavelet's peak is 1
+        for i, ev in enumerate(self.events, start=1):
+            _check_event(self, i, ev, shift)
+            total += abs(float(ev.amplitude))
+            if not math.isfinite(total):
+                raise ParameterError(
+                    f"event {i}: amplitude={float(ev.amplitude)!r} makes the summed "
+                    "amplitudes out of range"
+                )
+
+
+def _check_event(spec: SynthSpec, i: int, ev, shift: int) -> None:
+    """Reject event ``i`` if its fields or its wavelet are not finite.
+
+    The event's time is extreme at the lattice corners, so it must be
+    finite there, and the wavelet must be finite ``shift`` samples beyond.
+    """
+    if not isinstance(ev, (PlaneEvent, QuadraticEvent)):
+        raise ParameterError(f"unsupported event type {type(ev).__name__}")
+    plane = isinstance(ev, PlaneEvent)
+    where = f"event {i} ({'plane' if plane else 'quadratic'})"
+    if not 0.0 <= float(ev.t0) <= spec.nt - 1:
+        raise ParameterError(
+            f"{where}: t0={ev.t0!r} outside the time window [0, {spec.nt - 1}]"
+        )
+    for name in ("sx", "sy", "amplitude") if plane else ("kappa", "amplitude"):
+        value = float(getattr(ev, name))
+        if not math.isfinite(value):
+            raise ParameterError(f"{where}: {name} must be finite, got {value!r}")
+    x = np.array([0.0, spec.nx - 1.0])
+    if spec.ny is None:
+        y = None
+    else:
+        x, y = x[:, None], np.array([[0.0, spec.ny - 1.0]])
+    with np.errstate(all="ignore"):
+        t, *dips, _ = _event_surface(spec, ev, x, y)
+    reach = float(np.abs(t).max())
+    if all(np.isfinite(a).all() for a in dips) and _wavelet_is_finite(reach + shift, spec):
+        return
+    if plane and (spec.ny is None or abs(ev.sx) * (spec.nx - 1) >= abs(ev.sy) * (spec.ny - 1)):
+        name = "sx"
+    else:
+        name = "sy" if plane else "kappa"
+    raise ParameterError(
+        f"{where}: {name}={float(getattr(ev, name))!r} puts the event out of range "
+        f"({reach:.3g} samples at a lattice corner)"
+    )
+
+
+def _wavelet_is_finite(samples: float, spec: SynthSpec) -> bool:
+    """Whether the wavelet is finite ``samples`` from its peak, and so nearer."""
+    try:
+        seconds = np.array([float(samples) * spec.dt])
+    except OverflowError:
+        return False
+    with np.errstate(all="ignore"):
+        return bool(np.isfinite(_ricker_amplitude(seconds, spec.f_peak)).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,33 +225,29 @@ class GroundTruth:
     k_neg: Grid2 | None = None
 
 
-def _event_surfaces(spec: SynthSpec, x_traces: np.ndarray, y_traces: np.ndarray | None):
-    """Per event: (time-in-samples surface, dip_p, dip_q, kp, kn) arrays."""
-    surfaces = []
-    cx = (spec.nx - 1) / 2.0
-    for ev in spec.events:
-        if isinstance(ev, PlaneEvent):
-            t = ev.t0 + ev.sx * x_traces
-            p = np.full_like(t, float(ev.sx))
-            q = np.full_like(t, float(ev.sy))
-            if y_traces is not None:
-                t = t + ev.sy * y_traces
-            kp = np.zeros_like(t)
-            kn = np.zeros_like(t)
-        else:
-            lateral = (x_traces - cx) * spec.dx
-            t = ev.t0 + ev.kappa * lateral**2 / (spec.velocity * spec.dt)
-            if y_traces is not None:
-                t = np.broadcast_to(t, np.broadcast_shapes(t.shape, y_traces.shape)).copy()
-            # dt/dx in samples/trace; the attribute's slope convention then
-            # yields s_x = kappa * X, i.e. k_pos = kappa, k_neg = 0.
-            p = 2.0 * ev.kappa * lateral * spec.dx / (spec.velocity * spec.dt)
-            p = np.broadcast_to(p, t.shape).copy()
-            q = np.zeros_like(t)
-            kp = np.full_like(t, max(float(ev.kappa), 0.0))
-            kn = np.full_like(t, min(float(ev.kappa), 0.0))
-        surfaces.append((t, p, q, kp, kn, float(ev.amplitude)))
-    return surfaces
+def _event_surface(spec: SynthSpec, ev, x_traces: np.ndarray, y_traces: np.ndarray | None):
+    """(time-in-samples surface, dip_p, dip_q, kp, kn, amplitude) of one event."""
+    if isinstance(ev, PlaneEvent):
+        t = ev.t0 + ev.sx * x_traces
+        p = np.full_like(t, float(ev.sx))
+        q = np.full_like(t, float(ev.sy))
+        if y_traces is not None:
+            t = t + ev.sy * y_traces
+        kp = np.zeros_like(t)
+        kn = np.zeros_like(t)
+    else:
+        lateral = (x_traces - (spec.nx - 1) / 2.0) * spec.dx
+        t = ev.t0 + ev.kappa * lateral**2 / (spec.velocity * spec.dt)
+        if y_traces is not None:
+            t = np.broadcast_to(t, np.broadcast_shapes(t.shape, y_traces.shape)).copy()
+        # dt/dx in samples/trace; the attribute's slope convention then
+        # yields s_x = kappa * X, i.e. k_pos = kappa, k_neg = 0.
+        p = 2.0 * ev.kappa * lateral * spec.dx / (spec.velocity * spec.dt)
+        p = np.broadcast_to(p, t.shape).copy()
+        q = np.zeros_like(t)
+        kp = np.full_like(t, max(float(ev.kappa), 0.0))
+        kn = np.full_like(t, min(float(ev.kappa), 0.0))
+    return t, p, q, kp, kn, float(ev.amplitude)
 
 
 def _fault_shift(spec: SynthSpec, x_traces: np.ndarray) -> np.ndarray:
@@ -215,10 +267,19 @@ def _render(spec: SynthSpec, surfaces, fault_shift, shape) -> np.ndarray:
 
 
 def _noise_sigma(clean: np.ndarray, snr_db: float) -> float:
-    power = float(np.mean(clean**2))
+    with np.errstate(over="ignore"):
+        power = float(np.mean(clean**2))
     if power == 0.0:
         raise ParameterError("cannot set an SNR for an all-zero signal")
-    return math.sqrt(power * 10.0 ** (-snr_db / 10.0))
+    if not math.isfinite(power):
+        raise ParameterError("cannot set an SNR: the event amplitudes are out of range")
+    try:
+        sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
+    except OverflowError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise ParameterError(f"snr_db={snr_db!r} gives a noise level out of range")
+    return sigma
 
 
 def make_synthetic(spec: SynthSpec):
@@ -237,7 +298,7 @@ def make_synthetic(spec: SynthSpec):
         y_traces = np.arange(spec.ny, dtype=np.float64)[None, :]
         lateral_shape = (spec.nx, spec.ny)
 
-    surfaces = _event_surfaces(spec, x_traces, y_traces)
+    surfaces = [_event_surface(spec, ev, x_traces, y_traces) for ev in spec.events]
     fault_shift = _fault_shift(spec, x_traces)
     data = _render(spec, surfaces, np.broadcast_to(fault_shift, lateral_shape), lateral_shape)
 

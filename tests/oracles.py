@@ -322,22 +322,37 @@ def dip_slice_reference(
     is trusted where both dips are. ``kernel``, ``p_max`` and ``eps_freq``
     go to :func:`dip_stack_reference` unchanged.
     """
+    return [
+        (p[t], q[t], quality[t])
+        for p, q, quality in dip_cube_reference(
+            volume, scales, kernel, p_max=p_max, eps_freq=eps_freq
+        )
+    ]
+
+
+def dip_cube_reference(
+    volume,
+    scales: int,
+    kernel=None,
+    *,
+    p_max: float = P_MAX_DEFAULT,
+    eps_freq: float = EPS_FREQ_DEFAULT,
+):
+    """:func:`dip_slice_reference` at every time slice: (nt, nx, ny) arrays."""
 
     def stack(section):
         return dip_stack_reference(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
 
-    p = np.zeros((scales, volume.nx, volume.ny))
-    q = np.zeros((scales, volume.nx, volume.ny))
-    p_ok = np.zeros((scales, volume.nx, volume.ny))
-    q_ok = np.zeros((scales, volume.nx, volume.ny))
+    shape = (scales, volume.nt, volume.nx, volume.ny)
+    p, q, p_ok, q_ok = (np.zeros(shape) for _ in range(4))
     for y in range(volume.ny):
         for i, (values, quality) in enumerate(stack(volume.crossline_section(y))):
-            p[i, :, y] = values[t, :]
-            p_ok[i, :, y] = quality[t, :]
+            p[i, :, :, y] = values
+            p_ok[i, :, :, y] = quality
     for x in range(volume.nx):
         for i, (values, quality) in enumerate(stack(volume.inline_section(x))):
-            q[i, x, :] = values[t, :]
-            q_ok[i, x, :] = quality[t, :]
+            q[i, :, x, :] = values
+            q_ok[i, :, x, :] = quality
     return [(p[i], q[i], p_ok[i] * q_ok[i]) for i in range(scales)]
 
 

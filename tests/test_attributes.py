@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dip_slice_reference, dip_stack_reference, same_bits
+from oracles import dip_cube_reference, dip_slice_reference, dip_stack_reference, same_bits
 from pyrafuse import (
     AttributeKind,
     AttributeMap,
@@ -444,6 +444,64 @@ class TestBatchedLevels:
         batched = peak()
         monkeypatch.setattr(attributes, "_BATCH", 1)
         assert batched <= 1.25 * peak()
+
+
+# the 45x13x11 slice volumes as they are (nx > ny) and with x and y
+# swapped (nx < ny)
+_ASPECTS = {
+    "nx>ny": lambda vol: vol,
+    "nx<ny": lambda vol: SeismicVolume(
+        vol.data.transpose(0, 2, 1), dt=vol.dt, dx=vol.dy, dy=vol.dx
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _cube_reference(aspect, volume, p_max, eps_freq):
+    vol = _ASPECTS[aspect](_SLICE_VOLUMES[volume]())
+    return dip_cube_reference(vol, 3, make_kernel(1.0, 1), p_max=p_max, eps_freq=eps_freq)
+
+
+class TestSharedBaseLevel:
+    """One pass over the fixed-x sections takes the base level's quadrature
+    for both orientations; the fixed-y sections read it transposed."""
+
+    @pytest.mark.parametrize("aspect", sorted(_ASPECTS))
+    def test_base_level_quadrature_runs_once_per_trace(self, monkeypatch, aspect):
+        vol = _ASPECTS[aspect](_odd_volume())
+        calls = []
+
+        def counting(values, axis):
+            calls.append(values.shape)
+            return quadrature(values, axis)
+
+        quadrature = attributes._quadrature
+        monkeypatch.setattr(attributes, "_quadrature", counting)
+        dip_slice_fields(vol, 20, 3, make_kernel(1.0, 1))
+        base = [shape for shape in calls if shape[-2] == vol.nt]
+        # nx fixed-x sections of ny traces, not also ny fixed-y ones
+        assert base == [(1, vol.nt, vol.ny)] * vol.nx
+        # levels 1 and 2 of every batch of four sections, both orientations
+        assert len(calls) - len(base) == 2 * (-(-vol.nx // 4) + -(-vol.ny // 4))
+
+    # The batch groups whole levels and the time slice picks their rows, so
+    # the two do not interact: each batch size takes every fourth t and the
+    # edge rows, and together the four sizes take every t of each case.
+    @pytest.mark.parametrize("batch", [1, 3, 4, 64])
+    @pytest.mark.parametrize("volume, p_max, eps_freq", _SLICE_CASES)
+    @pytest.mark.parametrize("aspect", sorted(_ASPECTS))
+    def test_every_t_equals_reference(self, monkeypatch, aspect, volume, p_max, eps_freq, batch):
+        monkeypatch.setattr(attributes, "_BATCH", batch)
+        vol = _ASPECTS[aspect](_SLICE_VOLUMES[volume]())
+        kernel = make_kernel(1.0, 1)
+        reference = _cube_reference(aspect, volume, p_max, eps_freq)
+        offset = [1, 3, 4, 64].index(batch)
+        for t in sorted({0, 1, vol.nt - 2, vol.nt - 1, *range(offset, vol.nt, 4)}):
+            fields = dip_slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
+            for field, (p, q, quality) in zip(fields, reference):
+                assert same_bits(field.p.data, p[t])
+                assert same_bits(field.q.data, q[t])
+                assert same_bits(field.quality.data, quality[t])
 
 
 class TestQuadratureOverflow:

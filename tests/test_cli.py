@@ -313,6 +313,32 @@ class TestExitCodes:
         assert main(["expand", str(path), "--rows", "16", "--cols", "16",
                      "--out", out]) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("event = plane, t0=30, sx=1e300", "event 3 (plane): sx=1e+300"),
+            ("event = quadratic, t0=30, kappa=1e400", "event 3 (quadratic): kappa must be finite"),
+            ("f_peak = nan", "f_peak must lie in"),
+        ],
+    )
+    def test_synth_spec_field_out_of_range_exits_one_without_a_warning(
+        self, tmp_path, line, message
+    ):
+        # a child process: the warnings used to reach stderr before an
+        # error that named no field
+        out = tmp_path / "o.pfg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pyrafuse.cli", "synth",
+             _spec_file(tmp_path, SPEC_TEXT + line + "\n"), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
     def test_signalling_nan_exits_two_without_a_warning(self, tmp_path):
         # a child process, so that a warning reaches stderr as a user sees
         # it instead of being raised by the suite's warning filter

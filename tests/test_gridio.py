@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pyrafuse import (
     AttributeKind,
@@ -21,6 +22,7 @@ from pyrafuse import (
     SeismicVolume,
     describe_grid,
     export_pgm,
+    gridio,
     parse_header,
     read_grid,
     write_grid,
@@ -129,6 +131,78 @@ class TestRoundTrips:
             np.frombuffer(blob, dtype="<f4", offset=offset),
             np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32),
         )
+
+
+def test_write_then_read_is_float32_rounding(tmp_path, hypothesis_home):
+    """A written and read grid holds the float32 rounding of its values, bit
+    for bit (signed zeros and subnormals included), and its intervals and
+    metadata."""
+    path = str(tmp_path / "r.pfg")
+    # float64 values that round to a finite float32, float32's extremes and
+    # subnormals, and a float32 tie (1 + 2**-24)
+    values = st.floats(-3.4e38, 3.4e38, allow_subnormal=True) | st.sampled_from(
+        [0.0, -0.0, 1e-45, -1.4e-45, 3.4028234663852886e38, 1.1754942e-38, 1 + 2.0**-24]
+    )
+
+    # rows past one and two 32-row blocks of the payload cast
+    shapes = st.tuples(st.integers(1, 70), st.integers(1, 5)) | st.tuples(
+        st.integers(1, 70), st.integers(1, 4), st.integers(1, 3)
+    )
+
+    @settings(database=None, deadline=None, max_examples=20)
+    @given(
+        data=hnp.arrays(np.float64, shapes, elements=values, fill=values),
+        as_map=st.booleans(),
+    )
+    def check(data, as_map):
+        if data.ndim == 3:
+            obj = SeismicVolume(data, dt=0.004, dx=25.0, dy=12.5)
+        elif as_map:
+            obj = AttributeMap(
+                Grid2(data), AttributeKind.DIP_ANGLE, scale=2, dt=0.002, dx=12.5, dy=30.0,
+                meta={"velocity": "2000.0", "note": "round trip"},
+            )
+        else:
+            obj = SeismicSection(Grid2(data), dt=0.002, dx=12.5, label="line 7")
+        write_grid(path, obj)
+        back = read_grid(path)
+        if data.ndim == 3:
+            assert (back.dt, back.dx, back.dy) == (0.004, 25.0, 12.5)
+            got = back.data
+        elif as_map:
+            assert (back.kind, back.scale, back.dy) == (AttributeKind.DIP_ANGLE, 2, 30.0)
+            assert back.meta == obj.meta
+            got = back.grid.data
+        else:
+            assert back.label == "line 7"
+            got = back.grid.data
+        assert got.tobytes() == data.astype(np.float32).astype(np.float64).tobytes()
+
+    check()
+
+
+class TestFloat32Payload:
+    """The blocked transposing cast gives the bytes of one Fortran cast."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (31, 5), (32, 7), (33, 4), (100, 3), (65, 4, 3), (7, 9, 2)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bytes_equal_one_fortran_cast(self, shape, layout):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        full = rng.standard_normal(tuple(2 * n for n in shape)) * 10.0 ** rng.integers(-50, 50)
+        full.flat[::7] = -0.0
+        full.flat[::11] = 1e39  # beyond float32: inf in both
+        data = full[tuple(slice(None, n) for n in shape)]
+        if layout == "C":
+            data = np.ascontiguousarray(data)
+        elif layout == "F":
+            data = np.asfortranarray(data)
+        else:
+            data = full[tuple(slice(None, None, 2) for _ in shape)][..., ::-1]
+        with np.errstate(over="ignore"):
+            expected = np.asarray(data, dtype="<f4", order="F").T
+        got = gridio._float32_payload(data)
+        assert got.flags.c_contiguous and got.dtype == np.dtype("<f4")
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestWriteValidation:

@@ -89,6 +89,22 @@ class TestIbmCodec:
         values = np.array([100.0, -0.5, 0.0625, 256.0, 1.0])
         assert np.array_equal(decode_ibm32(encode_ibm32(values)), values)
 
+    def test_normalised_words_round_trip(self, hypothesis_home):
+        # every word whose fraction's leading hex digit is set, and zero,
+        # is what the encoder gives back for its decoded value
+        word = st.builds(
+            lambda sign, exponent, fraction: sign << 31 | exponent << 24 | fraction,
+            st.integers(0, 1), st.integers(0, 127), st.integers(0x100000, 0xFFFFFF),
+        )
+
+        @settings(database=None, deadline=None, max_examples=25)
+        @given(st.lists(word | st.just(0), min_size=1, max_size=64))
+        def check(words):
+            w = np.array(words, dtype=np.uint32)
+            assert encode_ibm32(decode_ibm32(w)).tolist() == w.tolist()
+
+        check()
+
     def test_encode_range_errors(self):
         with pytest.raises(ParameterError):
             encode_ibm32(np.array([1e80]))

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import correlation_lag
 from pyrafuse import (
     Fault,
     ParameterError,
+    PyrafuseError,
     PlaneEvent,
     QuadraticEvent,
     SeismicSection,
@@ -195,6 +199,61 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             SynthSpec(nt=64, nx=8, events=(PlaneEvent(t0=30),), dt=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"f_peak": math.nan}, "f_peak must lie in"),
+            ({"f_peak": math.inf}, "f_peak must lie in"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"events": (PlaneEvent(t0=3), PlaneEvent(t0=9, sx=math.nan))},
+             r"event 2 \(plane\): sx must be finite, got nan"),
+            ({"events": (PlaneEvent(t0=9, sy=-math.inf),)},
+             r"event 1 \(plane\): sy must be finite, got -inf"),
+            ({"events": (PlaneEvent(t0=9, amplitude=math.inf),)},
+             r"event 1 \(plane\): amplitude must be finite"),
+            ({"events": (QuadraticEvent(t0=9, kappa=float("1e400")),)},
+             r"event 1 \(quadratic\): kappa must be finite, got inf"),
+            ({"events": (QuadraticEvent(t0=9, kappa=1e-4, amplitude=math.nan),)},
+             r"event 1 \(quadratic\): amplitude must be finite"),
+            ({"events": (PlaneEvent(t0=9, sx=1e300),)},
+             r"event 1 \(plane\): sx=1e\+300 puts the event out of range"),
+            ({"events": (PlaneEvent(t0=9), PlaneEvent(t0=9, sx=0.1, sy=-1e300)), "ny": 4},
+             r"event 2 \(plane\): sy=-1e\+300 puts the event out of range"),
+            ({"events": (QuadraticEvent(t0=9, kappa=1e290),)},
+             r"event 1 \(quadratic\): kappa=1e\+290 puts the event out of range"),
+            ({"events": (PlaneEvent(t0=9, amplitude=1e308),) * 2},
+             r"event 2: amplitude=1e\+308 makes the summed amplitudes out of range"),
+            ({"faults": (Fault(trace=2, throw=10**400),)}, "fault throws of 1000"),
+        ],
+    )
+    def test_fields_that_break_synthesis_are_named(self, kwargs, message):
+        spec = {"nt": 16, "nx": 5, "events": (PlaneEvent(t0=9),), **kwargs}
+        with pytest.raises(ParameterError, match=message):
+            SynthSpec(**spec)
+
+    def test_steep_finite_events_still_synthesize(self):
+        # far outside the window the wavelet is exactly zero: legal, silent
+        spec = SynthSpec(
+            nt=16, nx=5, ny=4, events=(PlaneEvent(t0=9, sx=1e150, sy=1e150),), snr_db=None
+        )
+        volume, _ = make_synthetic(spec)
+        assert volume.data[9, 0, 0] == 1.0
+        assert not volume.data[:, 1:].any() and not volume.data[:, :, 1:].any()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"events": (PlaneEvent(t0=9, amplitude=1e200),), "snr_db": 10.0},
+             "event amplitudes are out of range"),
+            ({"events": (PlaneEvent(t0=9),), "snr_db": -5000.0}, "noise level out of range"),
+            ({"events": (PlaneEvent(t0=9, amplitude=1e150),), "snr_db": -3000.0},
+             "noise level out of range"),
+        ],
+    )
+    def test_noise_out_of_range_is_a_parameter_error(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            make_synthetic(SynthSpec(nt=16, nx=5, **kwargs))
+
     def test_volume_synthesis_shape(self):
         spec = SynthSpec(nt=32, nx=8, ny=6, events=(PlaneEvent(t0=16, sx=0.1, sy=0.2),), seed=0)
         vol, truth = make_synthetic(spec)
@@ -250,6 +309,74 @@ class TestSpecGrammar:
         with pytest.raises(ParameterError) as err:
             parse_synth_spec("nt = 64\nnx = 16\nevent = plane, sx=0.5")
         assert "t0" in str(err.value)
+
+
+_SPEC_LINES = (
+    "nt = 24", "nx = 7", "ny = 4", "dt = 0.004", "dx = 25", "dy = 20", "f_peak = 25",
+    "velocity = 2000", "snr_db = 10", "seed = 3",
+    "event = plane, t0=6, sx=0.5, sy=-0.25, amp=1.5",
+    "event = quadratic, t0=14, kappa=1e-4, amp=-2",
+    "fault = 3, 2",
+)
+_SIZE_VALUES = ("0", "-3", "3", "5", "9", "", "x", "2.5", "nan")
+_FIELD_VALUES = (
+    "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e308", "-1e308", "1e300", "1e200",
+    "1e154", "1e150", "1e-320", "-1e-320", "0", "-0", "-1", "1", "-5000", "3000", "",
+    "x", "0x10", "1_0", "9" * 40, "-" + "9" * 400, "23", "24", "2.5",
+)
+
+
+def test_spec_text_raises_only_package_errors_without_warnings(hypothesis_home):
+    """Edited and garbage spec lines parse and synthesize, or raise a
+    PyrafuseError; numpy never warns on the way."""
+
+    garbage = st.text(" =,#.-+0129eanxtyskpf", max_size=14)
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(
+        drop=st.sets(st.integers(2, len(_SPEC_LINES) - 1), max_size=3),
+        edits=st.lists(
+            st.tuples(st.integers(0, 63), st.integers(0, 3), st.sampled_from(_FIELD_VALUES)),
+            min_size=1,
+            max_size=3,
+        ),
+        extra=st.lists(st.tuples(st.integers(0, 15), garbage), max_size=1),
+    )
+    def check(drop, edits, extra):
+        lines = [line for i, line in enumerate(_SPEC_LINES) if i not in drop]
+        # half of the edits go to the event and fault lines
+        shapes = [i for i, line in enumerate(lines) if line.startswith(("event", "fault"))]
+        for at, field, text in edits:
+            at = at % len(lines) if at % 2 or not shapes else shapes[at % len(shapes)]
+            key, _, body = lines[at].partition(" = ")
+            if key in ("nt", "nx", "ny"):  # sizes from a pool of small ones
+                text = _SIZE_VALUES[len(text) % len(_SIZE_VALUES)]
+            if key == "event":
+                parts = body.split(", ")
+                k = 1 + field % (len(parts) - 1)
+                parts[k] = parts[k].partition("=")[0] + "=" + text
+                body = ", ".join(parts)
+            elif key == "fault":
+                parts = body.split(", ")
+                parts[field % 2] = text
+                body = ", ".join(parts)
+            else:
+                body = text
+            lines[at] = f"{key} = {body}"
+        for at, text in extra:
+            lines.insert(at % (len(lines) + 1), text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                spec = parse_synth_spec("\n".join(lines))
+                # small grids only: a garbage line may set a large size
+                if spec.nt * spec.nx * (spec.ny or 1) <= 4096:
+                    make_synthetic(spec)
+            except PyrafuseError:
+                pass
+        assert [str(w.message) for w in caught] == []
+
+    check()
 
 
 class TestDerivativeDemo:
