@@ -21,7 +21,9 @@ which states the dip stack as the composition of the package's public
 stage functions (pyramid, per-level phase dip, expansion), and
 :func:`dip_slice_reference`, which takes time slices of it; the package's
 one dip-row builder, which serves sections and volume slices alike, is
-gated on exact equality with them.
+gated on exact equality with them. :func:`volume_attribute_reference`
+applies the per-scale dip-angle and curvature formulas, as the package
+wrote them before it computed every scale at once, to those slices.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import numpy as np
 
 from pyrafuse import (
+    AttributeKind,
     FormatError,
     Grid2,
     ParameterError,
@@ -44,7 +47,7 @@ from pyrafuse import (
     make_kernel,
     phase_dip,
 )
-from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT
+from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT, VELOCITY_DEFAULT
 from pyrafuse.pyramid import _interp_stencil
 from pyrafuse.segy import (
     _OFF_CROSSLINE,
@@ -354,6 +357,37 @@ def dip_cube_reference(
             q[i, :, x, :] = values
             q_ok[i, :, x, :] = quality
     return [(p[i], q[i], p_ok[i] * q_ok[i]) for i in range(scales)]
+
+
+def volume_attribute_reference(volume, kind, slices, velocity: float = VELOCITY_DEFAULT):
+    """Per-scale (values, quality) of dip angle or curvature at one time slice.
+
+    ``slices`` is what :func:`dip_slice_reference` returns for ``volume``:
+    per scale, the (nx, ny) inline dip p, crossline dip q and quality. Each
+    scale goes through the formulas on its own, with the physical slopes
+    s_x = p*(v*dt/2)/dx and s_y = q*(v*dt/2)/dy: dip angle
+    atan(hypot(s_x, s_y)), and curvature (a + b) +/- hypot(a - b, c) with
+    a = ds_x/dx / 2, b = ds_y/dy / 2 and c = (ds_x/dy + ds_y/dx) / 2.
+    """
+    out = []
+    for p, q, quality in slices:
+        half_step = velocity * volume.dt / 2.0
+        s_x = p * (half_step / volume.dx)
+        s_y = q * (half_step / volume.dy)
+        if kind is AttributeKind.DIP_ANGLE:
+            values = np.arctan(np.hypot(s_x, s_y))
+        else:
+            a = 0.5 * np.gradient(s_x, volume.dx, axis=0, edge_order=1)
+            b = 0.5 * np.gradient(s_y, volume.dy, axis=1, edge_order=1)
+            c = 0.5 * (
+                np.gradient(s_x, volume.dy, axis=1, edge_order=1)
+                + np.gradient(s_y, volume.dx, axis=0, edge_order=1)
+            )
+            fold = np.hypot(a - b, c)
+            mean2 = a + b
+            values = mean2 + fold if kind is AttributeKind.CURV_POS else mean2 - fold
+        out.append((values, quality))
+    return out
 
 
 def decode_ibm32_reference(words) -> np.ndarray:

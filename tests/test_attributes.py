@@ -7,7 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dip_cube_reference, dip_slice_reference, dip_stack_reference, same_bits
+from oracles import (
+    dip_cube_reference,
+    dip_slice_reference,
+    dip_stack_reference,
+    fuse_median_naive,
+    same_bits,
+    volume_attribute_reference,
+)
 from pyrafuse import (
     AttributeKind,
     AttributeMap,
@@ -36,6 +43,7 @@ from pyrafuse import (
     phase_dip,
 )
 from pyrafuse import attributes
+from pyrafuse.attributes import VELOCITY_DEFAULT
 from pyrafuse.cli import _f32
 
 
@@ -296,6 +304,21 @@ _DIP_SECTIONS = {
 # often, and one where the envelope guard fires
 _SLICE_CASES = [("noisy", 5.0, 1e-3), ("noisy", 0.5, 0.05), ("packet", 5.0, 1e-3)]
 
+# the 45x13x11 slice volumes as they are (nx > ny) and with x and y
+# swapped (nx < ny)
+_ASPECTS = {
+    "nx>ny": lambda vol: vol,
+    "nx<ny": lambda vol: SeismicVolume(
+        vol.data.transpose(0, 2, 1), dt=vol.dt, dx=vol.dy, dy=vol.dx
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _cube_reference(aspect, volume, p_max, eps_freq):
+    vol = _ASPECTS[aspect](_SLICE_VOLUMES[volume]())
+    return dip_cube_reference(vol, 3, make_kernel(1.0, 1), p_max=p_max, eps_freq=eps_freq)
+
 
 def _plane_wave_volume(nt=96, nx=28, ny=24, k=4, px=0.4, py=-0.3):
     w = 2.0 * math.pi * k / nt
@@ -344,30 +367,23 @@ class TestVolumeDips:
         vol = _SLICE_VOLUMES[volume]()
         kernel = make_kernel(1.0, 1)
         fields = dip_slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
-        reference = dip_slice_reference(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
+        reference = _cube_reference("nx>ny", volume, p_max, eps_freq)
         assert len(fields) == len(reference) == 3
         for field, (p, q, quality) in zip(fields, reference):
-            assert same_bits(field.p.data, p)
-            assert same_bits(field.q.data, q)
-            assert same_bits(field.quality.data, quality)
+            assert same_bits(field.p.data, p[t])
+            assert same_bits(field.q.data, q[t])
+            assert same_bits(field.quality.data, quality[t])
 
     def test_slice_cases_clamp_reject_and_guard(self):
         # the exact comparison above only covers the clamp, the eps
         # rejection and the envelope guard if its cases hit them
         section = _packet_volume().crossline_section(5)
         assert not guard_mask(analytic_section(section)).all()
-        vol = _odd_volume()
-        kernel = make_kernel(1.0, 1)
-        _, p_max, eps_freq = _SLICE_CASES[1]
-        clamped = rejected = 0
-        for t in range(vol.nt):
-            p, q, quality = dip_slice_reference(
-                vol, t, 1, kernel, p_max=p_max, eps_freq=eps_freq
-            )[0]
-            clamped += int(np.sum(np.abs(p) == p_max) + np.sum(np.abs(q) == p_max))
-            rejected += int(np.sum(quality == 0.0))
-        assert clamped > 0
-        assert rejected > 0
+        volume, p_max, eps_freq = _SLICE_CASES[1]
+        # scale 0 at every t
+        p, q, quality = _cube_reference("nx>ny", volume, p_max, eps_freq)[0]
+        assert np.sum(np.abs(p) == p_max) + np.sum(np.abs(q) == p_max) > 0
+        assert np.sum(quality == 0.0) > 0
 
     @pytest.mark.parametrize("scales", [0, -1])
     def test_scales_below_one_is_a_parameter_error(self, scales):
@@ -402,13 +418,6 @@ class TestVolumeDips:
             dip_slice_fields(vol, 10, 2)
 
 
-@functools.lru_cache(maxsize=None)
-def _slice_reference(volume, t, p_max, eps_freq):
-    return dip_slice_reference(
-        _SLICE_VOLUMES[volume](), t, 3, make_kernel(1.0, 1), p_max=p_max, eps_freq=eps_freq
-    )
-
-
 class TestBatchedLevels:
     """Levels above the base run ``_BATCH`` sections at a time."""
 
@@ -419,13 +428,13 @@ class TestBatchedLevels:
         monkeypatch.setattr(attributes, "_BATCH", batch)
         vol = _SLICE_VOLUMES[volume]()
         kernel = make_kernel(1.0, 1)
+        reference = _cube_reference("nx>ny", volume, p_max, eps_freq)
         for t in (0, 9, 22, 44):
             fields = dip_slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
-            reference = _slice_reference(volume, t, p_max, eps_freq)
             for field, (p, q, quality) in zip(fields, reference):
-                assert same_bits(field.p.data, p)
-                assert same_bits(field.q.data, q)
-                assert same_bits(field.quality.data, quality)
+                assert same_bits(field.p.data, p[t])
+                assert same_bits(field.q.data, q[t])
+                assert same_bits(field.quality.data, quality[t])
 
     def test_batches_hold_the_peak(self, monkeypatch):
         # the base level runs one section at a time and sets the peak; four
@@ -444,22 +453,6 @@ class TestBatchedLevels:
         batched = peak()
         monkeypatch.setattr(attributes, "_BATCH", 1)
         assert batched <= 1.25 * peak()
-
-
-# the 45x13x11 slice volumes as they are (nx > ny) and with x and y
-# swapped (nx < ny)
-_ASPECTS = {
-    "nx>ny": lambda vol: vol,
-    "nx<ny": lambda vol: SeismicVolume(
-        vol.data.transpose(0, 2, 1), dt=vol.dt, dx=vol.dy, dy=vol.dx
-    ),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _cube_reference(aspect, volume, p_max, eps_freq):
-    vol = _ASPECTS[aspect](_SLICE_VOLUMES[volume]())
-    return dip_cube_reference(vol, 3, make_kernel(1.0, 1), p_max=p_max, eps_freq=eps_freq)
 
 
 class TestSharedBaseLevel:
@@ -502,6 +495,44 @@ class TestSharedBaseLevel:
                 assert same_bits(field.p.data, p[t])
                 assert same_bits(field.q.data, q[t])
                 assert same_bits(field.quality.data, quality[t])
+
+
+class TestVolumeAttributes:
+    """Dip angle and curvature stacks are the per-scale formulas applied to
+    the dip slice reference, bit for bit, before and after fusion."""
+
+    @pytest.mark.parametrize("velocity", [VELOCITY_DEFAULT, 3100.0])
+    @pytest.mark.parametrize(
+        "kind", [AttributeKind.DIP_ANGLE, AttributeKind.CURV_POS, AttributeKind.CURV_NEG],
+        ids=lambda kind: kind.value,
+    )
+    @pytest.mark.parametrize("volume, p_max, eps_freq", _SLICE_CASES)
+    @pytest.mark.parametrize("aspect", sorted(_ASPECTS))
+    def test_equal_reference(self, aspect, volume, p_max, eps_freq, kind, velocity):
+        vol = _ASPECTS[aspect](_SLICE_VOLUMES[volume]())
+        kernel = make_kernel(1.0, 1)
+        cube = _cube_reference(aspect, volume, p_max, eps_freq)
+        kw = dict(time_index=None, velocity=velocity, p_max=p_max, eps_freq=eps_freq)
+        for t in (0, 17, vol.nt - 1):
+            kw["time_index"] = t
+            reference = volume_attribute_reference(
+                vol, kind, [(p[t], q[t], quality[t]) for p, q, quality in cube], velocity
+            )
+            values = np.stack([v for v, _ in reference])
+            valid = np.stack([quality > 0.5 for _, quality in reference])
+            meta = {"velocity": repr(velocity), "convention": "time-dip",
+                    "sigma": "1.0", "radius": "1", "time_index": str(t)}
+
+            layers = attributes._attribute_layers(vol, kind, 3, kernel, **kw)
+            assert same_bits(layers.values, values)
+            assert same_bits(layers.valid, valid)
+            assert list(layers.meta.items()) == list(meta.items())
+
+            fused = multiscale_attribute(vol, kind, scales=3, kernel=kernel, **kw)
+            assert same_bits(fused.grid.data, fuse_median_naive(values, valid))
+            assert same_bits(fused.quality.data, valid.any(axis=0).astype(np.float64))
+            del meta["convention"]  # fusion keeps the recipe, not the convention
+            assert fused.meta == {"method": "median", "scales": "3", **meta}
 
 
 class TestQuadratureOverflow:
