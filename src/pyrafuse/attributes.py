@@ -14,14 +14,14 @@ base resolution, ready for fusion. Scale 0 of a stack is bit-for-bit the
 conventional single-scale attribute. Volumes have no 3D pyramid: dips come
 from per-section 2D pyramids in each orientation (fixed-y sections give dip
 along x, fixed-x sections give dip along y) and are only then combined into
-dip angle or curvature per scale. One builder serves section stacks (every
-row) and time slices (one row of each section): it differentiates and
-expands only the level rows those rows read, on plain arrays, so a slice is
-bit-for-bit that row of the full per-section stack. It builds the base
-level one section at a time and the smaller levels above it for batches of
-four sections. Both orientations of a volume hold the same traces, so one
-pass over the fixed-x sections takes the base level's quadrature for both.
-None of this changes a byte of the output.
+dip angle or curvature, every scale at once on (scales, nx, ny) arrays. One
+builder serves section stacks (every row) and time slices (one row of each
+section): it differentiates and expands only the level rows those rows
+read, on plain arrays, so a slice is bit-for-bit that row of the full
+per-section stack. It builds the base level one section at a time and the
+levels above it for batches of four sections. Both orientations of a
+volume hold the same traces, so one pass over the fixed-x sections takes
+the base level's quadrature for both. None of this changes a byte.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .grid import (
     SeismicSection,
     SeismicVolume,
     _check_finite,
+    _check_interval,
 )
 from .pyramid import (
     GaussianKernel,
@@ -122,6 +123,11 @@ def _check_dip_params(p_max: float, eps_freq: float) -> None:
         raise ParameterError(f"eps_freq must be positive, got {eps_freq!r}")
 
 
+def _check_velocity(velocity: float) -> None:
+    if velocity <= 0.0 or not np.isfinite(velocity):
+        raise ParameterError(f"velocity must be positive, got {velocity!r}")
+
+
 def _dip_quotient(
     d_time: np.ndarray, d_trace: np.ndarray, p_max: float, eps_freq: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +165,35 @@ class DipField:
             raise ShapeError(f"q shape {self.q.shape} != p shape {self.p.shape}")
         if self.quality is not None and self.quality.shape != self.p.shape:
             raise ShapeError("quality shape differs from dip shape")
+        object.__setattr__(self, "dt", _check_interval("dt", self.dt))
+        object.__setattr__(self, "dx", _check_interval("dx", self.dx))
+        if self.dy is not None:
+            object.__setattr__(self, "dy", _check_interval("dy", self.dy))
+
+
+def _time_dip_meta(velocity: float) -> dict[str, str]:
+    return {"velocity": repr(float(velocity)), "convention": "time-dip"}
+
+
+def _dip_angle_values(p, q, dt: float, dx: float, dy: float, velocity: float) -> np.ndarray:
+    """:func:`dip_angle` per cell, over any leading axes. Keep p and q
+    C-contiguous: numpy's arctan may round other layouts differently."""
+    half_step = velocity * dt / 2.0
+    return np.arctan(np.hypot(p * (half_step / dx), q * (half_step / dy)))
+
+
+def _curvatures(p, q, dt: float, dx: float, dy: float, velocity: float):
+    """(a + b, hypot(a - b, c)) of :func:`curvature`, on the last two axes (x, y)."""
+    half_step = velocity * dt / 2.0
+    s_x = p * (half_step / dx)
+    s_y = q * (half_step / dy)
+    a = 0.5 * np.gradient(s_x, dx, axis=-2, edge_order=1)
+    b = 0.5 * np.gradient(s_y, dy, axis=-1, edge_order=1)
+    c = 0.5 * (
+        np.gradient(s_x, dy, axis=-1, edge_order=1)
+        + np.gradient(s_y, dx, axis=-2, edge_order=1)
+    )
+    return a + b, np.hypot(a - b, c)
 
 
 def dip_angle(
@@ -176,19 +211,16 @@ def dip_angle(
 
     Raises:
         ShapeError: p and q dims differ.
-        ParameterError: inputs are not dip maps, or velocity <= 0.
+        ParameterError: inputs are not dip maps, velocity <= 0, or dt, dx
+            or dy not a positive finite number.
     """
     if p.kind is not AttributeKind.PHASE_DIP or q.kind is not AttributeKind.PHASE_DIP:
         raise ParameterError("dip_angle expects two phase-dip maps")
     if p.grid.shape != q.grid.shape:
         raise ShapeError(f"p dims {p.grid.shape} != q dims {q.grid.shape}")
-    if velocity <= 0.0 or not np.isfinite(velocity):
-        raise ParameterError(f"velocity must be positive, got {velocity!r}")
-    half_step = velocity * dt / 2.0
-    s_x = p.grid.data * (half_step / dx)
-    s_y = q.grid.data * (half_step / dy)
-    angle = np.arctan(np.hypot(s_x, s_y))
-    quality = None
+    _check_velocity(velocity)
+    dt, dx, dy = (_check_interval(*step) for step in (("dt", dt), ("dx", dx), ("dy", dy)))
+    angle = _dip_angle_values(p.grid.data, q.grid.data, dt, dx, dy, velocity)
     if p.quality is not None and q.quality is not None:
         quality = Grid2(np.minimum(p.quality.data, q.quality.data))
     else:
@@ -201,7 +233,7 @@ def dip_angle(
         dx=dx,
         dy=dy,
         quality=quality,
-        meta={"velocity": repr(float(velocity)), "convention": "time-dip"},
+        meta=_time_dip_meta(velocity),
     )
 
 
@@ -233,25 +265,14 @@ def curvature(dips: DipField, velocity: float = VELOCITY_DEFAULT) -> CurvaturePa
     rows, cols = dips.p.shape
     if rows < 3 or cols < 3:
         raise SizeError(f"curvature needs at least a 3x3 lattice, got {rows}x{cols}")
-    if velocity <= 0.0 or not np.isfinite(velocity):
-        raise ParameterError(f"velocity must be positive, got {velocity!r}")
-    half_step = velocity * dips.dt / 2.0
-    s_x = dips.p.data * (half_step / dips.dx)
-    s_y = dips.q.data * (half_step / dips.dy)
-    a = 0.5 * np.gradient(s_x, dips.dx, axis=0, edge_order=1)
-    b = 0.5 * np.gradient(s_y, dips.dy, axis=1, edge_order=1)
-    c = 0.5 * (
-        np.gradient(s_x, dips.dy, axis=1, edge_order=1)
-        + np.gradient(s_y, dips.dx, axis=0, edge_order=1)
-    )
-    fold = np.hypot(a - b, c)
-    mean2 = a + b
+    _check_velocity(velocity)
+    mean2, fold = _curvatures(dips.p.data, dips.q.data, dips.dt, dips.dx, dips.dy, velocity)
     common = dict(
         dt=dips.dt,
         dx=dips.dx,
         dy=dips.dy,
         quality=dips.quality,
-        meta={"velocity": repr(float(velocity)), "convention": "time-dip"},
+        meta=_time_dip_meta(velocity),
     )
     return CurvaturePair(
         k_pos=AttributeMap(Grid2(mean2 + fold), AttributeKind.CURV_POS, **common),
@@ -592,10 +613,6 @@ def dip_slice_fields(
 
     Row ``t_index`` of the expanded dip stack of each fixed-y section fills
     column y of ``p``; that of each fixed-x section fills row x of ``q``.
-    Only the level rows that row reads are differentiated and expanded. Both
-    orientations share one base-level pass: each trace's quadrature is
-    taken once, in its fixed-x section, and the fixed-y sections are only
-    reduced to the levels above.
 
     Raises:
         BoundsError: t_index outside the volume.
@@ -604,27 +621,34 @@ def dip_slice_fields(
             cannot support ``scales`` dip scales; checked before any work.
     """
     kernel = kernel if kernel is not None else make_kernel()
-    t = int(t_index)
+    p, q, ok = _slice_dips(volume, t_index, scales, kernel, p_max, eps_freq)
+    return [
+        DipField(Grid2(p_i), Grid2(q_i), volume.dt, volume.dx, volume.dy, quality=Grid2(ok_i))
+        for p_i, q_i, ok_i in zip(p, q, ok)
+    ]
+
+
+def _slice_dips(
+    volume: SeismicVolume,
+    t: int,
+    scales: int,
+    kernel: GaussianKernel,
+    p_max: float,
+    eps_freq: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`dip_slice_fields` as C-contiguous (scales, nx, ny) arrays p and
+    q, and where both are trusted."""
+    t = int(t)
     if t < 0 or t >= volume.nt:
         raise BoundsError(f"time index {t} outside [0, {volume.nt - 1}]")
     shapes = ((volume.nt, volume.nx), (volume.nt, volume.ny))
     scales = _check_dip_request(shapes, scales, kernel, p_max, eps_freq)
-
     # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows of q
-    (p_vals, p_ok), (q_vals, q_ok) = _dip_rows(
+    (p, p_ok), (q, q_ok) = _dip_rows(
         volume.data, slice(t, t + 1), scales, kernel, p_max=p_max, eps_freq=eps_freq
     )
-    return [
-        DipField(
-            p=Grid2(p_vals[i, 0].T),
-            q=Grid2(q_vals[i, 0]),
-            dt=volume.dt,
-            dx=volume.dx,
-            dy=volume.dy,
-            quality=Grid2(p_ok[i, 0].T & q_ok[i, 0]),
-        )
-        for i in range(scales)
-    ]
+    ok = p_ok[:, 0].transpose(0, 2, 1) & q_ok[:, 0]
+    return np.ascontiguousarray(p[:, 0].transpose(0, 2, 1)), q[:, 0], ok
 
 
 def _attribute_layers(
@@ -652,40 +676,21 @@ def _attribute_layers(
         raise ConfigError(f"unsupported input type {type(data).__name__}")
     if kind is AttributeKind.PHASE_DIP:
         raise ConfigError("phase dip runs on sections; extract one from the volume first")
-    if kind not in (AttributeKind.DIP_ANGLE, AttributeKind.CURV_POS, AttributeKind.CURV_NEG):
-        raise ConfigError(f"unsupported attribute kind {kind.value}")
     if time_index is None:
         raise ConfigError(f"{kind.value} on a volume needs a time index")
-    fields = dip_slice_fields(
-        volume=data,
-        t_index=time_index,
-        scales=scales,
-        kernel=kernel,
-        p_max=p_max,
-        eps_freq=eps_freq,
-    )
-    values = []
-    for field in fields:
-        if kind is AttributeKind.DIP_ANGLE:
-            p_map = AttributeMap(
-                field.p, AttributeKind.PHASE_DIP, dt=data.dt, dx=data.dx, quality=field.quality,
-            )
-            q_map = AttributeMap(
-                field.q, AttributeKind.PHASE_DIP, dt=data.dt, dx=data.dx, quality=field.quality,
-            )
-            m = dip_angle(p_map, q_map, data.dt, data.dx, data.dy, velocity)
-        else:
-            pair = curvature(field, velocity)
-            m = pair.k_pos if kind is AttributeKind.CURV_POS else pair.k_neg
-        values.append(m.grid.data)
-    meta = dict(m.meta)  # the velocity and convention, alike at every scale
-    meta.update(
-        {"sigma": repr(kernel.sigma), "radius": str(kernel.radius),
-         "time_index": str(int(time_index))}
-    )
+    _check_velocity(velocity)
+    p, q, valid = _slice_dips(data, time_index, scales, kernel, p_max, eps_freq)
+    steps = (data.dt, data.dx, data.dy, velocity)
+    if kind is AttributeKind.DIP_ANGLE:
+        values = _dip_angle_values(p, q, *steps)
+    else:
+        mean2, fold = _curvatures(p, q, *steps)
+        values = mean2 + fold if kind is AttributeKind.CURV_POS else mean2 - fold
+    meta = {**_time_dip_meta(velocity), "sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
+    meta["time_index"] = str(int(time_index))
     return _Layers(
-        values=np.stack(values),
-        valid=np.stack([field.quality.data > 0.5 for field in fields]),
+        values=values,
+        valid=valid,
         kind=kind,
         dt=data.dt,
         dx=data.dx,

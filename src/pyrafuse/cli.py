@@ -31,7 +31,7 @@ from .attributes import (
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
 from .fusion import FusionMethod, FusionSpec, _fuse_arrays, default_weights, fuse
-from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
+from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
 from .pyramid import build_pyramid, expand_to, make_kernel
 from .segy import SegyImportOptions, read_segy
@@ -262,36 +262,38 @@ def _cmd_pyramid(args) -> None:
         log.info("wrote %s (%dx%d)", target, level.rows, level.cols)
 
 
-def _attr_map_for(args, obj) -> AttributeMap:
+def _attribute_kind(args, obj) -> AttributeKind:
+    """The ``--attr`` kind, once ``obj`` (read from ``args.grid``) suits it."""
+    if isinstance(obj, AttributeMap):
+        raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
     kind = _ATTR_FLAGS[args.attr]
     if kind is AttributeKind.PHASE_DIP:
         if isinstance(obj, SeismicVolume):
             raise ConfigError("dip runs on 2D sections; extract a section first")
-        return phase_dip(obj, p_max=args.pmax, eps_freq=args.eps_freq)
-    if not isinstance(obj, SeismicVolume):
+    elif not isinstance(obj, SeismicVolume):
         raise ConfigError(f"{args.attr} needs a volume input")
-    if args.time_index is None:
+    elif args.time_index is None:
         raise UsageError(f"--attr {args.attr} needs --time-index")
-    stack = attribute_stack(
-        obj, kind, 1, None,  # one scale: the kernel never runs
-        time_index=args.time_index, velocity=args.velocity,
-        p_max=args.pmax, eps_freq=args.eps_freq,
-    )
-    return stack.maps[0]
+    return kind
 
 
 def _cmd_attr(args) -> None:
     obj = read_grid(args.grid)
-    if isinstance(obj, AttributeMap):
-        raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
-    m = _attr_map_for(args, obj)
+    kind = _attribute_kind(args, obj)
+    if kind is AttributeKind.PHASE_DIP:
+        m = phase_dip(obj, p_max=args.pmax, eps_freq=args.eps_freq)
+    else:
+        m = attribute_stack(
+            obj, kind, 1, None,  # one scale: the kernel never runs
+            time_index=args.time_index, velocity=args.velocity,
+            p_max=args.pmax, eps_freq=args.eps_freq,
+        ).maps[0]
     write_grid(args.out, m)
     log.info("wrote %s", args.out)
     if args.quality_out:
-        quality = m.quality if m.quality is not None else Grid2(np.ones(m.grid.shape))
         write_grid(
             args.quality_out,
-            SeismicSection(quality, dt=m.dt, dx=m.dx, label="quality"),
+            SeismicSection(m.quality, dt=m.dt, dx=m.dx, label="quality"),
             extra_meta={"role": "quality"},
         )
         log.info("wrote %s", args.quality_out)
@@ -350,23 +352,15 @@ def _cmd_fuse(args) -> None:
 
 def _cmd_pipeline(args) -> None:
     obj = read_grid(args.grid)
-    kind = _ATTR_FLAGS[args.attr]
-    spec = _fusion_spec(args, args.scales)
+    spec = _fusion_spec(args, args.scales)  # a bad --fuse rank is a usage error first
     kernel = make_kernel(args.sigma, args.radius)
+    kind = _attribute_kind(args, obj)
     if kind is AttributeKind.PHASE_DIP:
-        if isinstance(obj, SeismicVolume):
-            raise ConfigError("dip runs on 2D sections; extract a section first")
-        if isinstance(obj, AttributeMap):
-            raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
         layers = _dip_layers(
             obj, args.scales, kernel, p_max=args.pmax, eps_freq=args.eps_freq,
             boundary=_f32,
         )
     else:
-        if not isinstance(obj, SeismicVolume):
-            raise ConfigError(f"{args.attr} needs a volume input")
-        if args.time_index is None:
-            raise UsageError(f"--attr {args.attr} needs --time-index")
         layers = _attribute_layers(
             obj, kind, args.scales, kernel,
             time_index=args.time_index, velocity=args.velocity,

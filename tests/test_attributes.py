@@ -148,6 +148,14 @@ class TestDipAngle:
         assert out.meta["velocity"] == repr(1500.0)
         assert out.meta["convention"] == "time-dip"
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["dt", "dx", "dy"])
+    def test_rejects_bad_intervals(self, name, value):
+        p, q = self._maps(0.1, 0.2)
+        steps = {"dt": 0.004, "dx": 25.0, "dy": 25.0, name: value}
+        with pytest.raises(ParameterError, match=f"{name} must be a positive finite number"):
+            dip_angle(p, q, **steps)
+
     def test_rejects_wrong_kinds_and_shapes(self):
         p, q = self._maps(0.1, 0.2)
         raw = AttributeMap(Grid2(np.zeros((6, 5))), AttributeKind.RAW)
@@ -192,6 +200,14 @@ class TestCurvature:
             field = DipField(p, q, dt=0.004, dx=25.0, dy=25.0)
             pair = curvature(field)
             assert np.all(pair.k_pos.grid.data >= pair.k_neg.grid.data)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["dt", "dx", "dy"])
+    def test_dip_field_rejects_bad_intervals(self, name, value):
+        dips = Grid2(np.zeros((8, 7)))
+        steps = {"dt": 0.004, "dx": 25.0, "dy": 12.5, name: value}
+        with pytest.raises(ParameterError, match=f"{name} must be a positive finite number"):
+            DipField(dips, dips, **steps)
 
     def test_requires_crossline_dip_and_min_size(self):
         p = Grid2(np.zeros((8, 8)))
@@ -533,6 +549,20 @@ class TestVolumeAttributes:
             assert same_bits(fused.quality.data, valid.any(axis=0).astype(np.float64))
             del meta["convention"]  # fusion keeps the recipe, not the convention
             assert fused.meta == {"method": "median", "scales": "3", **meta}
+
+    @pytest.mark.parametrize("velocity", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_velocity_fails_before_any_work(self, monkeypatch, velocity):
+        vol = _odd_volume()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a section was processed before the velocity check")
+
+        monkeypatch.setattr(attributes, "_quadrature", no_work)
+        for kind in (AttributeKind.DIP_ANGLE, AttributeKind.CURV_POS, AttributeKind.CURV_NEG):
+            with pytest.raises(ParameterError, match="velocity must be positive"):
+                attributes._attribute_layers(vol, kind, 2, time_index=20, velocity=velocity)
+            with pytest.raises(ParameterError, match="velocity must be positive"):
+                multiscale_attribute(vol, kind, scales=2, time_index=20, velocity=velocity)
 
 
 class TestQuadratureOverflow:

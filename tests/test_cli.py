@@ -194,6 +194,25 @@ class TestVolumeAttr:
                      "--out", out]) == 2  # needs a volume
         assert main(["attr", vol, "--attr", "kpos", "--out", out]) == 1  # no index
 
+    @pytest.mark.parametrize("command", ["attr", "pipeline"])
+    def test_attr_and_pipeline_check_their_input_alike(self, tmp_path, command):
+        vol = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
+        section = _synth(tmp_path)
+        dip_map = str(tmp_path / "dip.pfg")
+        assert main(["attr", section, "--out", dip_map]) == 0
+        out = str(tmp_path / "out.pfg")
+        for grid, flags, code in [
+            (dip_map, ["--attr", "dip"], 2),  # already an attribute map
+            (dip_map, ["--attr", "kpos", "--time-index", "24"], 2),
+            (vol, ["--attr", "dip"], 2),  # dip needs a section
+            (section, ["--attr", "dip-angle", "--time-index", "24"], 2),  # needs a volume
+            (vol, ["--attr", "kneg"], 1),  # no --time-index
+        ]:
+            assert main([command, grid, *flags, "--out", out]) == code, (grid, flags)
+        assert not Path(out).exists()
+        if command == "pipeline":  # the fusion flags are checked before the input
+            assert main([command, dip_map, "--fuse", "rank", "--out", out]) == 1
+
     def test_volume_pipeline_fuses_curvature(self, tmp_path):
         vol = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
         out = str(tmp_path / "fkpos.pfg")
