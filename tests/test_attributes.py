@@ -528,9 +528,8 @@ class TestVolumeAttributes:
         vol = _ASPECTS[aspect](_SLICE_VOLUMES[volume]())
         kernel = make_kernel(1.0, 1)
         cube = _cube_reference(aspect, volume, p_max, eps_freq)
-        kw = dict(time_index=None, velocity=velocity, p_max=p_max, eps_freq=eps_freq)
+        kw = dict(velocity=velocity, p_max=p_max, eps_freq=eps_freq)
         for t in (0, 17, vol.nt - 1):
-            kw["time_index"] = t
             reference = volume_attribute_reference(
                 vol, kind, [(p[t], q[t], quality[t]) for p, q, quality in cube], velocity
             )
@@ -539,12 +538,12 @@ class TestVolumeAttributes:
             meta = {"velocity": repr(velocity), "convention": "time-dip",
                     "sigma": "1.0", "radius": "1", "time_index": str(t)}
 
-            layers = attributes._attribute_layers(vol, kind, 3, kernel, **kw)
+            layers = attributes._attribute_layers(vol, kind, 3, kernel, time_index=t, **kw)
             assert same_bits(layers.values, values)
             assert same_bits(layers.valid, valid)
             assert list(layers.meta.items()) == list(meta.items())
 
-            fused = multiscale_attribute(vol, kind, scales=3, kernel=kernel, **kw)
+            fused = multiscale_attribute(vol, kind, scales=3, kernel=kernel, time_index=t, **kw)
             assert same_bits(fused.grid.data, fuse_median_naive(values, valid))
             assert same_bits(fused.quality.data, valid.any(axis=0).astype(np.float64))
             del meta["convention"]  # fusion keeps the recipe, not the convention
