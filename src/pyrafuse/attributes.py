@@ -10,18 +10,21 @@ the time-to-depth convention s = p * (v * dt / 2) / dx with a user-supplied
 constant velocity.
 
 A stack gathers the same attribute at every pyramid scale, resized back to
-base resolution, ready for fusion. Scale 0 of a stack is bit-for-bit the
-conventional single-scale attribute. Volumes have no 3D pyramid: dips come
-from per-section 2D pyramids in each orientation (fixed-y sections give dip
-along x, fixed-x sections give dip along y) and are only then combined into
-dip angle or curvature, every scale at once on (scales, nx, ny) arrays. One
-builder serves section stacks (every row) and time slices (one row of each
-section): it differentiates and expands only the level rows those rows
-read, on plain arrays, so a slice is bit-for-bit that row of the full
-per-section stack. It builds the base level one section at a time and the
-levels above it for batches of four sections. Both orientations of a
-volume hold the same traces, so one pass over the fixed-x sections takes
-the base level's quadrature for both. None of this changes a byte.
+base resolution, ready for fusion. The conventional single-scale attribute,
+:func:`phase_dip`, is scale 0 of a one-scale stack by construction, so it
+shares the stack's size check: one scale is never reduced and needs only 4
+samples x 3 traces, while more scales need the kernel support at every
+level. Volumes have no 3D pyramid: dips come from per-section 2D pyramids
+in each orientation (fixed-y sections give dip along x, fixed-x sections
+give dip along y) and are only then combined into dip angle or curvature,
+every scale at once on (scales, nx, ny) arrays. One builder serves section
+stacks (every row) and time slices (one row of each section): it
+differentiates and expands only the level rows those rows read, on plain
+arrays, so a slice is bit-for-bit that row of the full per-section stack.
+It builds the base level one section at a time and the levels above it for
+batches of four sections. Both orientations of a volume hold the same
+traces, so one pass over the fixed-x sections takes the base level's
+quadrature for both. None of this changes a byte.
 """
 
 from __future__ import annotations
@@ -31,14 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import (
-    Axis,
-    _guarded_envelope,
-    _phase_derivative_band,
-    _quadrature,
-    _trusted,
-    analytic_section,
-)
+from .analytic import _phase_derivative_band, _quadrature, _trusted
 from .errors import BoundsError, ConfigError, ParameterError, ShapeError, SizeError
 from .grid import (
     AttributeKind,
@@ -85,34 +81,25 @@ def phase_dip(
 ) -> AttributeMap:
     """Phase dip of a section in samples/trace, with a quality mask.
 
-    Cells where the envelope guard fires or |dtheta/dt| < eps_freq are 0
-    with quality 0; everything else is clamped to [-p_max, p_max].
+    This is scale 0 of a one-scale :func:`dip_stack`, by construction: one
+    scale is never reduced, so it needs no kernel. Cells where the envelope
+    guard fires or |dtheta/dt| < eps_freq are 0 with quality 0; everything
+    else is clamped to [-p_max, p_max]. ``scale`` only tags the map.
 
     Raises:
-        SizeError: section smaller than 4 samples x 3 traces.
-        ParameterError: p_max or eps_freq not positive.
+        SizeError: section smaller than 4 samples x 3 traces; the message
+            is the dip stack's.
+        ParameterError: p_max or eps_freq not positive, or the quadrature
+            not finite.
     """
-    _check_dip_params(p_max, eps_freq)
-    rows, cols = section.grid.shape
-    if rows < _MIN_DIP_ROWS or cols < _MIN_DIP_COLS:
-        raise SizeError(
-            f"phase dip needs at least {_MIN_DIP_ROWS}x{_MIN_DIP_COLS}, "
-            f"got {rows}x{cols}"
-        )
-    a = analytic_section(section)
-    f, h = a.real.data, a.imag.data
-    # what phase_derivative returns, without copying each result into a Grid2
-    guard = _guarded_envelope(f, h)
-    d_time = _phase_derivative_band(f, h, *guard, Axis.TIME.value)
-    d_trace = _phase_derivative_band(f, h, *guard, Axis.TRACE.value)
-    dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
+    layers = _dip_layers(section, 1, make_kernel(), p_max=p_max, eps_freq=eps_freq)
     return AttributeMap(
-        grid=Grid2(dip),
+        grid=Grid2(layers.values[0]),
         kind=AttributeKind.PHASE_DIP,
         scale=scale,
         dt=section.dt,
         dx=section.dx,
-        quality=Grid2(ok.astype(np.float64)),
+        quality=Grid2(layers.valid[0]),
     )
 
 
@@ -187,12 +174,17 @@ def _curvatures(p, q, dt: float, dx: float, dy: float, velocity: float):
     half_step = velocity * dt / 2.0
     s_x = p * (half_step / dx)
     s_y = q * (half_step / dy)
-    a = 0.5 * np.gradient(s_x, dx, axis=-2, edge_order=1)
-    b = 0.5 * np.gradient(s_y, dy, axis=-1, edge_order=1)
-    c = 0.5 * (
-        np.gradient(s_x, dy, axis=-1, edge_order=1)
-        + np.gradient(s_y, dx, axis=-2, edge_order=1)
-    )
+    # halved and summed in place, each slope freed after its last gradient:
+    # the same operations with fewer (scales, nx, ny) temporaries alive
+    a = np.gradient(s_x, dx, axis=-2, edge_order=1)
+    a *= 0.5
+    b = np.gradient(s_y, dy, axis=-1, edge_order=1)
+    b *= 0.5
+    c = np.gradient(s_x, dy, axis=-1, edge_order=1)
+    del s_x
+    c += np.gradient(s_y, dx, axis=-2, edge_order=1)
+    del s_y
+    c *= 0.5
     return a + b, np.hypot(a - b, c)
 
 
@@ -371,8 +363,11 @@ def _check_dip_request(
     if scales < 1:
         raise ParameterError(f"scales must be >= 1, got {scales}")
     _check_dip_params(p_max, eps_freq)
-    min_rows = max(kernel.support, _MIN_DIP_ROWS)
-    min_cols = max(kernel.support, _MIN_DIP_COLS)
+    # every level needs the 4x3 dip minimum; once the base level is reduced
+    # (more than one scale), every level also needs the kernel support
+    support = kernel.support if scales > 1 else 0
+    min_rows = max(support, _MIN_DIP_ROWS)
+    min_cols = max(support, _MIN_DIP_COLS)
     for rows, cols in shapes:
         feasible = _level_count(rows, cols, min_rows, min_cols)
         if scales > feasible:

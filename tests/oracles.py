@@ -1,29 +1,32 @@
 """Independent reference implementations used only by the tests.
 
-Each oracle is written in the most literal way available — explicit
-loops, direct DFT sums, Python's ``sorted`` — deliberately sharing no
-code path with the package, so agreement between the two is evidence
-rather than tautology. :func:`read_segy_reference`,
-:func:`decode_ibm32_reference` and :func:`encode_ibm32_reference` are the
-package's SEG-Y reader and IBM codec as they were before they were
-vectorised: a per-trace loop, the sign * fraction * 16**exponent formula
-and a per-value encoding loop. :func:`reduce_reference` is the pyramid
-reduction as it was before it gathered mirrored entries per tap:
-``np.pad``, then the same separable passes, so it agrees with the package
-bit for bit. :func:`fuse_median_sort`, :func:`fuse_rank_sort` and
+Each oracle is written in the most literal way available — explicit loops,
+direct DFT sums, Python's ``sorted`` — deliberately sharing no code path
+with the package, so agreement between the two is evidence rather than
+tautology. :func:`read_segy_reference`, :func:`decode_ibm32_reference` and
+:func:`encode_ibm32_reference` are the package's SEG-Y reader and IBM codec
+as they were before they were vectorised: a per-trace loop, the sign *
+fraction * 16**exponent formula and a per-value encoding loop.
+:func:`reduce_reference` is the pyramid reduction as it was before it
+gathered mirrored entries per tap: ``np.pad``, then the same separable
+passes, so it agrees with the package bit for bit.
+:func:`fuse_median_sort`, :func:`fuse_rank_sort` and
 :func:`interp_axis_reference` are the median, rank and linear-resize
 kernels as they were before fusion used a sorting network and expansion
-worked in place; ``np.sort`` is not stable, so the
-two sort oracles agree with the package by value, while the Python
-``sorted`` oracles agree bit for bit. The exceptions are
-:func:`dip_stack_reference`,
-which states the dip stack as the composition of the package's public
-stage functions (pyramid, per-level phase dip, expansion), and
-:func:`dip_slice_reference`, which takes time slices of it; the package's
-one dip-row builder, which serves sections and volume slices alike, is
-gated on exact equality with them. :func:`volume_attribute_reference`
-applies the per-scale dip-angle and curvature formulas, as the package
-wrote them before it computed every scale at once, to those slices.
+worked in place; ``np.sort`` is not stable, so the two sort oracles agree
+with the package by value, while the Python ``sorted`` oracles agree bit
+for bit. The exceptions are :func:`phase_dip_reference`, which states
+single-scale phase dip as the package's public analytic stages (analytic
+section, phase derivative along time, then trace) followed by the dip
+quotient written out; :func:`dip_stack_reference`, which reduces a section
+one level at a time with the public ``reduce_grid``, takes each level's
+:func:`phase_dip_reference` and expands it with ``expand_to``; and
+:func:`dip_slice_reference`, which takes time slices of that. The package's
+one dip-row builder, which serves ``phase_dip``, section stacks and volume
+slices alike, is gated on exact equality with them.
+:func:`volume_attribute_reference` applies the per-scale dip-angle and
+curvature formulas, as the package wrote them before it computed every
+scale at once, to those slices.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 
 from pyrafuse import (
     AttributeKind,
+    Axis,
     FormatError,
     Grid2,
     ParameterError,
@@ -42,10 +46,11 @@ from pyrafuse import (
     SeismicSection,
     SeismicVolume,
     UnsupportedFormatError,
-    build_pyramid,
+    analytic_section,
     expand_to,
     make_kernel,
-    phase_dip,
+    phase_derivative,
+    reduce_grid,
 )
 from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT, VELOCITY_DEFAULT
 from pyrafuse.pyramid import _interp_stencil
@@ -283,6 +288,28 @@ def interp_axis_reference(values: np.ndarray, target: int, axis: int) -> np.ndar
     return np.moveaxis(out, 0, axis)
 
 
+def phase_dip_reference(
+    section,
+    *,
+    p_max: float = P_MAX_DEFAULT,
+    eps_freq: float = EPS_FREQ_DEFAULT,
+):
+    """(dip, quality) of a section from the public analytic stages.
+
+    The dip is -d_trace/d_time where |d_time| >= eps_freq, clipped to
+    [-p_max, p_max], and 0 with quality 0 elsewhere.
+    """
+    a = analytic_section(section)
+    d_time = phase_derivative(a, Axis.TIME).data
+    d_trace = phase_derivative(a, Axis.TRACE).data
+    ok = np.abs(d_time) >= eps_freq
+    dip = np.zeros(d_time.shape)
+    dip[ok] = -(d_trace[ok] / d_time[ok])
+    dip = np.clip(dip, -p_max, p_max)
+    dip[~ok] = 0.0
+    return dip, ok.astype(np.float64)
+
+
 def dip_stack_reference(
     section,
     scales: int,
@@ -293,18 +320,23 @@ def dip_stack_reference(
 ):
     """Per-scale (dip, quality) of a section, stage by stage.
 
-    Each pyramid level's phase dip and quality are expanded to the base
+    Each level is reduced from the one before with ``reduce_grid``, which
+    needs the kernel support only on a level it reduces. Its
+    :func:`phase_dip_reference` dip and quality are expanded to the base
     dims on their own; expanded quality is trusted (1.0) where it exceeds
     0.5.
     """
     kernel = kernel if kernel is not None else make_kernel()
     rows, cols = section.grid.shape
     out = []
-    for i, level in enumerate(build_pyramid(section.grid, scales, kernel).levels):
+    level = section.grid
+    for i in range(scales):
+        if i:
+            level = reduce_grid(level, kernel)
         level_section = SeismicSection(level, dt=section.dt * 2**i, dx=section.dx * 2**i)
-        m = phase_dip(level_section, p_max=p_max, eps_freq=eps_freq, scale=i)
-        values = expand_to(m.grid, rows, cols).data
-        trust = expand_to(m.quality, rows, cols).data > 0.5
+        dip, quality = phase_dip_reference(level_section, p_max=p_max, eps_freq=eps_freq)
+        values = expand_to(Grid2(dip), rows, cols).data
+        trust = expand_to(Grid2(quality), rows, cols).data > 0.5
         out.append((values, trust.astype(np.float64)))
     return out
 

@@ -12,6 +12,7 @@ from oracles import (
     dip_slice_reference,
     dip_stack_reference,
     fuse_median_naive,
+    phase_dip_reference,
     same_bits,
     volume_attribute_reference,
 )
@@ -104,10 +105,36 @@ class TestPhaseDip:
         assert m.dt == section.dt and m.dx == section.dx
 
     def test_minimum_dims(self):
-        with pytest.raises(SizeError):
-            phase_dip(SeismicSection(Grid2(np.zeros((3, 8))), dt=1.0, dx=1.0))
-        with pytest.raises(SizeError):
-            phase_dip(SeismicSection(Grid2(np.zeros((8, 2))), dt=1.0, dx=1.0))
+        # the one-scale dip request's check: 4 samples x 3 traces
+        for rows, cols in ((3, 8), (8, 2)):
+            with pytest.raises(
+                SizeError,
+                match=rf"section {rows}x{cols} supports at most 0 dip scale\(s\), requested 1",
+            ):
+                phase_dip(SeismicSection(Grid2(np.zeros((rows, cols))), dt=1.0, dx=1.0))
+
+    @pytest.mark.parametrize("case", ["default", "clamp", "guard"])
+    @pytest.mark.parametrize(
+        "shape", [(512, 512), (101, 37), (45, 13), (64, 32), (48, 4), (4, 3)], ids=str
+    )
+    def test_equals_reference(self, shape, case):
+        if case == "guard":
+            # a spike on zeros: the guard fires on every trace but the spike's
+            data = np.zeros(shape)
+            data[shape[0] // 2, shape[1] // 2] = 1.0
+        else:
+            data = np.random.default_rng(shape[0] * shape[1]).standard_normal(shape)
+        section = SeismicSection(Grid2(data), dt=0.004, dx=25.0)
+        if case == "guard":
+            assert not guard_mask(analytic_section(section)).all()
+        kw = {"p_max": 0.5, "eps_freq": 0.05} if case == "clamp" else {}
+        m = phase_dip(section, scale=1, **kw)
+        dip, quality = phase_dip_reference(section, **kw)
+        assert same_bits(m.grid.data, dip)
+        assert same_bits(m.quality.data, quality)
+        assert (m.kind, m.scale, m.dt, m.dx, m.dy, m.meta) == (
+            AttributeKind.PHASE_DIP, 1, 0.004, 25.0, None, {}
+        )
 
     def test_parameter_validation(self):
         section, _ = _plane_wave_section()
@@ -265,12 +292,16 @@ class TestDipStack:
             ("packet", (1.0, 1), 3, 5.0, 1e-3),
             ("packet", (1.0, 2), 2, 5.0, 1e-3),
             ("flat", (1.0, 2), 3, 5.0, 1e-3),
+            ("thin", (1.0, 2), 1, 5.0, 1e-3),
+            ("tiny", (1.0, 2), 1, 0.5, 0.05),
         ],
     )
     def test_equals_stage_composition_reference(self, section, kernel, scales, p_max, eps_freq):
         # odd sizes and kernels; the clamp/eps case and the guard-firing
         # packet are the ones test_slice_cases_clamp_reject_and_guard checks;
-        # flat events give -0.0 dips, which a blended base level would flip
+        # flat events give -0.0 dips, which a blended base level would flip;
+        # one scale is never reduced, so sections narrower than the kernel
+        # support down to the 4x3 dip minimum have one
         section = _DIP_SECTIONS[section]()
         kernel = make_kernel(*kernel)
         stack = dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
@@ -315,6 +346,12 @@ _DIP_SECTIONS = {
     "noisy": lambda: _odd_volume().crossline_section(4),
     "packet": lambda: _packet_volume().crossline_section(5),
     "flat": lambda: _plane_wave_section(n=64, m=32, k=4, p=0.0)[0],
+    "thin": lambda: SeismicSection(
+        Grid2(np.random.default_rng(37).standard_normal((48, 4))), dt=0.004, dx=25.0
+    ),
+    "tiny": lambda: SeismicSection(
+        Grid2(np.random.default_rng(43).standard_normal((4, 3))), dt=0.004, dx=25.0
+    ),
 }
 # (volume, p_max, eps_freq): the defaults, a case that clamps and rejects
 # often, and one where the envelope guard fires
@@ -549,6 +586,45 @@ class TestVolumeAttributes:
             del meta["convention"]  # fusion keeps the recipe, not the convention
             assert fused.meta == {"method": "median", "scales": "3", **meta}
 
+    @pytest.mark.parametrize(
+        "kind", [AttributeKind.DIP_ANGLE, AttributeKind.CURV_POS, AttributeKind.CURV_NEG],
+        ids=lambda kind: kind.value,
+    )
+    def test_one_scale_on_a_thin_volume(self, kind):
+        # the fixed-x sections are 48x4, narrower than the default kernel
+        # support; one scale is never reduced, so only two scales are refused
+        vol = SeismicVolume(
+            np.random.default_rng(41).standard_normal((48, 20, 4)), dt=0.004, dx=25.0, dy=25.0
+        )
+        stack = attribute_stack(vol, kind, 1, time_index=10)
+        cube = dip_cube_reference(vol, 1)
+        ((values, quality),) = volume_attribute_reference(
+            vol, kind, [(p[10], q[10], quality[10]) for p, q, quality in cube]
+        )
+        assert same_bits(stack.maps[0].grid.data, values)
+        assert same_bits(stack.maps[0].quality.data, quality)
+        with pytest.raises(SizeError, match=r"section 48x4 supports at most 0 dip scale\(s\), requested 2"):
+            attribute_stack(vol, kind, 2, time_index=10)
+
+    def test_curvature_peak_stays_at_the_dip_angle_peak(self):
+        # the curvature formula's temporaries fit under the dip builder's
+        # peak, to within half of one (scales, nx, ny) float64 array
+        vol, _ = _plane_wave_volume(nt=48, nx=64, ny=64)
+
+        def peak(kind) -> int:
+            attributes._attribute_layers(vol, kind, 4, time_index=24)
+            tracemalloc.start()
+            try:
+                attributes._attribute_layers(vol, kind, 4, time_index=24)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        dip_angle_peak = peak(AttributeKind.DIP_ANGLE)
+        half_array = 4 * 64 * 64 * 8 // 2
+        for kind in (AttributeKind.CURV_POS, AttributeKind.CURV_NEG):
+            assert peak(kind) <= dip_angle_peak + half_array
+
     @pytest.mark.parametrize("velocity", [0.0, -1.0, math.inf, math.nan])
     def test_bad_velocity_fails_before_any_work(self, monkeypatch, velocity):
         vol = _odd_volume()
@@ -578,6 +654,7 @@ class TestQuadratureOverflow:
     @pytest.mark.parametrize(
         "call",
         [
+            lambda vol: phase_dip(vol.crossline_section(3)),
             lambda vol: dip_stack(vol.crossline_section(3), 2),
             lambda vol: attributes._dip_layers(
                 vol.crossline_section(3), 2, make_kernel(),
@@ -588,7 +665,7 @@ class TestQuadratureOverflow:
                 vol, AttributeKind.DIP_ANGLE, scales=2, time_index=10
             ),
         ],
-        ids=["dip_stack", "float32_boundary", "dip_slice_fields", "multiscale_attribute"],
+        ids=["phase_dip", "dip_stack", "float32_boundary", "dip_slice_fields", "multiscale_attribute"],
     )
     def test_non_finite_quadrature_is_a_parameter_error(self, call):
         vol = self._volume()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pyrafuse
-from pyrafuse import AttributeKind, encode_ibm32, read_grid
+from pyrafuse import AttributeKind, attribute_stack, encode_ibm32, read_grid
 from pyrafuse.cli import main
 
 SPEC_TEXT = """\
@@ -212,6 +212,18 @@ class TestVolumeAttr:
         assert not Path(out).exists()
         if command == "pipeline":  # the fusion flags are checked before the input
             assert main([command, dip_map, "--fuse", "rank", "--out", out]) == 1
+
+    def test_dip_angle_on_a_thin_volume(self, tmp_path):
+        # the fixed-x sections are 48x4: one scale needs only the 4x3 dip
+        # minimum, not the kernel support
+        vol = _synth(tmp_path, "thin.pfg", VOLUME_SPEC.replace("ny = 16", "ny = 4"))
+        out = str(tmp_path / "angle.pfg")
+        assert main(["attr", vol, "--attr", "dip-angle", "--time-index", "10",
+                     "--out", out]) == 0
+        m = read_grid(out)
+        want = attribute_stack(read_grid(vol), AttributeKind.DIP_ANGLE, 1, time_index=10)
+        assert m.kind is AttributeKind.DIP_ANGLE
+        assert np.array_equal(m.grid.data, want.maps[0].grid.data.astype(np.float32))
 
     def test_volume_pipeline_fuses_curvature(self, tmp_path):
         vol = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
