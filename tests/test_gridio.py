@@ -133,6 +133,75 @@ class TestRoundTrips:
         )
 
 
+_PIN_GRID = np.arange(6.0).reshape(3, 2)
+_RAW_KEYS = ("kind=raw", "units=dimensionless", "scale=0")
+
+# Each container, and the header lines write_grid gives it without and with
+# the extra pairs {"source": "segy", "level": "2"}: structural keys in a
+# fixed order, then every metadata pair sorted by key.
+HEADER_PINS = {
+    "labelled-section": (
+        lambda: SeismicSection(Grid2(_PIN_GRID), dt=0.002, dx=12.5, label="inline 12"),
+        ("rows=3", "cols=2", "dt=0.002", "dx=12.5", *_RAW_KEYS, "label=inline 12"),
+        ("rows=3", "cols=2", "dt=0.002", "dx=12.5", *_RAW_KEYS,
+         "label=inline 12", "level=2", "source=segy"),
+    ),
+    "section": (
+        lambda: SeismicSection(Grid2(_PIN_GRID), dt=0.002, dx=12.5),
+        ("rows=3", "cols=2", "dt=0.002", "dx=12.5", *_RAW_KEYS),
+        ("rows=3", "cols=2", "dt=0.002", "dx=12.5", *_RAW_KEYS, "level=2", "source=segy"),
+    ),
+    "volume": (
+        lambda: SeismicVolume(np.arange(24.0).reshape(3, 2, 4), dt=0.004, dx=25.0, dy=12.5),
+        ("rows=3", "cols=2", "planes=4", "dt=0.004", "dx=25.0", "dy=12.5", *_RAW_KEYS),
+        ("rows=3", "cols=2", "planes=4", "dt=0.004", "dx=25.0", "dy=12.5", *_RAW_KEYS,
+         "level=2", "source=segy"),
+    ),
+    "map-with-dy": (
+        lambda: AttributeMap(
+            Grid2(_PIN_GRID), AttributeKind.CURV_POS, scale=2, dt=0.004, dx=25.0,
+            dy=30.0, meta={"velocity": "2000.0", "convention": "time-dip"},
+        ),
+        ("rows=3", "cols=2", "dt=0.004", "dx=25.0", "dy=30.0", "kind=curv_pos",
+         "units=per_meter", "scale=2", "convention=time-dip", "velocity=2000.0"),
+        ("rows=3", "cols=2", "dt=0.004", "dx=25.0", "dy=30.0", "kind=curv_pos",
+         "units=per_meter", "scale=2", "convention=time-dip", "level=2",
+         "source=segy", "velocity=2000.0"),
+    ),
+    "fused-map": (
+        lambda: AttributeMap(
+            Grid2(_PIN_GRID), AttributeKind.PHASE_DIP, scale=None, dt=0.004, dx=25.0,
+            meta={"scales": "4", "method": "median"},
+        ),
+        ("rows=3", "cols=2", "dt=0.004", "dx=25.0", "kind=dip",
+         "units=samples_per_trace", "scale=fused", "method=median", "scales=4"),
+        ("rows=3", "cols=2", "dt=0.004", "dx=25.0", "kind=dip",
+         "units=samples_per_trace", "scale=fused", "level=2", "method=median",
+         "scales=4", "source=segy"),
+    ),
+    "bare-grid": (
+        lambda: Grid2(_PIN_GRID),
+        ("rows=3", "cols=2", "dt=1.0", "dx=1.0", *_RAW_KEYS),
+        ("rows=3", "cols=2", "dt=1.0", "dx=1.0", *_RAW_KEYS, "level=2", "source=segy"),
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["own-meta", "extra-meta"])
+@pytest.mark.parametrize("name", sorted(HEADER_PINS))
+def test_header_bytes_are_pinned(tmp_path, name, extra):
+    make, plain, with_extra = HEADER_PINS[name]
+    obj = make()
+    path = str(tmp_path / "pin.pfg")
+    write_grid(path, obj, extra_meta={"source": "segy", "level": "2"} if extra else None)
+    lines = ("magic=PFGRID1", *(with_extra if extra else plain))
+    header = "".join(f"{line}\n" for line in lines).encode("ascii") + b"\n"
+    blob = Path(path).read_bytes()
+    assert blob[: len(header)] == header
+    data = obj.data if isinstance(obj, (Grid2, SeismicVolume)) else obj.grid.data
+    assert blob[len(header) :] == np.asarray(data, dtype="<f4").tobytes(order="F")
+
+
 def test_write_then_read_is_float32_rounding(tmp_path, hypothesis_home):
     """A written and read grid holds the float32 rounding of its values, bit
     for bit (signed zeros and subnormals included), and its intervals and
