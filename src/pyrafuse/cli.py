@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
 from .pyramid import build_pyramid, expand_to, make_kernel
 from .segy import SegyImportOptions, read_segy
-from .synth import make_synthetic, parse_synth_spec
+from .synth import NOISE_PRNG, make_synthetic, parse_synth_spec
 
 log = logging.getLogger("pyrafuse")
 
@@ -222,25 +223,24 @@ def _cmd_synth(args) -> None:
     meta = {"seed": str(spec.seed), "f_peak": repr(spec.f_peak)}
     if spec.snr_db is not None:
         meta["snr_db"] = repr(float(spec.snr_db))
-        meta["noise_prng"] = "PCG64"
+        meta["noise_prng"] = NOISE_PRNG
     write_grid(args.out, data, extra_meta=meta)
     log.info("wrote %s", args.out)
     if args.truth_prefix:
-        dt, dx = spec.dt, spec.dx
-        if spec.ny is None:
-            truth_maps = {"dip_p": (truth.dip_p, AttributeKind.PHASE_DIP, None)}
-        else:
-            truth_maps = {
-                "dip_p": (truth.dip_p, AttributeKind.PHASE_DIP, spec.dy),
-                "dip_q": (truth.dip_q, AttributeKind.PHASE_DIP, spec.dy),
-                "k_pos": (truth.k_pos, AttributeKind.CURV_POS, spec.dy),
-                "k_neg": (truth.k_neg, AttributeKind.CURV_NEG, spec.dy),
-            }
-        for name, (grid, kind, dy) in truth_maps.items():
+        dy = None if spec.ny is None else spec.dy
+        truth_maps = {
+            "dip_p": (truth.dip_p, AttributeKind.PHASE_DIP),
+            "dip_q": (truth.dip_q, AttributeKind.PHASE_DIP),
+            "k_pos": (truth.k_pos, AttributeKind.CURV_POS),
+            "k_neg": (truth.k_neg, AttributeKind.CURV_NEG),
+        }
+        for name, (grid, kind) in truth_maps.items():
+            if grid is None:  # a section has only dip_p
+                continue
             target = f"{args.truth_prefix}_{name}.pfg"
             write_grid(
                 target,
-                AttributeMap(grid, kind, scale=0, dt=dt, dx=dx, dy=dy,
+                AttributeMap(grid, kind, dt=spec.dt, dx=spec.dx, dy=dy,
                              meta={"truth": "analytic"}),
             )
             log.info("wrote %s", target)
@@ -303,17 +303,7 @@ def _cmd_expand(args) -> None:
     obj = read_grid(args.grid)
     if isinstance(obj, SeismicVolume):
         raise ConfigError("expand works on 2D grids")
-    if isinstance(obj, AttributeMap):
-        out = AttributeMap(
-            expand_to(obj.grid, args.rows, args.cols), obj.kind, scale=obj.scale,
-            dt=obj.dt, dx=obj.dx, dy=obj.dy, meta=obj.meta,
-        )
-    else:
-        out = SeismicSection(
-            expand_to(obj.grid, args.rows, args.cols), dt=obj.dt, dx=obj.dx,
-            label=obj.label,
-        )
-    write_grid(args.out, out)
+    write_grid(args.out, replace(obj, grid=expand_to(obj.grid, args.rows, args.cols)))
     log.info("wrote %s (%dx%d)", args.out, args.rows, args.cols)
 
 
@@ -335,14 +325,10 @@ def _cmd_fuse(args) -> None:
             )
         rebuilt = []
         for m, qpath in zip(maps, args.quality):
-            qobj = read_grid(qpath)
-            qgrid = qobj.grid if not isinstance(qobj, SeismicVolume) else None
-            if qgrid is None:
+            mask = read_grid(qpath)
+            if isinstance(mask, SeismicVolume):
                 raise ConfigError(f"{qpath}: quality masks must be 2D")
-            rebuilt.append(
-                AttributeMap(m.grid, m.kind, scale=m.scale, dt=m.dt, dx=m.dx,
-                             dy=m.dy, quality=qgrid, meta=m.meta)
-            )
+            rebuilt.append(replace(m, quality=mask.grid))
         maps = rebuilt
     spec = _fusion_spec(args, len(maps))
     fused = fuse(AttributeStack(tuple(maps)), spec)

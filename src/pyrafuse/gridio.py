@@ -84,62 +84,34 @@ def _header_and_payload(
     The payload array is the transpose of the samples, so its buffer is the
     file's first-axis-fastest payload without another copy.
     """
-    pairs: list[tuple[str, str]] = [("magic", MAGIC)]
     if isinstance(obj, Grid2):
         obj = AttributeMap(obj, AttributeKind.RAW)
-    if isinstance(obj, SeismicVolume):
-        pairs += [
-            ("rows", str(obj.nt)),
-            ("cols", str(obj.nx)),
-            ("planes", str(obj.ny)),
-            ("dt", _format_float(obj.dt)),
-            ("dx", _format_float(obj.dx)),
-            ("dy", _format_float(obj.dy)),
-            ("kind", AttributeKind.RAW.value),
-            ("units", Units.DIMENSIONLESS.value),
-            ("scale", "0"),
-        ]
-        data = obj.data
-        meta: dict[str, str] = {}
+    if isinstance(obj, AttributeMap):
+        data, kind, scale, meta = obj.grid.data, obj.kind, obj.scale, obj.meta
     elif isinstance(obj, SeismicSection):
-        pairs += [
-            ("rows", str(obj.n_samples)),
-            ("cols", str(obj.n_traces)),
-            ("dt", _format_float(obj.dt)),
-            ("dx", _format_float(obj.dx)),
-            ("kind", AttributeKind.RAW.value),
-            ("units", Units.DIMENSIONLESS.value),
-            ("scale", "0"),
-        ]
-        data = obj.grid.data
+        data, kind, scale = obj.grid.data, AttributeKind.RAW, 0
         meta = {"label": obj.label} if obj.label else {}
-    elif isinstance(obj, AttributeMap):
-        pairs += [
-            ("rows", str(obj.grid.rows)),
-            ("cols", str(obj.grid.cols)),
-            ("dt", _format_float(obj.dt)),
-            ("dx", _format_float(obj.dx)),
-        ]
-        if obj.dy is not None:
-            pairs.append(("dy", _format_float(obj.dy)))
-        pairs += [
-            ("kind", obj.kind.value),
-            ("units", obj.units.value),
-            ("scale", "fused" if obj.scale is None else str(obj.scale)),
-        ]
-        data = obj.grid.data
-        meta = dict(obj.meta)
+    elif isinstance(obj, SeismicVolume):
+        data, kind, scale, meta = obj.data, AttributeKind.RAW, 0, {}
     else:
         raise ParameterError(f"cannot serialize a {type(obj).__name__}")
 
-    if extra_meta:
-        meta.update(extra_meta)
-    structural = {k for k, _ in pairs}
+    meta = {**meta, **(extra_meta or {})}
+    pairs = [("magic", MAGIC), *zip(("rows", "cols", "planes"), map(str, data.shape))]
+    for key in ("dt", "dx", "dy"):
+        value = getattr(obj, key, None)
+        if value is not None:
+            pairs.append((key, _format_float(value)))
+    pairs += [
+        ("kind", kind.value),
+        ("units", KIND_UNITS[kind].value),
+        ("scale", "fused" if scale is None else str(scale)),
+    ]
     for key in sorted(meta):
         value = meta[key]
         if "\n" in key or "\n" in str(value) or "=" in key:
             raise ParameterError(f"metadata key/value not representable: {key!r}")
-        if key in structural:
+        if key in _STRUCTURAL_KEYS:
             raise ParameterError(f"metadata key {key!r} shadows a structural key")
         pairs.append((key, str(value)))
 

@@ -302,6 +302,19 @@ class TestWriteValidation:
             write_grid(path, _section(), extra_meta={"note": "two\nlines"})
         assert not os.path.exists(path)
 
+    def test_meta_cannot_shadow_a_key_the_object_omits(self, tmp_path):
+        # a section has no dy and a map no planes, yet the reader would take
+        # either from the header: the file could not be read back
+        path = str(tmp_path / "x.pfg")
+        with pytest.raises(ParameterError, match="'dy' shadows a structural key"):
+            write_grid(path, _section(), extra_meta={"dy": "-1"})
+        planes = AttributeMap(
+            Grid2(np.zeros((3, 2))), AttributeKind.PHASE_DIP, meta={"planes": "4"}
+        )
+        with pytest.raises(ParameterError, match="'planes' shadows a structural key"):
+            write_grid(path, planes)
+        assert not os.path.exists(path)
+
     def test_unserializable_object(self, tmp_path):
         with pytest.raises(ParameterError):
             write_grid(str(tmp_path / "no.pfg"), {"not": "a grid"})
