@@ -31,7 +31,7 @@ from .attributes import (
     phase_dip,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
-from .fusion import FusionMethod, FusionSpec, _fuse_arrays, default_weights, fuse
+from .fusion import FusionMethod, FusionSpec, _check_fusion, _fuse_arrays, default_weights, fuse
 from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
 from .pyramid import build_pyramid, expand_to, make_kernel
@@ -339,6 +339,7 @@ def _cmd_fuse(args) -> None:
 def _cmd_pipeline(args) -> None:
     obj = read_grid(args.grid)
     spec = _fusion_spec(args, args.scales)  # a bad --fuse rank is a usage error first
+    _check_fusion(spec, args.scales)  # weights or a rank that do not fit, before the stack
     kernel = make_kernel(args.sigma, args.radius)
     kind = _attribute_kind(args, obj)
     if kind is AttributeKind.PHASE_DIP:

@@ -24,6 +24,7 @@ sign of a fused zero depends only on the data.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -184,16 +185,13 @@ def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
     return _fuse_arrays(layers, spec)
 
 
-def _fuse_arrays(layers: _Layers, spec: FusionSpec) -> AttributeMap:
-    """:func:`fuse` on the arrays of a stack; overwrites ``layers.values``."""
-    values, valid = layers.values, layers.valid
-    scales = values.shape[0]
-    method = spec.method
-    if method is FusionMethod.MEAN:
-        fused = _masked_mean(values, valid)
-    elif method is FusionMethod.MEDIAN:
-        fused = _masked_median(values, valid)
-    elif method is FusionMethod.WEIGHTED_MEAN:
+def _check_fusion(spec: FusionSpec, scales: int) -> None:
+    """Refuse weights or a rank that cannot fuse ``scales`` maps.
+
+    Raises:
+        ParameterError: weights/rank missing, mis-sized, or out of range.
+    """
+    if spec.method is FusionMethod.WEIGHTED_MEAN:
         if spec.weights is None:
             raise ParameterError("weighted-mean fusion needs weights")
         w = np.asarray(spec.weights, dtype=np.float64)
@@ -201,17 +199,31 @@ def _fuse_arrays(layers: _Layers, spec: FusionSpec) -> AttributeMap:
             raise ParameterError(f"need {scales} weights, got {w.shape[0] if w.ndim == 1 else w.shape!r}")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ParameterError("weights must be finite and non-negative")
-        total = w.sum()
-        if total <= 0.0:
+        if w.sum() <= 0.0:
             raise ParameterError("weights must not all be zero")
-        w = w / total
-        fused = np.einsum("k,kij->ij", w, values)
-    elif method is FusionMethod.RANK:
+    elif spec.method is FusionMethod.RANK:
         if spec.rank is None:
             raise ParameterError("rank fusion needs a rank")
         r = int(spec.rank)
         if r < 0 or r >= scales:
             raise ParameterError(f"rank {r} outside [0, {scales - 1}]")
+
+
+def _fuse_arrays(layers: _Layers, spec: FusionSpec) -> AttributeMap:
+    """:func:`fuse` on the arrays of a stack; overwrites ``layers.values``."""
+    values, valid = layers.values, layers.valid
+    scales = values.shape[0]
+    _check_fusion(spec, scales)
+    method = spec.method
+    if method is FusionMethod.MEAN:
+        fused = _masked_mean(values, valid)
+    elif method is FusionMethod.MEDIAN:
+        fused = _masked_median(values, valid)
+    elif method is FusionMethod.WEIGHTED_MEAN:
+        w = np.asarray(spec.weights, dtype=np.float64)
+        fused = np.einsum("k,kij->ij", w / w.sum(), values)
+    elif method is FusionMethod.RANK:
+        r = int(spec.rank)
         cells, tied = _zero_ties(values)
         fused = _sort_rows(values)[r]
         fused[cells] = tied[r]
@@ -257,18 +269,25 @@ def multiscale_attribute(
     """Pyramid -> per-scale attribute -> expand -> fuse, in one call.
 
     Defaults follow the package conventions: 4 scales, sigma=1 radius=2
-    kernel, median fusion.
+    kernel, median fusion. The fusion spec is checked against ``scales``
+    before any attribute is computed.
 
     Raises:
+        ParameterError: scales < 1.
         Whatever the underlying stage raises. Package errors other than
         ConfigError get the stage named in the message; any other
         exception escapes unchanged.
     """
+    scales = int(scales)
+    if scales < 1:
+        raise ParameterError(f"scales must be >= 1, got {scales}")
     kernel = kernel if kernel is not None else make_kernel()
     fusion = fusion if fusion is not None else FusionSpec.median()
     if fusion.method is FusionMethod.WEIGHTED_MEAN and fusion.weights is None:
         fusion = FusionSpec.weighted(default_weights(scales))
-    try:
+    with _stage("fusion"):
+        _check_fusion(fusion, scales)
+    with _stage("attribute"):
         layers = _attribute_layers(
             data,
             kind,
@@ -279,11 +298,16 @@ def multiscale_attribute(
             p_max=p_max,
             eps_freq=eps_freq,
         )
+    with _stage("fusion"):
+        return _fuse_arrays(layers, fusion)
+
+
+@contextmanager
+def _stage(name: str):
+    """Name the stage in a package error other than ConfigError."""
+    try:
+        yield
     except ConfigError:
         raise
     except PyrafuseError as exc:
-        raise type(exc)(f"attribute stage: {exc}") from exc
-    try:
-        return _fuse_arrays(layers, fusion)
-    except PyrafuseError as exc:
-        raise type(exc)(f"fusion stage: {exc}") from exc
+        raise type(exc)(f"{name} stage: {exc}") from exc

@@ -319,6 +319,22 @@ class TestExitCodes:
         assert main(["pipeline", src, "--scales", "3", "--fuse", "wmean",
                      "--weights", "1,2", "--out", out]) == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--fuse", "wmean", "--weights", "1,2"], ["--fuse", "rank", "--rank", "3"]],
+        ids=["weights", "rank"],
+    )
+    def test_bad_fusion_spec_exits_before_the_stack(self, tmp_path, monkeypatch, flags):
+        src = _synth(tmp_path)
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("the dip stack was built before the fusion spec was checked")
+
+        monkeypatch.setattr("pyrafuse.cli._dip_layers", no_stack)
+        out = str(tmp_path / "o.pfg")
+        assert main(["pipeline", src, "--scales", "3", *flags, "--out", out]) == 1
+        assert not os.path.exists(out)
+
     def test_data_errors_exit_two(self, tmp_path):
         missing = str(tmp_path / "nope.pfg")
         assert main(["info", missing]) == 2

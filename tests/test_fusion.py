@@ -307,6 +307,10 @@ class TestIdenticalLayers:
             assert not np.signbit(out.grid.data[0, 1])
 
 
+def _no_attribute_stage(*args, **kwargs):
+    raise AssertionError("the attribute stage ran before the fusion spec was checked")
+
+
 class TestMultiscaleAttribute:
     def _section(self):
         events = tuple(PlaneEvent(t0=t, sx=0.5) for t in range(10, 120, 25))
@@ -358,6 +362,41 @@ class TestMultiscaleAttribute:
         with pytest.raises(ArrayMemoryError) as err:
             multiscale_attribute(self._section(), AttributeKind.PHASE_DIP, scales=2)
         assert err.value is raised
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (FusionSpec.rank_of(4), r"rank 4 outside \[0, 3\]"),
+            (FusionSpec.rank_of(-1), r"rank -1 outside \[0, 3\]"),
+            (FusionSpec.weighted([1, 2]), "need 4 weights, got 2"),
+            (FusionSpec.weighted([1, -1, 1, 1]), "weights must be finite and non-negative"),
+        ],
+        ids=["rank-4", "rank-minus-1", "two-weights", "negative-weight"],
+    )
+    def test_bad_spec_fails_before_the_attribute_stage(self, monkeypatch, spec, message):
+        monkeypatch.setattr("pyrafuse.fusion._attribute_layers", _no_attribute_stage)
+        with pytest.raises(ParameterError, match=f"^fusion stage: {message}$"):
+            multiscale_attribute(
+                self._section(), AttributeKind.PHASE_DIP, scales=4, fusion=spec
+            )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FusionSpec.median(),
+            FusionSpec.rank_of(0),
+            FusionSpec.weighted([1.0]),
+            FusionSpec(FusionMethod.WEIGHTED_MEAN),
+        ],
+        ids=["median", "rank-0", "one-weight", "default-weights"],
+    )
+    @pytest.mark.parametrize("scales", [0, -1])
+    def test_scales_below_one_is_named_whatever_the_spec(self, monkeypatch, scales, spec):
+        monkeypatch.setattr("pyrafuse.fusion._attribute_layers", _no_attribute_stage)
+        with pytest.raises(ParameterError, match=f"scales must be >= 1, got {scales}"):
+            multiscale_attribute(
+                self._section(), AttributeKind.PHASE_DIP, scales=scales, fusion=spec
+            )
 
     def test_config_errors_pass_through_unwrapped(self):
         with pytest.raises(ConfigError) as err:
