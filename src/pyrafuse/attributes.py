@@ -365,11 +365,12 @@ def _check_dip_request(
     _check_dip_params(p_max, eps_freq)
     # every level needs the 4x3 dip minimum; once the base level is reduced
     # (more than one scale), every level also needs the kernel support
-    support = kernel.support if scales > 1 else 0
-    min_rows = max(support, _MIN_DIP_ROWS)
-    min_cols = max(support, _MIN_DIP_COLS)
+    min_rows = max(kernel.support, _MIN_DIP_ROWS)
+    min_cols = max(kernel.support, _MIN_DIP_COLS)
     for rows, cols in shapes:
         feasible = _level_count(rows, cols, min_rows, min_cols)
+        if feasible < 2:  # no reduction: one scale, if the base fits 4x3
+            feasible = min(1, _level_count(rows, cols, _MIN_DIP_ROWS, _MIN_DIP_COLS))
         if scales > feasible:
             raise SizeError(
                 f"section {rows}x{cols} supports at most "

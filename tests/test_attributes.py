@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,6 +283,20 @@ class TestDipStack:
             dip_stack(section, 6)
 
     @pytest.mark.parametrize(
+        "shape", [(3, 8), (4, 3), (48, 4), (8, 6), (9, 9), (40, 17)], ids=str
+    )
+    def test_refusal_names_the_largest_accepted_count(self, shape):
+        # a section narrower than the kernel support still takes one scale
+        section = SeismicSection(Grid2(np.zeros(shape)), dt=1.0, dx=1.0)
+        with pytest.raises(SizeError) as err:
+            dip_stack(section, 9)
+        most = int(re.search(r"supports at most (\d+) dip scale", str(err.value)).group(1))
+        if most:
+            assert dip_stack(section, most).scales == most
+        with pytest.raises(SizeError, match=f"at most {most} dip scale"):
+            dip_stack(section, most + 1)
+
+    @pytest.mark.parametrize(
         "section, kernel, scales, p_max, eps_freq",
         [
             ("odd", (1.0, 2), 4, 5.0, 1e-3),
@@ -460,14 +475,14 @@ class TestVolumeDips:
 
     def test_infeasible_orientation_fails_before_any_work(self, monkeypatch):
         # fixed-y sections (32x40) allow 4 scales, fixed-x sections (32x4)
-        # none with the default support-5 kernel
+        # one, unreduced, with the default support-5 kernel
         vol, _ = _plane_wave_volume(nt=32, nx=40, ny=4)
 
         def no_work(*args, **kwargs):
             raise AssertionError("a section was processed before the size check")
 
         monkeypatch.setattr(attributes, "_quadrature", no_work)
-        with pytest.raises(SizeError, match=r"section 32x4 supports at most 0 dip scale\(s\), requested 2"):
+        with pytest.raises(SizeError, match=r"section 32x4 supports at most 1 dip scale\(s\), requested 2"):
             dip_slice_fields(vol, 10, 2)
 
 
@@ -603,7 +618,7 @@ class TestVolumeAttributes:
         )
         assert same_bits(stack.maps[0].grid.data, values)
         assert same_bits(stack.maps[0].quality.data, quality)
-        with pytest.raises(SizeError, match=r"section 48x4 supports at most 0 dip scale\(s\), requested 2"):
+        with pytest.raises(SizeError, match=r"section 48x4 supports at most 1 dip scale\(s\), requested 2"):
             attribute_stack(vol, kind, 2, time_index=10)
 
     def test_curvature_peak_stays_at_the_dip_angle_peak(self):
