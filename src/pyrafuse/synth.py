@@ -141,8 +141,8 @@ class SynthSpec:
         if not self.events:
             raise ParameterError("spec needs at least one event")
         for flt in self.faults:
-            if int(flt.throw) != flt.throw:
-                raise ParameterError(f"fault throw must be an integer, got {flt.throw!r}")
+            if not isinstance(flt, Fault):
+                raise ParameterError(f"unsupported fault type {type(flt).__name__}")
             if not 0 <= int(flt.trace) < self.nx:
                 raise ParameterError(f"fault trace {flt.trace} outside [0, {self.nx - 1}]")
         if self.snr_db is not None and not np.isfinite(float(self.snr_db)):

@@ -224,6 +224,7 @@ class TestSpecValidation:
             ({"events": (PlaneEvent(t0=9, amplitude=1e308),) * 2},
              r"event 2: amplitude=1e\+308 makes the summed amplitudes out of range"),
             ({"faults": (Fault(trace=2, throw=10**400),)}, "fault throws of 1000"),
+            ({"faults": ((8, 2),)}, "unsupported fault type tuple"),
         ],
     )
     def test_fields_that_break_synthesis_are_named(self, kwargs, message):
