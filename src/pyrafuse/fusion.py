@@ -24,7 +24,6 @@ sign of a fused zero depends only on the data.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -285,9 +284,11 @@ def multiscale_attribute(
     fusion = fusion if fusion is not None else FusionSpec.median()
     if fusion.method is FusionMethod.WEIGHTED_MEAN and fusion.weights is None:
         fusion = FusionSpec.weighted(default_weights(scales))
-    with _stage("fusion"):
+    try:
         _check_fusion(fusion, scales)
-    with _stage("attribute"):
+    except PyrafuseError as exc:
+        raise type(exc)(f"fusion stage: {exc}") from exc
+    try:
         layers = _attribute_layers(
             data,
             kind,
@@ -298,16 +299,11 @@ def multiscale_attribute(
             p_max=p_max,
             eps_freq=eps_freq,
         )
-    with _stage("fusion"):
-        return _fuse_arrays(layers, fusion)
-
-
-@contextmanager
-def _stage(name: str):
-    """Name the stage in a package error other than ConfigError."""
-    try:
-        yield
     except ConfigError:
         raise
     except PyrafuseError as exc:
-        raise type(exc)(f"{name} stage: {exc}") from exc
+        raise type(exc)(f"attribute stage: {exc}") from exc
+    try:
+        return _fuse_arrays(layers, fusion)
+    except PyrafuseError as exc:
+        raise type(exc)(f"fusion stage: {exc}") from exc
