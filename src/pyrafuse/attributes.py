@@ -30,6 +30,7 @@ quadrature for both. None of this changes a byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -92,14 +93,14 @@ def phase_dip(
         ParameterError: p_max or eps_freq not positive, or the quadrature
             not finite.
     """
-    layers = _dip_layers(section, 1, make_kernel(), p_max=p_max, eps_freq=eps_freq)
+    stack = _dip_layers(section, 1, make_kernel(), p_max=p_max, eps_freq=eps_freq)
     return AttributeMap(
-        grid=Grid2(layers.values[0]),
+        grid=Grid2(stack.values[0]),
         kind=AttributeKind.PHASE_DIP,
         scale=scale,
         dt=section.dt,
         dx=section.dx,
-        quality=Grid2(layers.valid[0]),
+        quality=Grid2(stack.valid[0]),
     )
 
 
@@ -274,53 +275,12 @@ def curvature(dips: DipField, velocity: float = VELOCITY_DEFAULT) -> CurvaturePa
 
 @dataclass(frozen=True, eq=False)
 class AttributeStack:
-    """K same-kind maps on one base lattice, ordered by source scale."""
-
-    maps: tuple[AttributeMap, ...]
-
-    def __post_init__(self):
-        if len(self.maps) < 1:
-            raise ShapeError("a stack needs at least one map")
-        first = self.maps[0]
-        for m in self.maps[1:]:
-            if m.grid.shape != first.grid.shape:
-                raise ShapeError(
-                    f"stack dims disagree: {m.grid.shape} vs {first.grid.shape}"
-                )
-            if m.kind is not first.kind:
-                raise ShapeError(f"stack kinds disagree: {m.kind} vs {first.kind}")
-        object.__setattr__(self, "maps", tuple(self.maps))
-
-    @property
-    def scales(self) -> int:
-        return len(self.maps)
-
-    @property
-    def kind(self) -> AttributeKind:
-        return self.maps[0].kind
-
-    def values(self) -> np.ndarray:
-        """(K, rows, cols) float array of the stacked maps."""
-        return np.stack([m.grid.data for m in self.maps])
-
-    def validity(self) -> np.ndarray:
-        """(K, rows, cols) bool array; maps without a mask count as all-valid."""
-        return np.stack(
-            [
-                np.ones(m.grid.shape, dtype=bool)
-                if m.quality is None
-                else m.quality.data > 0.5
-                for m in self.maps
-            ]
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class _Layers:
-    """A stack as arrays: what fusion reads, without the per-scale maps.
+    """K same-kind scales on one base lattice, ordered by source scale.
 
     ``values`` is (K, rows, cols) float and ``valid`` the matching bool
-    trust; ``dt``, ``dx``, ``dy`` and ``meta`` are those of every map.
+    trust; ``dt``, ``dx``, ``dy`` and ``meta`` are those of every scale.
+    :meth:`from_maps` stacks per-scale maps; ``maps`` builds them back, on
+    first use. The arrays of a stack the package returns are read-only.
     """
 
     values: np.ndarray
@@ -331,24 +291,59 @@ class _Layers:
     dy: float | None
     meta: dict[str, str]
 
+    @classmethod
+    def from_maps(cls, maps) -> "AttributeStack":
+        """Stack maps of one kind and shape, taking sampling and meta from the
+        first; a map without a mask is all-valid. ShapeError on no maps or a mismatch."""
+        maps = tuple(maps)
+        if len(maps) < 1:
+            raise ShapeError("a stack needs at least one map")
+        first = maps[0]
+        for m in maps[1:]:
+            if m.grid.shape != first.grid.shape:
+                raise ShapeError(
+                    f"stack dims disagree: {m.grid.shape} vs {first.grid.shape}"
+                )
+            if m.kind is not first.kind:
+                raise ShapeError(f"stack kinds disagree: {m.kind} vs {first.kind}")
+        return _read_only(cls(
+            values=np.stack([m.grid.data for m in maps]),
+            valid=np.stack([
+                np.ones(m.grid.shape, dtype=bool) if m.quality is None else m.quality.data > 0.5
+                for m in maps
+            ]),
+            kind=first.kind,
+            dt=first.dt,
+            dx=first.dx,
+            dy=first.dy,
+            meta=first.meta,
+        ))
 
-def _as_stack(layers: _Layers) -> AttributeStack:
-    """The public per-scale maps of ``layers``."""
-    return AttributeStack(
-        tuple(
+    @property
+    def scales(self) -> int:
+        return len(self.values)
+
+    @cached_property
+    def maps(self) -> tuple[AttributeMap, ...]:
+        """The per-scale maps, tagged with scales 0..K-1."""
+        return tuple(
             AttributeMap(
                 grid=Grid2(values),
-                kind=layers.kind,
+                kind=self.kind,
                 scale=i,
-                dt=layers.dt,
-                dx=layers.dx,
-                dy=layers.dy,
+                dt=self.dt,
+                dx=self.dx,
+                dy=self.dy,
                 quality=Grid2(valid),
-                meta=layers.meta,
+                meta=self.meta,
             )
-            for i, (values, valid) in enumerate(zip(layers.values, layers.valid))
+            for i, (values, valid) in enumerate(zip(self.values, self.valid))
         )
-    )
+
+
+def _read_only(stack: AttributeStack) -> AttributeStack:
+    stack.values.flags.writeable = stack.valid.flags.writeable = False
+    return stack
 
 
 def _check_dip_request(
@@ -566,13 +561,13 @@ def _dip_layers(
     p_max: float,
     eps_freq: float,
     boundary: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> _Layers:
+) -> AttributeStack:
     scales = _check_dip_request((section.grid.shape,), scales, kernel, p_max, eps_freq)
     ((dips, trust),) = _dip_rows(
         section.grid.data, slice(None), scales, kernel,
         p_max=p_max, eps_freq=eps_freq, boundary=boundary,
     )
-    return _Layers(
+    return AttributeStack(
         values=dips[:, :, 0],
         valid=trust[:, :, 0],
         kind=AttributeKind.PHASE_DIP,
@@ -593,7 +588,7 @@ def dip_stack(
 ) -> AttributeStack:
     """Phase dip at every pyramid scale, expanded to base resolution."""
     kernel = kernel if kernel is not None else make_kernel()
-    return _as_stack(_dip_layers(section, scales, kernel, p_max=p_max, eps_freq=eps_freq))
+    return _read_only(_dip_layers(section, scales, kernel, p_max=p_max, eps_freq=eps_freq))
 
 
 def dip_slice_fields(
@@ -657,8 +652,8 @@ def _attribute_layers(
     velocity: float = VELOCITY_DEFAULT,
     p_max: float = P_MAX_DEFAULT,
     eps_freq: float = EPS_FREQ_DEFAULT,
-) -> _Layers:
-    """:func:`attribute_stack` as arrays, before any map is built."""
+) -> AttributeStack:
+    """:func:`attribute_stack` with writable arrays, for fusion in place."""
     kernel = kernel if kernel is not None else make_kernel()
     if kind is AttributeKind.RAW:
         raise ParameterError("raw data is not a computable attribute")
@@ -684,7 +679,7 @@ def _attribute_layers(
         values = mean2 + fold if kind is AttributeKind.CURV_POS else mean2 - fold
     meta = {**_time_dip_meta(velocity), "sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
     meta["time_index"] = str(int(time_index))
-    return _Layers(
+    return AttributeStack(
         values=values,
         valid=valid,
         kind=kind,
@@ -715,7 +710,7 @@ def attribute_stack(
         ConfigError: kind/input combination unsupported, or missing
             time_index for a volume attribute.
     """
-    return _as_stack(
+    return _read_only(
         _attribute_layers(
             data, kind, scales, kernel, time_index=time_index, velocity=velocity,
             p_max=p_max, eps_freq=eps_freq,

@@ -4,11 +4,13 @@ Exit codes: 0 success, 1 usage/parameter error, 2 data or file-format
 error. Logs go to stderr only; data goes to files (or stdout for `info`).
 Identical invocations produce byte-identical outputs.
 
-`pipeline` is defined as the exact composition of its stage subcommands:
-it rounds every stage boundary (pyramid level, per-level attribute,
-expanded map) to float32, because that is the precision a stage would
-have after a trip through a grid file. Running `pyramid`, `attr`,
-`expand`, and `fuse` by hand therefore reproduces `pipeline` bit for bit.
+On a section, `pipeline` is the exact composition of its stage
+subcommands: it rounds every stage boundary (pyramid level, per-level dip,
+expanded map) to float32, the precision a stage has after a trip through a
+grid file, so running `pyramid`, `attr`, `expand` and `fuse` by hand
+reproduces it bit for bit. Volume attributes have no stage route, because
+`pyramid` takes sections only: their `pipeline` output is
+`multiscale_attribute`, rounded to float32 once, when it is written.
 """
 
 from __future__ import annotations
@@ -331,7 +333,7 @@ def _cmd_fuse(args) -> None:
             rebuilt.append(replace(m, quality=mask.grid))
         maps = rebuilt
     spec = _fusion_spec(args, len(maps))
-    fused = fuse(AttributeStack(tuple(maps)), spec)
+    fused = fuse(AttributeStack.from_maps(maps), spec)
     write_grid(args.out, fused)
     log.info("wrote %s", args.out)
 
@@ -343,17 +345,17 @@ def _cmd_pipeline(args) -> None:
     kernel = make_kernel(args.sigma, args.radius)
     kind = _attribute_kind(args, obj)
     if kind is AttributeKind.PHASE_DIP:
-        layers = _dip_layers(
+        stack = _dip_layers(
             obj, args.scales, kernel, p_max=args.pmax, eps_freq=args.eps_freq,
             boundary=_f32,
         )
     else:
-        layers = _attribute_layers(
+        stack = _attribute_layers(
             obj, kind, args.scales, kernel,
             time_index=args.time_index, velocity=args.velocity,
             p_max=args.pmax, eps_freq=args.eps_freq,
         )
-    fused = _fuse_arrays(layers, spec)
+    fused = _fuse_arrays(stack, spec)
     write_grid(args.out, fused)
     log.info("wrote %s", args.out)
 

@@ -24,7 +24,7 @@ sign of a fused zero depends only on the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -35,7 +35,6 @@ from .attributes import (
     VELOCITY_DEFAULT,
     AttributeStack,
     _attribute_layers,
-    _Layers,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
@@ -85,7 +84,7 @@ def default_weights(scales: int, bias: float = 2.0) -> np.ndarray:
     scales=4, bias=2 gives [8/15, 4/15, 2/15, 1/15]: finer scales dominate.
 
     Raises:
-        ParameterError: scales < 1 or bias <= 0.
+        ParameterError: scales < 1, bias <= 0, or weights that overflow.
     """
     scales = int(scales)
     if scales < 1:
@@ -93,8 +92,12 @@ def default_weights(scales: int, bias: float = 2.0) -> np.ndarray:
     bias = float(bias)
     if bias <= 0.0 or not np.isfinite(bias):
         raise ParameterError(f"bias must be positive, got {bias!r}")
-    w = bias ** -np.arange(scales, dtype=np.float64)
-    return w / w.sum()
+    with np.errstate(over="ignore"):
+        w = bias ** -np.arange(scales, dtype=np.float64)
+        total = w.sum()
+    if not np.isfinite(total):
+        raise ParameterError(f"bias {bias!r} overflows the weights of {scales} scales")
+    return w / total
 
 
 def _masked_mean(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -171,17 +174,7 @@ def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
     Raises:
         ParameterError: weights/rank missing, mis-sized, or out of range.
     """
-    first = stack.maps[0]
-    layers = _Layers(
-        values=stack.values(),
-        valid=stack.validity(),
-        kind=stack.kind,
-        dt=first.dt,
-        dx=first.dx,
-        dy=first.dy,
-        meta=first.meta,
-    )
-    return _fuse_arrays(layers, spec)
+    return _fuse_arrays(replace(stack, values=stack.values.copy()), spec)
 
 
 def _check_fusion(spec: FusionSpec, scales: int) -> None:
@@ -198,8 +191,12 @@ def _check_fusion(spec: FusionSpec, scales: int) -> None:
             raise ParameterError(f"need {scales} weights, got {w.shape[0] if w.ndim == 1 else w.shape!r}")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ParameterError("weights must be finite and non-negative")
-        if w.sum() <= 0.0:
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if total <= 0.0:
             raise ParameterError("weights must not all be zero")
+        if not np.isfinite(total):
+            raise ParameterError("weights must have a finite sum")
     elif spec.method is FusionMethod.RANK:
         if spec.rank is None:
             raise ParameterError("rank fusion needs a rank")
@@ -208,12 +205,13 @@ def _check_fusion(spec: FusionSpec, scales: int) -> None:
             raise ParameterError(f"rank {r} outside [0, {scales - 1}]")
 
 
-def _fuse_arrays(layers: _Layers, spec: FusionSpec) -> AttributeMap:
-    """:func:`fuse` on the arrays of a stack; overwrites ``layers.values``."""
-    values, valid = layers.values, layers.valid
+def _fuse_arrays(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
+    """:func:`fuse`, overwriting ``stack.values``."""
+    values, valid = stack.values, stack.valid
     scales = values.shape[0]
     _check_fusion(spec, scales)
     method = spec.method
+    meta = {"method": method.value, "scales": str(scales)}
     if method is FusionMethod.MEAN:
         fused = _masked_mean(values, valid)
     elif method is FusionMethod.MEDIAN:
@@ -221,33 +219,27 @@ def _fuse_arrays(layers: _Layers, spec: FusionSpec) -> AttributeMap:
     elif method is FusionMethod.WEIGHTED_MEAN:
         w = np.asarray(spec.weights, dtype=np.float64)
         fused = np.einsum("k,kij->ij", w / w.sum(), values)
+        meta["weights"] = ",".join(repr(float(x)) for x in spec.weights)
     elif method is FusionMethod.RANK:
         r = int(spec.rank)
         cells, tied = _zero_ties(values)
         fused = _sort_rows(values)[r]
         fused[cells] = tied[r]
+        meta["rank"] = str(r)
     else:  # pragma: no cover - enum is closed
         raise ParameterError(f"unknown fusion method {method!r}")
 
     any_valid = valid.any(axis=0)
-    meta = {
-        "method": method.value,
-        "scales": str(scales),
-    }
-    if spec.weights is not None and method is FusionMethod.WEIGHTED_MEAN:
-        meta["weights"] = ",".join(repr(float(x)) for x in spec.weights)
-    if spec.rank is not None and method is FusionMethod.RANK:
-        meta["rank"] = str(int(spec.rank))
     for key in ("sigma", "radius", "velocity", "time_index"):
-        if key in layers.meta:
-            meta[key] = layers.meta[key]
+        if key in stack.meta:
+            meta[key] = stack.meta[key]
     return AttributeMap(
         grid=Grid2(fused),
-        kind=layers.kind,
+        kind=stack.kind,
         scale=None,
-        dt=layers.dt,
-        dx=layers.dx,
-        dy=layers.dy,
+        dt=stack.dt,
+        dx=stack.dx,
+        dy=stack.dy,
         quality=Grid2(any_valid.astype(np.float64)),
         meta=meta,
     )
@@ -289,7 +281,7 @@ def multiscale_attribute(
     except PyrafuseError as exc:
         raise type(exc)(f"fusion stage: {exc}") from exc
     try:
-        layers = _attribute_layers(
+        stack = _attribute_layers(
             data,
             kind,
             scales,
@@ -304,6 +296,6 @@ def multiscale_attribute(
     except PyrafuseError as exc:
         raise type(exc)(f"attribute stage: {exc}") from exc
     try:
-        return _fuse_arrays(layers, fusion)
+        return _fuse_arrays(stack, fusion)
     except PyrafuseError as exc:
         raise type(exc)(f"fusion stage: {exc}") from exc

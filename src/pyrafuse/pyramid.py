@@ -41,7 +41,13 @@ def gaussian_samples(sigma: float, radius: int) -> np.ndarray:
         raise ParameterError(f"radius must be >= 1, got {radius}")
     coords = np.arange(-radius, radius + 1, dtype=np.float64)
     sq = coords[:, None] ** 2 + coords[None, :] ** 2
-    return np.exp(-sq / (2.0 * sigma * sigma)) / (2.0 * np.pi * sigma * sigma)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exponent = -sq / (2.0 * sigma * sigma)
+        samples = np.exp(exponent) / (2.0 * np.pi * sigma * sigma)
+    # a tiny sigma overflows the exponent or the center; a huge one zeroes the center
+    if not (np.isfinite(exponent).all() and 0.0 < samples[radius, radius] < np.inf):
+        raise ParameterError(f"sigma {sigma!r} gives non-finite or zero Gaussian samples")
+    return samples
 
 
 def _unit_sum_taps(sigma: float, radius: int) -> np.ndarray:
@@ -89,7 +95,8 @@ def make_kernel(sigma: float = 1.0, radius: int = 2) -> GaussianKernel:
             ``2 * radius + 1`` per axis.
 
     Raises:
-        ParameterError: sigma <= 0, non-finite, or radius < 1.
+        ParameterError: sigma <= 0, non-finite, or radius < 1; or sigma
+            so small or large that :func:`gaussian_samples` refuses it.
     """
     gaussian_samples(sigma, radius)  # validates the parameter domain
     taps = _unit_sum_taps(sigma, radius)

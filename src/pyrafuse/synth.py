@@ -21,7 +21,7 @@ generator; identical specs produce identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

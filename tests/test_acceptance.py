@@ -254,7 +254,7 @@ class TestAcceptance:
                 )
                 for i in range(k)
             )
-            fused = fuse(AttributeStack(maps), FusionSpec(FusionMethod.MEDIAN))
+            fused = fuse(AttributeStack.from_maps(maps), FusionSpec(FusionMethod.MEDIAN))
             want = fuse_median_naive(values, valid)
             if not same_bits(fused.grid.data, want):
                 _report(capsys, "A07 median-vs-sort-oracle", False,
@@ -262,7 +262,7 @@ class TestAcceptance:
                 raise AssertionError(k)
             cells += values[0].size
         tie = fuse(
-            AttributeStack(tuple(
+            AttributeStack.from_maps(tuple(
                 AttributeMap(Grid2(np.full((1, 1), v)), AttributeKind.PHASE_DIP,
                              scale=i)
                 for i, v in enumerate((1.0, 2.0, 3.0, 100.0))

@@ -264,7 +264,7 @@ class TestDipStack:
         # low-frequency carrier: the same dip must be seen at every level
         section, _ = _plane_wave_section(n=256, m=96, k=3, p=0.5)
         stack = dip_stack(section, 3)
-        vals = stack.values()
+        vals = stack.values
         for i in range(3):
             mt, mx = 8 * 2**i, 4 * 2**i
             interior = vals[i][mt:-mt, mx:-mx]
@@ -273,9 +273,9 @@ class TestDipStack:
     def test_stack_values_and_validity_shapes(self):
         section, _ = _plane_wave_section(n=64, m=32)
         stack = dip_stack(section, 2)
-        assert stack.values().shape == (2, 64, 32)
-        assert stack.validity().shape == (2, 64, 32)
-        assert stack.validity().dtype == bool
+        assert stack.values.shape == (2, 64, 32)
+        assert stack.valid.shape == (2, 64, 32)
+        assert stack.valid.dtype == bool
 
     def test_rejects_oversized_scale_count(self):
         section, _ = _plane_wave_section(n=32, m=16)
@@ -735,8 +735,37 @@ class TestStackContainer:
         b = AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.DIP_ANGLE)
         c = AttributeMap(Grid2(np.zeros((5, 4))), AttributeKind.PHASE_DIP)
         with pytest.raises(ShapeError):
-            AttributeStack((a, b))
+            AttributeStack.from_maps((a, b))
         with pytest.raises(ShapeError):
-            AttributeStack((a, c))
+            AttributeStack.from_maps((a, c))
         with pytest.raises(ShapeError):
-            AttributeStack(())
+            AttributeStack.from_maps(())
+
+    def test_from_maps_stacks_arrays_and_counts_a_missing_mask_as_valid(self):
+        a = AttributeMap(Grid2([[1.0, -0.0]]), AttributeKind.CURV_POS, dt=0.5, meta={"k": "v"})
+        b = AttributeMap(Grid2([[3.0, 4.0]]), AttributeKind.CURV_POS, quality=Grid2([[0.0, 1.0]]))
+        stack = AttributeStack.from_maps([a, b])
+        assert same_bits(stack.values, np.array([[[1.0, -0.0]], [[3.0, 4.0]]]))
+        assert stack.valid.tolist() == [[[True, True]], [[False, True]]]
+        assert (stack.kind, stack.scales, stack.dt, stack.meta) == (AttributeKind.CURV_POS, 2, 0.5, {"k": "v"})
+
+    def test_returned_stacks_are_read_only_and_build_their_maps_once(self):
+        section, _ = _plane_wave_section(n=64, m=32)
+        vol, _ = _plane_wave_volume(nt=64, nx=20, ny=16)
+        a = AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.PHASE_DIP)
+        for stack in (
+            dip_stack(section, 2),
+            attribute_stack(section, AttributeKind.PHASE_DIP, 2),
+            attribute_stack(vol, AttributeKind.CURV_NEG, 2, time_index=32),
+            AttributeStack.from_maps((a, a)),
+        ):
+            for array in (stack.values, stack.valid):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0, 0] = 1
+            maps = stack.maps
+            assert stack.maps is maps and len(maps) == stack.scales
+            for i, m in enumerate(maps):
+                assert m.scale == i
+                assert same_bits(m.grid.data, stack.values[i])
+                assert same_bits(m.quality.data, stack.valid[i].astype(np.float64))

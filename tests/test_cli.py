@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import pyrafuse
-from pyrafuse import AttributeKind, attribute_stack, encode_ibm32, read_grid
-from pyrafuse.cli import main
+from oracles import same_bits
+from pyrafuse import AttributeKind, attribute_stack, encode_ibm32, multiscale_attribute, read_grid
+from pyrafuse.cli import _ATTR_FLAGS, main
 
 SPEC_TEXT = """\
 nt = 96
@@ -233,6 +234,19 @@ class TestVolumeAttr:
         fused = read_grid(out)
         assert fused.is_fused and fused.kind is AttributeKind.CURV_POS
 
+    @pytest.mark.parametrize("attr", ["dip-angle", "kpos", "kneg"])
+    def test_volume_pipeline_is_the_library_result_rounded_once(self, tmp_path, attr):
+        # `pyramid` takes sections only, so a volume attribute has no stage
+        # route to match: its stages are not rounded, only the written map
+        vol = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
+        out = str(tmp_path / "fused.pfg")
+        assert main(["pipeline", vol, "--attr", attr, "--time-index", "24",
+                     "--scales", "2", "--out", out]) == 0
+        fused = read_grid(out)
+        want = multiscale_attribute(read_grid(vol), _ATTR_FLAGS[attr], scales=2, time_index=24)
+        assert same_bits(fused.grid.data, want.grid.data.astype(np.float32).astype(np.float64))
+        assert fused.meta == want.meta
+
 
 class TestSegyImport:
     def test_ibm_segy_to_grid(self, tmp_path):
@@ -321,8 +335,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--fuse", "wmean", "--weights", "1,2"], ["--fuse", "rank", "--rank", "3"]],
-        ids=["weights", "rank"],
+        [
+            ["--fuse", "wmean", "--weights", "1,2"],
+            ["--fuse", "rank", "--rank", "3"],
+            ["--fuse", "wmean", "--weights", "1e308,1e308,1"],  # the sum overflows
+            ["--fuse", "wmean", "--weight-bias", "1e-300"],  # so do default weights
+        ],
+        ids=["weights", "rank", "overflowing-weights", "overflowing-bias"],
     )
     def test_bad_fusion_spec_exits_before_the_stack(self, tmp_path, monkeypatch, flags):
         src = _synth(tmp_path)
@@ -334,6 +353,21 @@ class TestExitCodes:
         out = str(tmp_path / "o.pfg")
         assert main(["pipeline", src, "--scales", "3", *flags, "--out", out]) == 1
         assert not os.path.exists(out)
+
+    def test_sigma_with_non_finite_samples_exits_one_without_a_warning(self, tmp_path):
+        # a child process, so that a warning reaches stderr as a user sees it
+        out = tmp_path / "o.pfg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pyrafuse.cli", "pipeline", _synth(tmp_path),
+             "--sigma", "1e-200", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 1
+        assert "sigma 1e-200 gives non-finite or zero Gaussian samples" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
 
     def test_data_errors_exit_two(self, tmp_path):
         missing = str(tmp_path / "nope.pfg")

@@ -45,7 +45,7 @@ def _stack(layers, masks=None, kind=AttributeKind.PHASE_DIP):
             AttributeMap(Grid2(np.asarray(layer, dtype=np.float64)), kind,
                          scale=i, quality=quality)
         )
-    return AttributeStack(tuple(maps))
+    return AttributeStack.from_maps(maps)
 
 
 class TestMean:
@@ -130,6 +130,10 @@ class TestWeightedMean:
             fuse(stack, FusionSpec.weighted((1.0, -0.5)))
         with pytest.raises(ParameterError):
             fuse(stack, FusionSpec.weighted((0.0, 0.0)))
+        # each weight is finite but their sum is not: w / w.sum() was 0
+        with pytest.raises(ParameterError, match="^weights must have a finite sum$"):
+            fuse(stack, FusionSpec.weighted((1e308, 1e308)))
+        assert fuse(stack, FusionSpec.weighted((1e308, 0.0))).grid.data[0, 0] == 1.0
 
     def test_default_weights_geometric(self):
         w = default_weights(4, 2.0)
@@ -140,6 +144,13 @@ class TestWeightedMean:
             default_weights(0, 2.0)
         with pytest.raises(ParameterError):
             default_weights(3, 0.0)
+
+    @pytest.mark.parametrize("scales, bias", [(4, 1e-300), (3, 1e-200), (1100, 0.5)])
+    def test_default_weights_that_overflow_name_the_bias(self, scales, bias):
+        # bias**-i overflows for a bias below 1: the weights were 0 and NaN
+        with pytest.raises(ParameterError, match=f"^bias {bias!r} overflows the weights of {scales} scales$"):
+            default_weights(scales, bias)
+        assert default_weights(1, bias).tolist() == [1.0]
 
 
 class TestRank:
@@ -249,13 +260,18 @@ class TestTieOrder:
             assert same_bits(out.grid.data, fuse_rank_naive(values, r))
 
     def test_inputs_are_not_written(self):
+        # writable arrays, as the library's own stages build them, so that
+        # only fuse's copy keeps median and rank from sorting them in place
         values = np.array([[[0.0, 3.0]], [[-0.0, 1.0]], [[2.0, -0.0]]])
-        stack = _stack(list(values), masks=[[[1.0, 0.0]], [[1.0, 1.0]], [[0.0, 1.0]]])
-        before = [(m.grid.data.copy(), m.quality.data.copy()) for m in stack.maps]
-        for spec in (FusionSpec.median(), FusionSpec.rank_of(1), FusionSpec.mean()):
+        valid = np.array([[[True, False]], [[True, True]], [[False, True]]])
+        stack = AttributeStack(values, valid, AttributeKind.PHASE_DIP, 1.0, 1.0, None, {})
+        before = (values.tobytes(), valid.tobytes())
+        for spec in (
+            FusionSpec.median(), FusionSpec.rank_of(1), FusionSpec.mean(),
+            FusionSpec.weighted((3.0, 2.0, 1.0)),
+        ):
             fuse(stack, spec)
-        for m, (grid, quality) in zip(stack.maps, before):
-            assert same_bits(m.grid.data, grid) and same_bits(m.quality.data, quality)
+            assert (stack.values.tobytes(), stack.valid.tobytes()) == before, spec.method
 
 
 class TestFusedMapShape:
@@ -370,8 +386,9 @@ class TestMultiscaleAttribute:
             (FusionSpec.rank_of(-1), r"rank -1 outside \[0, 3\]"),
             (FusionSpec.weighted([1, 2]), "need 4 weights, got 2"),
             (FusionSpec.weighted([1, -1, 1, 1]), "weights must be finite and non-negative"),
+            (FusionSpec.weighted([1e308] * 4), "weights must have a finite sum"),
         ],
-        ids=["rank-4", "rank-minus-1", "two-weights", "negative-weight"],
+        ids=["rank-4", "rank-minus-1", "two-weights", "negative-weight", "overflowing-weights"],
     )
     def test_bad_spec_fails_before_the_attribute_stage(self, monkeypatch, spec, message):
         monkeypatch.setattr("pyrafuse.fusion._attribute_layers", _no_attribute_stage)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ class TestKernel:
             make_kernel(sigma=-1.0)
         with pytest.raises(ParameterError):
             make_kernel(radius=0)
+
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-155, 5e-155, 6e153, 1e200])
+    def test_sigma_whose_samples_are_not_finite_is_named(self, sigma):
+        # tiny: the exponent or the center overflows (NaN taps or numpy
+        # warnings before); huge: sigma^2 overflows and the center is 0
+        # (an OverflowError in the taps before)
+        for call in (gaussian_samples, make_kernel):
+            with pytest.raises(ParameterError, match=re.escape(f"sigma {sigma!r} gives non-finite")):
+                call(sigma, 2)
+
+    @pytest.mark.parametrize("sigma", [1e-150, 5e153])
+    def test_extreme_sigma_with_finite_samples_still_works(self, sigma):
+        kernel = make_kernel(sigma, 2)
+        assert np.isfinite(kernel.taps).all() and np.isfinite(gaussian_samples(sigma, 2)).all()
+        assert math.fsum(kernel.taps) == 1.0
 
     def test_wider_kernel_shapes(self):
         kernel = make_kernel(sigma=2.0, radius=4)
