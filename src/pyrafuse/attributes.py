@@ -29,7 +29,7 @@ quadrature for both. None of this changes a byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -88,20 +88,14 @@ def phase_dip(
     else is clamped to [-p_max, p_max]. ``scale`` only tags the map.
 
     Raises:
+        ConfigError: ``section`` is not a SeismicSection.
         SizeError: section smaller than 4 samples x 3 traces; the message
             is the dip stack's.
         ParameterError: p_max or eps_freq not positive, or the quadrature
             not finite.
     """
-    stack = _dip_layers(section, 1, make_kernel(), p_max=p_max, eps_freq=eps_freq)
-    return AttributeMap(
-        grid=Grid2(stack.values[0]),
-        kind=AttributeKind.PHASE_DIP,
-        scale=scale,
-        dt=section.dt,
-        dx=section.dx,
-        quality=Grid2(stack.valid[0]),
-    )
+    stack = _attribute_layers(section, AttributeKind.PHASE_DIP, 1, p_max=p_max, eps_freq=eps_freq)
+    return replace(stack.maps[0], scale=scale, meta={})
 
 
 def _check_dip_params(p_max: float, eps_freq: float) -> None:
@@ -553,31 +547,6 @@ def _dip_rows(
     return [finish(p, nx), q_rows]
 
 
-def _dip_layers(
-    section: SeismicSection,
-    scales: int,
-    kernel: GaussianKernel,
-    *,
-    p_max: float,
-    eps_freq: float,
-    boundary: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> AttributeStack:
-    scales = _check_dip_request((section.grid.shape,), scales, kernel, p_max, eps_freq)
-    ((dips, trust),) = _dip_rows(
-        section.grid.data, slice(None), scales, kernel,
-        p_max=p_max, eps_freq=eps_freq, boundary=boundary,
-    )
-    return AttributeStack(
-        values=dips[:, :, 0],
-        valid=trust[:, :, 0],
-        kind=AttributeKind.PHASE_DIP,
-        dt=section.dt,
-        dx=section.dx,
-        dy=None,
-        meta={"sigma": repr(kernel.sigma), "radius": str(kernel.radius)},
-    )
-
-
 def dip_stack(
     section: SeismicSection,
     scales: int,
@@ -586,9 +555,11 @@ def dip_stack(
     p_max: float = P_MAX_DEFAULT,
     eps_freq: float = EPS_FREQ_DEFAULT,
 ) -> AttributeStack:
-    """Phase dip at every pyramid scale, expanded to base resolution."""
-    kernel = kernel if kernel is not None else make_kernel()
-    return _read_only(_dip_layers(section, scales, kernel, p_max=p_max, eps_freq=eps_freq))
+    """Phase dip at every pyramid scale, expanded to base resolution: the
+    phase-dip :func:`attribute_stack` of a section."""
+    return attribute_stack(
+        section, AttributeKind.PHASE_DIP, scales, kernel, p_max=p_max, eps_freq=eps_freq
+    )
 
 
 def dip_slice_fields(
@@ -606,6 +577,7 @@ def dip_slice_fields(
     column y of ``p``; that of each fixed-x section fills row x of ``q``.
 
     Raises:
+        ConfigError: ``volume`` is not a SeismicVolume.
         BoundsError: t_index outside the volume.
         ParameterError: scales < 1, or p_max or eps_freq not positive.
         SizeError: either orientation's sections (nt x nx or nt x ny)
@@ -629,6 +601,8 @@ def _slice_dips(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`dip_slice_fields` as C-contiguous (scales, nx, ny) arrays p and
     q, and where both are trusted."""
+    if not isinstance(volume, SeismicVolume):
+        raise ConfigError(f"dip slice fields need a volume, got {type(volume).__name__}")
     t = int(t)
     if t < 0 or t >= volume.nt:
         raise BoundsError(f"time index {t} outside [0, {volume.nt - 1}]")
@@ -652,41 +626,47 @@ def _attribute_layers(
     velocity: float = VELOCITY_DEFAULT,
     p_max: float = P_MAX_DEFAULT,
     eps_freq: float = EPS_FREQ_DEFAULT,
+    boundary: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> AttributeStack:
-    """:func:`attribute_stack` with writable arrays, for fusion in place."""
+    """:func:`attribute_stack` with writable arrays, for fusion in place.
+
+    ``boundary`` is :func:`_dip_rows`'s, for section dip only: volume
+    attributes have no stage route, so it is not applied to them.
+    """
     kernel = kernel if kernel is not None else make_kernel()
     if kind is AttributeKind.RAW:
         raise ParameterError("raw data is not a computable attribute")
+    meta = {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
     if isinstance(data, SeismicSection):
         if kind is not AttributeKind.PHASE_DIP:
             raise ConfigError(
                 f"{kind.value} needs a volume; a section only supports phase dip"
             )
-        return _dip_layers(data, scales, kernel, p_max=p_max, eps_freq=eps_freq)
-    if not isinstance(data, SeismicVolume):
-        raise ConfigError(f"unsupported input type {type(data).__name__}")
-    if kind is AttributeKind.PHASE_DIP:
-        raise ConfigError("phase dip runs on sections; extract one from the volume first")
-    if time_index is None:
-        raise ConfigError(f"{kind.value} on a volume needs a time index")
-    _check_velocity(velocity)
-    p, q, valid = _slice_dips(data, time_index, scales, kernel, p_max, eps_freq)
-    steps = (data.dt, data.dx, data.dy, velocity)
-    if kind is AttributeKind.DIP_ANGLE:
-        values = _dip_angle_values(p, q, *steps)
+        scales = _check_dip_request((data.grid.shape,), scales, kernel, p_max, eps_freq)
+        ((dips, trust),) = _dip_rows(
+            data.grid.data, slice(None), scales, kernel,
+            p_max=p_max, eps_freq=eps_freq, boundary=boundary,
+        )
+        values, valid, dy = dips[:, :, 0], trust[:, :, 0], None
     else:
-        mean2, fold = _curvatures(p, q, *steps)
-        values = mean2 + fold if kind is AttributeKind.CURV_POS else mean2 - fold
-    meta = {**_time_dip_meta(velocity), "sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
-    meta["time_index"] = str(int(time_index))
+        if not isinstance(data, SeismicVolume):
+            raise ConfigError(f"unsupported input type {type(data).__name__}")
+        if kind is AttributeKind.PHASE_DIP:
+            raise ConfigError("phase dip runs on sections; extract one from the volume first")
+        if time_index is None:
+            raise ConfigError(f"{kind.value} on a volume needs a time index")
+        _check_velocity(velocity)
+        p, q, valid = _slice_dips(data, time_index, scales, kernel, p_max, eps_freq)
+        steps = (data.dt, data.dx, data.dy, velocity)
+        if kind is AttributeKind.DIP_ANGLE:
+            values = _dip_angle_values(p, q, *steps)
+        else:
+            mean2, fold = _curvatures(p, q, *steps)
+            values = mean2 + fold if kind is AttributeKind.CURV_POS else mean2 - fold
+        meta = {**_time_dip_meta(velocity), **meta, "time_index": str(int(time_index))}
+        dy = data.dy
     return AttributeStack(
-        values=values,
-        valid=valid,
-        kind=kind,
-        dt=data.dt,
-        dx=data.dx,
-        dy=data.dy,
-        meta=meta,
+        values=values, valid=valid, kind=kind, dt=data.dt, dx=data.dx, dy=dy, meta=meta
     )
 
 

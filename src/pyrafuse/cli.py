@@ -28,7 +28,6 @@ from .attributes import (
     VELOCITY_DEFAULT,
     AttributeStack,
     _attribute_layers,
-    _dip_layers,
     attribute_stack,
     phase_dip,
 )
@@ -344,17 +343,12 @@ def _cmd_pipeline(args) -> None:
     _check_fusion(spec, args.scales)  # weights or a rank that do not fit, before the stack
     kernel = make_kernel(args.sigma, args.radius)
     kind = _attribute_kind(args, obj)
-    if kind is AttributeKind.PHASE_DIP:
-        stack = _dip_layers(
-            obj, args.scales, kernel, p_max=args.pmax, eps_freq=args.eps_freq,
-            boundary=_f32,
-        )
-    else:
-        stack = _attribute_layers(
-            obj, kind, args.scales, kernel,
-            time_index=args.time_index, velocity=args.velocity,
-            p_max=args.pmax, eps_freq=args.eps_freq,
-        )
+    stack = _attribute_layers(
+        obj, kind, args.scales, kernel,
+        time_index=args.time_index, velocity=args.velocity,
+        p_max=args.pmax, eps_freq=args.eps_freq,
+        boundary=_f32 if kind is AttributeKind.PHASE_DIP else None,
+    )
     fused = _fuse_arrays(stack, spec)
     write_grid(args.out, fused)
     log.info("wrote %s", args.out)

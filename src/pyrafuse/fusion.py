@@ -38,7 +38,7 @@ from .attributes import (
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
-from .pyramid import GaussianKernel, make_kernel
+from .pyramid import GaussianKernel
 
 
 class FusionMethod(Enum):
@@ -272,7 +272,6 @@ def multiscale_attribute(
     scales = int(scales)
     if scales < 1:
         raise ParameterError(f"scales must be >= 1, got {scales}")
-    kernel = kernel if kernel is not None else make_kernel()
     fusion = fusion if fusion is not None else FusionSpec.median()
     if fusion.method is FusionMethod.WEIGHTED_MEAN and fusion.weights is None:
         fusion = FusionSpec.weighted(default_weights(scales))

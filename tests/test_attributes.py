@@ -671,8 +671,8 @@ class TestQuadratureOverflow:
         [
             lambda vol: phase_dip(vol.crossline_section(3)),
             lambda vol: dip_stack(vol.crossline_section(3), 2),
-            lambda vol: attributes._dip_layers(
-                vol.crossline_section(3), 2, make_kernel(),
+            lambda vol: attributes._attribute_layers(
+                vol.crossline_section(3), AttributeKind.PHASE_DIP, 2, make_kernel(),
                 p_max=5.0, eps_freq=1e-3, boundary=_f32,
             ),
             lambda vol: dip_slice_fields(vol, 10, 2),

@@ -349,7 +349,7 @@ class TestExitCodes:
         def no_stack(*args, **kwargs):
             raise AssertionError("the dip stack was built before the fusion spec was checked")
 
-        monkeypatch.setattr("pyrafuse.cli._dip_layers", no_stack)
+        monkeypatch.setattr("pyrafuse.cli._attribute_layers", no_stack)
         out = str(tmp_path / "o.pfg")
         assert main(["pipeline", src, "--scales", "3", *flags, "--out", out]) == 1
         assert not os.path.exists(out)
