@@ -602,7 +602,7 @@ def _slice_dips(
     """:func:`dip_slice_fields` as C-contiguous (scales, nx, ny) arrays p and
     q, and where both are trusted."""
     if not isinstance(volume, SeismicVolume):
-        raise ConfigError(f"dip slice fields need a volume, got {type(volume).__name__}")
+        raise ConfigError(f"dip slice fields need a volume, got a {type(volume).__name__}")
     t = int(t)
     if t < 0 or t >= volume.nt:
         raise BoundsError(f"time index {t} outside [0, {volume.nt - 1}]")

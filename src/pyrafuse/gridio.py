@@ -21,7 +21,10 @@ section that makes each trace contiguous; for a volume the time axis varies
 fastest, then x, then y). The data offset is wherever the blank line ends;
 `info` reports it and format errors carry the byte offset of the first
 inconsistency, and a non-finite sample is an error at its own offset.
-Values are float32 in the file and float64 in memory.
+Values are float32 in the file and float64 in memory. The reader strips
+and lowercases keys, so the writer refuses metadata that would not read
+back unchanged: a key that is not already stripped and lowercase, a
+structural key, and non-ASCII text.
 
 Writes go to a temp file in the target directory followed by an atomic
 rename, so readers never observe a half-written grid.
@@ -107,13 +110,16 @@ def _header_and_payload(
         ("units", KIND_UNITS[kind].value),
         ("scale", "fused" if scale is None else str(scale)),
     ]
+    # each pair must come back from parse_header unchanged
     for key in sorted(meta):
-        value = meta[key]
-        if "\n" in key or "\n" in str(value) or "=" in key:
+        value = str(meta[key])
+        if "\n" in key or "\n" in value or "=" in key or not (key + value).isascii():
             raise ParameterError(f"metadata key/value not representable: {key!r}")
+        if key != key.strip().lower():
+            raise ParameterError(f"metadata key {key!r} is not stripped and lowercase")
         if key in _STRUCTURAL_KEYS:
             raise ParameterError(f"metadata key {key!r} shadows a structural key")
-        pairs.append((key, str(value)))
+        pairs.append((key, value))
 
     samples = _float32_payload(data)
     if not np.isfinite(samples).all():
@@ -140,7 +146,8 @@ def write_grid(path: str, obj, extra_meta: dict[str, str] | None = None) -> None
     """Serialize a section, volume, map, or bare grid to ``path`` atomically.
 
     ``extra_meta`` adds free-form header pairs on top of the object's own
-    metadata (same restrictions: no '=', no newlines, no structural keys).
+    metadata (same restrictions: ASCII only, no '=' in a key, no newlines,
+    keys already stripped and lowercase, no structural keys).
     """
     _atomic_write(path, *_header_and_payload(obj, extra_meta))
 

@@ -184,6 +184,13 @@ class TestDipAngle:
         with pytest.raises(ParameterError, match=f"{name} must be a positive finite number"):
             dip_angle(p, q, **steps)
 
+    def test_quality_is_the_minimum_of_both_masks(self):
+        p, q = self._maps(0.1, 0.2, shape=(2, 3))
+        p = AttributeMap(p.grid, p.kind, quality=Grid2([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        q = AttributeMap(q.grid, q.kind, quality=Grid2([[1.0, 1.0, 0.0], [0.0, 0.5, 1.0]]))
+        out = dip_angle(p, q, dt=0.004, dx=25.0, dy=25.0)
+        assert np.array_equal(out.quality.data, [[1.0, 0.0, 0.0], [0.0, 0.5, 1.0]])
+
     def test_rejects_wrong_kinds_and_shapes(self):
         p, q = self._maps(0.1, 0.2)
         raw = AttributeMap(Grid2(np.zeros((6, 5))), AttributeKind.RAW)
@@ -236,6 +243,19 @@ class TestCurvature:
         steps = {"dt": 0.004, "dx": 25.0, "dy": 12.5, name: value}
         with pytest.raises(ParameterError, match=f"{name} must be a positive finite number"):
             DipField(dips, dips, **steps)
+
+    def test_dip_field_rejects_mis_shaped_q_and_quality(self):
+        p = Grid2(np.zeros((8, 7)))
+        other = Grid2(np.zeros((7, 8)))
+        with pytest.raises(ShapeError, match="q shape"):
+            DipField(p, other, dt=0.004, dx=25.0, dy=25.0)
+        with pytest.raises(ShapeError, match="quality shape"):
+            DipField(p, p, dt=0.004, dx=25.0, dy=25.0, quality=other)
+
+    def test_requires_crossline_interval(self):
+        p = Grid2(np.zeros((8, 8)))
+        with pytest.raises(ConfigError, match="crossline interval dy"):
+            curvature(DipField(p, p, dt=0.004, dx=25.0, dy=None))
 
     def test_requires_crossline_dip_and_min_size(self):
         p = Grid2(np.zeros((8, 8)))
@@ -727,6 +747,21 @@ class TestAttributeStackDispatch:
             attribute_stack(vol, AttributeKind.DIP_ANGLE, 2)  # no time_index
         with pytest.raises(ParameterError):
             attribute_stack(section, AttributeKind.RAW, 2)
+
+    @pytest.mark.parametrize(
+        "call, needs",
+        [
+            (lambda section, vol: phase_dip(vol), "phase dip runs on sections"),
+            (lambda section, vol: dip_stack(vol, 2), "phase dip runs on sections"),
+            (lambda section, vol: dip_slice_fields(section, 3, 1), "need a volume"),
+        ],
+        ids=["phase_dip", "dip_stack", "dip_slice_fields"],
+    )
+    def test_wrong_container_at_a_dip_entry_is_a_config_error(self, call, needs):
+        section, _ = _plane_wave_section(n=64, m=32)
+        vol, _ = _plane_wave_volume(nt=64, nx=20, ny=16)
+        with pytest.raises(ConfigError, match=needs):
+            call(section, vol)
 
 
 class TestStackContainer:

@@ -11,7 +11,14 @@ import pytest
 
 import pyrafuse
 from oracles import same_bits
-from pyrafuse import AttributeKind, attribute_stack, encode_ibm32, multiscale_attribute, read_grid
+from pyrafuse import (
+    AttributeKind,
+    attribute_stack,
+    describe_grid,
+    encode_ibm32,
+    multiscale_attribute,
+    read_grid,
+)
 from pyrafuse.cli import _ATTR_FLAGS, main
 
 SPEC_TEXT = """\
@@ -76,6 +83,13 @@ class TestSynthCommand:
         assert lines["seed"] == "7"
         assert lines["f_peak"] == "2.5"
         assert int(lines["payload_bytes"]) == 96 * 48 * 4
+
+    def test_noise_records_its_level_and_generator(self, tmp_path):
+        pairs = dict(describe_grid(_synth(tmp_path, text=SPEC_TEXT + "snr_db = 10\n")))
+        assert pairs["snr_db"] == "10.0"
+        assert pairs["noise_prng"] == "PCG64"
+        clean = dict(describe_grid(_synth(tmp_path, "clean.pfg")))
+        assert "snr_db" not in clean and "noise_prng" not in clean
 
     def test_truth_prefix_writes_dip_truth(self, tmp_path):
         prefix = str(tmp_path / "truth")
@@ -449,6 +463,51 @@ class TestExitCodes:
         assert main(["attr", src, "--attr", "dip", "--out", dip]) == 0
         assert main(["fuse", dip, dip, "--quality", dip,
                      "--out", str(tmp_path / "o.pfg")]) == 1
+
+
+class TestContainerRefusals:
+    """Each command that reads a grid refuses a container it cannot use
+    with exit 2, and writes nothing."""
+
+    def _inputs(self, tmp_path):
+        vol = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
+        section = _synth(tmp_path)
+        dip_map = str(tmp_path / "dip.pfg")
+        assert main(["attr", section, "--out", dip_map]) == 0
+        return vol, section, dip_map
+
+    def test_pyramid_needs_a_section(self, tmp_path):
+        vol, _, dip_map = self._inputs(tmp_path)
+        prefix = str(tmp_path / "lvl")
+        assert main(["pyramid", vol, "--out-prefix", prefix]) == 2
+        assert main(["pyramid", dip_map, "--out-prefix", prefix]) == 2
+        assert not list(tmp_path.glob("lvl*"))
+
+    def test_expand_refuses_a_volume(self, tmp_path):
+        vol, _, _ = self._inputs(tmp_path)
+        out = tmp_path / "big.pfg"
+        assert main(["expand", vol, "--rows", "40", "--cols", "40", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_fuse_refuses_a_volume_map_or_mask(self, tmp_path):
+        vol, _, dip_map = self._inputs(tmp_path)
+        out = tmp_path / "fused.pfg"
+        assert main(["fuse", dip_map, vol, "--out", str(out)]) == 2
+        assert main(["fuse", dip_map, dip_map, "--quality", dip_map, "--quality", vol,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_fuse_of_raw_sections_is_a_raw_map(self, tmp_path):
+        _, section, _ = self._inputs(tmp_path)
+        other = _synth(tmp_path, "other.pfg", SPEC_TEXT.replace("t0=20", "t0=30"))
+        out = str(tmp_path / "fused.pfg")
+        assert main(["fuse", section, other, "--fuse", "mean", "--out", out]) == 0
+        pairs = dict(describe_grid(out))
+        assert (pairs["kind"], pairs["scale"], pairs["method"]) == ("raw", "fused", "mean")
+        a, b = read_grid(section).grid.data, read_grid(other).grid.data
+        assert not np.array_equal(a, b)
+        want = ((a + b) / 2).astype(np.float32).astype(np.float64)
+        assert same_bits(read_grid(out).grid.data, want)
 
 
 class TestConsoleEntry:

@@ -284,6 +284,21 @@ class TestWriteValidation:
         assert Path(path).read_bytes() == before
         assert glob.glob(str(tmp_path / ".pfg-*")) == []
 
+    def test_failed_rename_keeps_the_original_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "keep.pfg")
+        write_grid(path, Grid2(np.full((2, 2), 7.0)))
+        before = Path(path).read_bytes()
+
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(gridio.os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            write_grid(path, Grid2(np.full((3, 3), 1.0)))
+        monkeypatch.undo()
+        assert Path(path).read_bytes() == before
+        assert glob.glob(str(tmp_path / ".pfg-*")) == []
+
     def test_extra_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "x.pfg")
         write_grid(path, _section(), extra_meta={"source": "demo"})
@@ -314,6 +329,43 @@ class TestWriteValidation:
         with pytest.raises(ParameterError, match="'planes' shadows a structural key"):
             write_grid(path, planes)
         assert not os.path.exists(path)
+
+    @pytest.mark.parametrize(
+        "meta, extra, match",
+        [
+            # the reader strips and lowercases keys: " dt" would overwrite dt
+            ({" dt": "3"}, None, "' dt' is not stripped and lowercase"),
+            # ROWS would read as rows=2 and the payload would not fit it
+            ({"ROWS": "2"}, None, "'ROWS' is not stripped and lowercase"),
+            # Kind would read as kind=raw, a section instead of a map
+            ({"Kind": "raw"}, None, "'Kind' is not stripped and lowercase"),
+            ({}, {"Note ": "x"}, "'Note ' is not stripped and lowercase"),
+            ({"label": "café"}, None, "not representable: 'label'"),
+            ({}, {"café": "x"}, "not representable"),
+        ],
+        ids=["padded-dt", "upper-rows", "capital-kind", "extra-padded", "non-ascii-value",
+             "non-ascii-key"],
+    )
+    def test_meta_that_would_not_read_back_unchanged_is_refused(self, tmp_path, meta, extra, match):
+        path = str(tmp_path / "x.pfg")
+        m = AttributeMap(Grid2(np.zeros((4, 5))), AttributeKind.PHASE_DIP, dt=1.0, meta=meta)
+        with pytest.raises(ParameterError, match=match):
+            write_grid(path, m, extra_meta=extra)
+        assert not os.path.exists(path)
+        assert glob.glob(str(tmp_path / ".pfg-*")) == []
+
+    def test_non_ascii_section_label_is_a_parameter_error(self, tmp_path):
+        path = str(tmp_path / "x.pfg")
+        with pytest.raises(ParameterError, match="not representable: 'label'"):
+            write_grid(path, _section(label="café"))
+        assert not os.path.exists(path)
+
+    def test_meta_values_round_trip_verbatim(self, tmp_path):
+        # values are not stripped or lowercased, and may hold '='
+        path = str(tmp_path / "x.pfg")
+        meta = {"note": "  Mixed Case = kept ", "label": "inline 12"}
+        write_grid(path, AttributeMap(Grid2(np.zeros((4, 5))), AttributeKind.PHASE_DIP, meta=meta))
+        assert read_grid(path).meta == meta
 
     def test_unserializable_object(self, tmp_path):
         with pytest.raises(ParameterError):
