@@ -252,15 +252,12 @@ class TestCurvature:
         with pytest.raises(ShapeError, match="quality shape"):
             DipField(p, p, dt=0.004, dx=25.0, dy=25.0, quality=other)
 
-    def test_requires_crossline_interval(self):
-        p = Grid2(np.zeros((8, 8)))
-        with pytest.raises(ConfigError, match="crossline interval dy"):
-            curvature(DipField(p, p, dt=0.004, dx=25.0, dy=None))
-
     def test_requires_crossline_dip_and_min_size(self):
         p = Grid2(np.zeros((8, 8)))
         with pytest.raises(ConfigError):
             curvature(DipField(p, None, dt=0.004, dx=25.0, dy=None))
+        with pytest.raises(ConfigError, match="crossline interval dy"):
+            curvature(DipField(p, p, dt=0.004, dx=25.0, dy=None))
         with pytest.raises(SizeError):
             curvature(
                 DipField(Grid2(np.zeros((2, 8))), Grid2(np.zeros((2, 8))),
