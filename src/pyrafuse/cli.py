@@ -11,6 +11,9 @@ grid file, so running `pyramid`, `attr`, `expand` and `fuse` by hand
 reproduces it bit for bit. Volume attributes have no stage route, because
 `pyramid` takes sections only: their `pipeline` output is
 `multiscale_attribute`, rounded to float32 once, when it is written.
+`pipeline` runs `multiscale_attribute`'s composer, so its errors name their
+stage, and an attribute that does not suit the input gets the library's
+refusal.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from .attributes import (
     P_MAX_DEFAULT,
     VELOCITY_DEFAULT,
     AttributeStack,
-    _attribute_layers,
     attribute_stack,
     phase_dip,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
-from .fusion import FusionMethod, FusionSpec, _check_fusion, _fuse_arrays, default_weights, fuse
+from .fusion import FusionMethod, FusionSpec, _multiscale, default_weights, fuse
 from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
 from .pyramid import build_pyramid, expand_to, make_kernel
@@ -218,8 +220,13 @@ def _read_section(path: str) -> SeismicSection:
 
 
 def _cmd_synth(args) -> None:
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        spec = parse_synth_spec(handle.read())
+    with open(args.spec, "rb") as handle:
+        blob = handle.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{args.spec}: not UTF-8 text at byte offset {exc.start}") from None
+    spec = parse_synth_spec(text)
     data, truth = make_synthetic(spec)
     meta = {"seed": str(spec.seed), "f_peak": repr(spec.f_peak)}
     if spec.snr_db is not None:
@@ -264,16 +271,10 @@ def _cmd_pyramid(args) -> None:
 
 
 def _attribute_kind(args, obj) -> AttributeKind:
-    """The ``--attr`` kind, once ``obj`` (read from ``args.grid``) suits it."""
-    if isinstance(obj, AttributeMap):
-        raise ConfigError(f"{args.grid} already holds a {obj.kind.value} map")
+    """The ``--attr`` kind; the library refuses a kind that ``obj`` does not suit."""
     kind = _ATTR_FLAGS[args.attr]
-    if kind is AttributeKind.PHASE_DIP:
-        if isinstance(obj, SeismicVolume):
-            raise ConfigError("dip runs on 2D sections; extract a section first")
-    elif not isinstance(obj, SeismicVolume):
-        raise ConfigError(f"{args.attr} needs a volume input")
-    elif args.time_index is None:
+    if (isinstance(obj, SeismicVolume) and kind is not AttributeKind.PHASE_DIP
+            and args.time_index is None):
         raise UsageError(f"--attr {args.attr} needs --time-index")
     return kind
 
@@ -340,16 +341,12 @@ def _cmd_fuse(args) -> None:
 def _cmd_pipeline(args) -> None:
     obj = read_grid(args.grid)
     spec = _fusion_spec(args, args.scales)  # a bad --fuse rank is a usage error first
-    _check_fusion(spec, args.scales)  # weights or a rank that do not fit, before the stack
     kernel = make_kernel(args.sigma, args.radius)
-    kind = _attribute_kind(args, obj)
-    stack = _attribute_layers(
-        obj, kind, args.scales, kernel,
+    fused = _multiscale(
+        obj, _attribute_kind(args, obj), args.scales, kernel, spec, boundary=_f32,
         time_index=args.time_index, velocity=args.velocity,
         p_max=args.pmax, eps_freq=args.eps_freq,
-        boundary=_f32 if kind is AttributeKind.PHASE_DIP else None,
     )
-    fused = _fuse_arrays(stack, spec)
     write_grid(args.out, fused)
     log.info("wrote %s", args.out)
 

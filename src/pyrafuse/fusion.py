@@ -269,6 +269,14 @@ def multiscale_attribute(
         ConfigError get the stage named in the message; any other
         exception escapes unchanged.
     """
+    return _multiscale(data, kind, scales, kernel, fusion, time_index=time_index,
+                       velocity=velocity, p_max=p_max, eps_freq=eps_freq)
+
+
+def _multiscale(data, kind: AttributeKind, scales: int, kernel: GaussianKernel | None,
+                fusion: FusionSpec | None, **attribute) -> AttributeMap:
+    """:func:`multiscale_attribute`, passing ``attribute`` (its attribute
+    keywords, and the CLI's ``boundary``) to :func:`_attribute_layers`."""
     scales = int(scales)
     if scales < 1:
         raise ParameterError(f"scales must be >= 1, got {scales}")
@@ -280,16 +288,7 @@ def multiscale_attribute(
     except PyrafuseError as exc:
         raise type(exc)(f"fusion stage: {exc}") from exc
     try:
-        stack = _attribute_layers(
-            data,
-            kind,
-            scales,
-            kernel,
-            time_index=time_index,
-            velocity=velocity,
-            p_max=p_max,
-            eps_freq=eps_freq,
-        )
+        stack = _attribute_layers(data, kind, scales, kernel, **attribute)
     except ConfigError:
         raise
     except PyrafuseError as exc:

@@ -203,20 +203,16 @@ KIND_UNITS: dict[AttributeKind, Units] = {
     AttributeKind.CURV_NEG: Units.PER_METER,
 }
 
-# Scale tag for a map produced by fusing several scales at base resolution.
-SCALE_FUSED: None = None
-
 
 @dataclass(frozen=True, eq=False)
 class AttributeMap:
     """A 2D attribute map plus everything needed to interpret it.
 
-    ``scale`` is the pyramid level the map came from, or ``None``
-    (:data:`SCALE_FUSED`) for a fused map at base resolution. ``quality``
-    is an optional same-shaped grid of 1.0 (trusted) / 0.0 (guarded)
-    flags; fusion uses it to skip sentinel cells. ``meta`` holds small
-    string pairs that travel into file headers (kernel parameters,
-    fusion method, seeds, ...).
+    ``scale`` is the pyramid level the map came from, or ``None`` for a
+    fused map at base resolution. ``quality`` is an optional same-shaped
+    grid of 1.0 (trusted) / 0.0 (guarded) flags; fusion uses it to skip
+    sentinel cells. ``meta`` holds small string pairs that travel into
+    file headers (kernel parameters, fusion method, seeds, ...).
     """
 
     grid: Grid2

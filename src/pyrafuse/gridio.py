@@ -15,7 +15,9 @@ followed by the raw sample payload:
     <rows * cols (* planes) float32 little-endian samples>
 
 Required keys: magic (first line), rows, cols. Volumes add planes and dy.
-Any other key=value pair round-trips as free-form metadata. The payload is
+Any other key=value pair is free-form metadata: `info` prints every pair,
+and read_grid keeps each non-structural one as the meta of an attribute
+map, but only label of a raw section and none of a volume. The payload is
 stored first-axis-fastest: all rows of column 0, then column 1, ... (for a
 section that makes each trace contiguous; for a volume the time axis varies
 fastest, then x, then y). The data offset is wherever the blank line ends;
@@ -336,7 +338,8 @@ def export_pgm(
     as uniform 128.
 
     Raises:
-        ParameterError: percentiles outside 0 <= lo < hi <= 100.
+        ParameterError: percentiles outside 0 <= lo < hi <= 100, or values
+            whose span overflows float64.
     """
     if not (0.0 <= clip_lo < clip_hi <= 100.0):
         raise ParameterError(
@@ -344,6 +347,9 @@ def export_pgm(
         )
     grid = source.grid if isinstance(source, AttributeMap) else source
     data = grid.data
+    low, high = float(data.min()), float(data.max())
+    if not np.isfinite(high - low):  # Python floats overflow to inf without a warning
+        raise ParameterError(f"values span {low!r} to {high!r}, which overflows float64")
     lo, hi = np.percentile(data, [clip_lo, clip_hi])
     if hi <= lo:
         pixels = np.full(grid.shape, 128, dtype=np.uint8)

@@ -65,6 +65,10 @@ class TestQuadrature:
         with pytest.raises(SizeError):
             hilbert_trace(np.zeros(3))
 
+    def test_rejects_a_trace_that_is_not_1d(self):
+        with pytest.raises(SizeError, match="^expected a 1D trace, got 2D$"):
+            hilbert_trace(np.zeros((4, 4)))
+
 
 class TestAnalyticSection:
     def test_real_part_is_input_and_imag_is_per_trace_quadrature(self):
@@ -81,6 +85,11 @@ class TestAnalyticSection:
         section = SeismicSection(Grid2(rng.standard_normal((32, 4))), dt=0.004, dx=25.0)
         a = analytic_section(section)
         assert np.array_equal(a.envelope_squared(), a.real.data**2 + a.imag.data**2)
+
+    def test_rejects_short_sections(self):
+        section = SeismicSection(Grid2(np.zeros((3, 8))), dt=0.004, dx=25.0)
+        with pytest.raises(SizeError, match="^section needs >= 4 time samples, got 3$"):
+            analytic_section(section)
 
 
 class TestPhaseDerivative:

@@ -339,7 +339,34 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.pfg")]) == 1  # rank needs --rank
         assert main(["pipeline", src, "--fuse", "wmean", "--weights", "1,2,bad",
                      "--out", str(tmp_path / "o.pfg")]) == 1
-        capsys.readouterr()
+        for flag in ("--scales", "--sigma"):
+            assert main(["pipeline", src, flag, "0", "--out", str(tmp_path / "o.pfg")]) == 1
+            assert "expected a positive" in capsys.readouterr().err
+        assert not (tmp_path / "o.pfg").exists()
+
+    def test_pipeline_names_the_fusion_stage(self, tmp_path, caplog):
+        out = tmp_path / "o.pfg"
+        assert main(["pipeline", _synth(tmp_path), "--scales", "3", "--fuse", "rank",
+                     "--rank", "3", "--out", str(out)]) == 1
+        assert "fusion stage: rank 3 outside [0, 2]" in caplog.text
+        assert not out.exists()
+
+    def test_pipeline_names_the_attribute_stage(self, tmp_path, caplog):
+        tiny = _synth(tmp_path, "tiny.pfg", "nt = 8\nnx = 6\nevent = plane, t0=4\n")
+        out = tmp_path / "o.pfg"
+        assert main(["pipeline", tiny, "--scales", "4", "--out", str(out)]) == 2
+        assert ("attribute stage: section 8x6 supports at most 1 dip scale(s), requested 4"
+                in caplog.text)
+        assert not out.exists()
+
+    def test_synth_spec_that_is_not_utf8_exits_one(self, tmp_path, caplog):
+        spec = tmp_path / "bad.spec"
+        head = SPEC_TEXT.encode("ascii") + b"# caf"
+        spec.write_bytes(head + b"\xe9\n")
+        out = tmp_path / "s.pfg"
+        assert main(["synth", str(spec), "--out", str(out)]) == 1
+        assert f"{spec}: not UTF-8 text at byte offset {len(head)}" in caplog.text
+        assert not out.exists()
 
     def test_weight_count_mismatch_exits_one(self, tmp_path):
         src = _synth(tmp_path)
@@ -363,7 +390,7 @@ class TestExitCodes:
         def no_stack(*args, **kwargs):
             raise AssertionError("the dip stack was built before the fusion spec was checked")
 
-        monkeypatch.setattr("pyrafuse.cli._attribute_layers", no_stack)
+        monkeypatch.setattr("pyrafuse.fusion._attribute_layers", no_stack)
         out = str(tmp_path / "o.pfg")
         assert main(["pipeline", src, "--scales", "3", *flags, "--out", out]) == 1
         assert not os.path.exists(out)

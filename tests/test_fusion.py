@@ -134,6 +134,8 @@ class TestWeightedMean:
         with pytest.raises(ParameterError, match="^weights must have a finite sum$"):
             fuse(stack, FusionSpec.weighted((1e308, 1e308)))
         assert fuse(stack, FusionSpec.weighted((1e308, 0.0))).grid.data[0, 0] == 1.0
+        with pytest.raises(ParameterError, match="^weighted-mean fusion needs weights$"):
+            fuse(stack, FusionSpec(FusionMethod.WEIGHTED_MEAN))
 
     def test_default_weights_geometric(self):
         w = default_weights(4, 2.0)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,10 @@ class TestGrid2:
             Grid2(np.zeros(4))
         with pytest.raises(ShapeError):
             Grid2(np.zeros((2, 2, 2)))
+
+    def test_rejects_an_empty_dimension(self):
+        with pytest.raises(ShapeError, match="^grid dimensions must all be >= 1$"):
+            Grid2(np.zeros((0, 3)))
 
     def test_accepts_lists_and_casts_to_float(self):
         grid = Grid2([[1, 2], [3, 4]])
@@ -105,6 +111,22 @@ class TestSeismicVolume:
         assert back.dx == 25.0
         assert back.dy == 12.5  # lateral step carried by the sections
 
+    @pytest.mark.parametrize(
+        "pick, message",
+        [
+            (lambda vol: [], "need at least one section"),
+            (lambda vol: [vol.inline_section(0), vol.crossline_section(0)],
+             "sections disagree in shape or sampling"),
+            (lambda vol: [vol.inline_section(0), replace(vol.inline_section(1), dt=0.002)],
+             "sections disagree in shape or sampling"),
+        ],
+        ids=["none", "shape", "sampling"],
+    )
+    def test_reassemble_refuses_sections_that_do_not_stack(self, pick, message):
+        vol, _ = self._volume()
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            reassemble_volume(pick(vol), dx=25.0)
+
 
 class TestAttributeMap:
     def test_units_follow_kind(self):
@@ -124,6 +146,10 @@ class TestAttributeMap:
         grid = Grid2(np.zeros((4, 4)))
         with pytest.raises(ParameterError):
             AttributeMap(grid, AttributeKind.PHASE_DIP, scale=-1)
+
+    def test_kind_must_be_an_attribute_kind(self):
+        with pytest.raises(ParameterError, match="^kind must be an AttributeKind, got 'dip'$"):
+            AttributeMap(Grid2(np.zeros((4, 4))), "dip")
 
     def test_quality_shape_must_match(self):
         grid = Grid2(np.zeros((4, 4)))

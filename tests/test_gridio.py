@@ -572,6 +572,16 @@ class TestExportPgm:
             export_pgm(Grid2(np.zeros((2, 2))), path, clip_lo=2.0, clip_hi=101.0)
         assert not os.path.exists(path)
 
+    @pytest.mark.parametrize("top", [1.7e308, 1e308])
+    def test_value_span_that_overflows_is_refused(self, tmp_path, top):
+        path = str(tmp_path / "no.pgm")
+        with pytest.raises(ParameterError, match="overflows float64"):
+            export_pgm(Grid2([[-top, 0.0], [1.0, top]]), path, clip_lo=0.0, clip_hi=100.0)
+        assert not os.path.exists(path)
+        # half the span is finite and still renders
+        export_pgm(Grid2([[-top / 2, 0.0], [1.0, top / 2]]), path, clip_lo=0.0, clip_hi=100.0)
+        assert Path(path).read_bytes() == b"P5 2 2 255\n\x00\x80\x80\xff"
+
 
 _FUZZ_HEADER_VALUES = [
     "0", "-1", "1", "2", "3", "12", "99999999999", "x", "", " 2", "nan", "inf", "-0.5",

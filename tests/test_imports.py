@@ -1,8 +1,9 @@
-"""Every name that a package module imports is used in that module.
+"""Every name that a package module imports is used in that module, and
+every name that a module defines is read somewhere.
 
-No linter runs on this code, so this keeps imports left over by a refactor
-out of the source. ``__init__.py`` is skipped: its imports are the public
-API.
+No linter runs on this code, so this keeps imports and definitions left
+over by a refactor out of the source. ``__init__.py`` is skipped for
+imports: its imports are the public API.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import pytest
 
 import pyrafuse
 
-MODULES = sorted(
-    path for path in Path(pyrafuse.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = Path(pyrafuse.__file__).parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# the code that may read a module-level name: the package and its tests
+READERS = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +53,54 @@ def test_unused_imports_are_found():
         "        return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["field", "os", "phase_dip"]
+
+
+def module_names(source: str) -> set[str]:
+    """Functions, classes and assigned names at the top level of ``source``,
+    dunder names excepted."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names that ``source`` reads: as a variable, an attribute or an import."""
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            loaded.update(alias.name for alias in node.names)
+    return loaded
+
+
+def test_every_module_level_name_is_read():
+    loaded = set().union(*(loaded_names(path.read_text(encoding="utf-8")) for path in READERS))
+    unread = {
+        path.name: sorted(module_names(path.read_text(encoding="utf-8")) - loaded)
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_unread_module_level_names_are_found():
+    source = (
+        "import numpy as np\n"
+        "__all__ = ['f']\n"
+        "LIMIT: int = 3\n"
+        "A, B = 1, 2\n"
+        "class Kind:\n"
+        "    pass\n"
+        "def f(x=Kind):\n"
+        "    return np.minimum(x, A)\n"
+        "def _g():\n"
+        "    pass\n"
+    )
+    assert sorted(module_names(source) - loaded_names(source)) == ["B", "LIMIT", "_g", "f"]

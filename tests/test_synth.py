@@ -192,6 +192,8 @@ class TestSpecValidation:
             SynthSpec(nt=4, nx=8, events=(PlaneEvent(t0=2),))
         with pytest.raises(SizeError):
             SynthSpec(nt=64, nx=2, events=(PlaneEvent(t0=2),))
+        with pytest.raises(SizeError, match="^ny must be >= 3 when present, got 2$"):
+            SynthSpec(nt=64, nx=8, ny=2, events=(PlaneEvent(t0=2),))
         with pytest.raises(ParameterError):
             SynthSpec(nt=64, nx=8, events=())
         with pytest.raises(ParameterError):
@@ -225,6 +227,9 @@ class TestSpecValidation:
              r"event 2: amplitude=1e\+308 makes the summed amplitudes out of range"),
             ({"faults": (Fault(trace=2, throw=10**400),)}, "fault throws of 1000"),
             ({"faults": ((8, 2),)}, "unsupported fault type tuple"),
+            ({"snr_db": math.inf}, "snr_db must be finite, got inf"),
+            ({"events": (PlaneEvent(t0=9), Fault(trace=2, throw=1))},
+             "unsupported event type Fault"),
         ],
     )
     def test_fields_that_break_synthesis_are_named(self, kwargs, message):
@@ -249,6 +254,8 @@ class TestSpecValidation:
             ({"events": (PlaneEvent(t0=9),), "snr_db": -5000.0}, "noise level out of range"),
             ({"events": (PlaneEvent(t0=9, amplitude=1e150),), "snr_db": -3000.0},
              "noise level out of range"),
+            ({"events": (PlaneEvent(t0=9, amplitude=0.0),), "snr_db": 10.0},
+             "cannot set an SNR for an all-zero signal"),
         ],
     )
     def test_noise_out_of_range_is_a_parameter_error(self, kwargs, message):
@@ -310,6 +317,19 @@ class TestSpecGrammar:
         with pytest.raises(ParameterError) as err:
             parse_synth_spec("nt = 64\nnx = 16\nevent = plane, sx=0.5")
         assert "t0" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("event = plane, , t0", "line 3: expected name=value, got 't0'"),
+            ("fault = 1, 2, 3", "line 3: fault needs 'trace, throw', got '1, 2, 3'"),
+        ],
+        ids=["event-field", "fault-fields"],
+    )
+    def test_malformed_field_lists(self, line, message):
+        with pytest.raises(ParameterError) as err:
+            parse_synth_spec(f"nt = 64\nnx = 16\n{line}")
+        assert str(err.value) == message
 
 
 _SPEC_LINES = (
