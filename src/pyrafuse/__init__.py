@@ -13,25 +13,7 @@ Typical use::
 
 from __future__ import annotations
 
-from .analytic import (
-    AnalyticSection,
-    Axis,
-    analytic_section,
-    guard_mask,
-    hilbert_trace,
-    phase_derivative,
-)
-from .attributes import (
-    AttributeStack,
-    CurvaturePair,
-    DipField,
-    attribute_stack,
-    curvature,
-    dip_angle,
-    dip_slice_fields,
-    dip_stack,
-    phase_dip,
-)
+from .attributes import AttributeStack, attribute_stack, dip_stack, phase_dip
 from .errors import (
     BoundsError,
     ConfigError,
@@ -83,30 +65,26 @@ from .synth import (
     ricker,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "AnalyticSection",
     "AttributeKind",
     "AttributeMap",
     "AttributeStack",
-    "Axis",
     "BoundsError",
     "ConfigError",
-    "CurvaturePair",
-    "DipField",
     "Fault",
     "FormatError",
     "FusionMethod",
     "FusionSpec",
     "GaussianKernel",
-    "GroundTruth",
     "Grid2",
+    "GroundTruth",
     "NoiseDemoReport",
     "ParameterError",
     "PlaneEvent",
-    "Pyramid",
     "PyrafuseError",
+    "Pyramid",
     "QuadraticEvent",
     "SegyImportOptions",
     "SeismicSection",
@@ -116,32 +94,25 @@ __all__ = [
     "SynthSpec",
     "Units",
     "UnsupportedFormatError",
-    "analytic_section",
     "attribute_stack",
     "build_pyramid",
-    "curvature",
     "decode_ibm32",
     "default_weights",
     "derivative_noise_demo",
     "describe_grid",
-    "dip_angle",
-    "dip_slice_fields",
     "dip_stack",
     "encode_ibm32",
     "expand_to",
     "export_pgm",
     "fuse",
     "gaussian_samples",
-    "guard_mask",
-    "hilbert_trace",
     "make_kernel",
     "make_synthetic",
     "max_scales",
     "multiscale_attribute",
-    "parse_synth_spec",
-    "phase_derivative",
-    "phase_dip",
     "parse_header",
+    "parse_synth_spec",
+    "phase_dip",
     "read_grid",
     "read_segy",
     "reassemble_volume",

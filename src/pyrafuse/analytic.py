@@ -11,29 +11,16 @@ Phase derivatives never touch atan2: with z = f + i h,
 
 which is branch-cut free. Differences are 2nd-order central in the interior
 and one-sided 2-point at the edges. Cells whose squared envelope falls at or
-below 1e-10 times the section maximum are zeroed and flagged in the guard
-mask: the quotient is meaningless there, not small.
+below 1e-10 times the section maximum are zeroed and untrusted: the quotient
+is meaningless there, not small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
-
-from .errors import SizeError
-from .grid import Grid2, SeismicSection
 
 # Relative envelope-squared floor below which the phase quotient is guarded.
 ENVELOPE_GUARD_REL = 1e-10
-
-_MIN_TRACE_LEN = 4
-
-
-class Axis(Enum):
-    TIME = 0
-    TRACE = 1
 
 
 def _quadrature(values: np.ndarray, axis: int) -> np.ndarray:
@@ -47,91 +34,6 @@ def _quadrature(values: np.ndarray, axis: int) -> np.ndarray:
     shape[axis] = -1
     spectrum *= mult.reshape(shape)
     return np.fft.irfft(spectrum, n=n, axis=axis)
-
-
-def hilbert_trace(trace) -> np.ndarray:
-    """Quadrature (90-degree phase-shifted) version of a single trace.
-
-    Raises:
-        SizeError: fewer than 4 samples.
-    """
-    x = np.asarray(trace, dtype=np.float64)
-    if x.ndim != 1:
-        raise SizeError(f"expected a 1D trace, got {x.ndim}D")
-    if x.size < _MIN_TRACE_LEN:
-        raise SizeError(f"trace needs >= {_MIN_TRACE_LEN} samples, got {x.size}")
-    return _quadrature(x, axis=0)
-
-
-@dataclass(frozen=True, eq=False)
-class AnalyticSection:
-    """Real and quadrature parts of a section, with its sampling metadata."""
-
-    real: Grid2
-    imag: Grid2
-    dt: float
-    dx: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.real.shape
-
-    def envelope_squared(self) -> np.ndarray:
-        return _envelope_squared(self.real.data, self.imag.data)
-
-
-def _envelope_squared(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    env2 = f * f
-    env2 += h * h
-    return env2
-
-
-def analytic_section(section: SeismicSection) -> AnalyticSection:
-    """Per-trace quadrature of every column of the section.
-
-    Raises:
-        SizeError: fewer than 4 time samples.
-    """
-    data = section.grid.data
-    if data.shape[0] < _MIN_TRACE_LEN:
-        raise SizeError(
-            f"section needs >= {_MIN_TRACE_LEN} time samples, got {data.shape[0]}"
-        )
-    return AnalyticSection(
-        real=section.grid,
-        imag=Grid2(_quadrature(data, axis=0)),
-        dt=section.dt,
-        dx=section.dx,
-    )
-
-
-def guard_mask(a: AnalyticSection) -> np.ndarray:
-    """Boolean mask, True where the phase quotient is trustworthy."""
-    return _guarded_envelope(a.real.data, a.imag.data)[1]
-
-
-def phase_derivative(a: AnalyticSection, axis: Axis) -> Grid2:
-    """Instantaneous phase derivative along time or trace, rad/sample.
-
-    Guarded cells (see :func:`guard_mask`) are set to 0.
-
-    Raises:
-        SizeError: fewer than 3 points along the requested axis.
-    """
-    ax = axis.value
-    if a.shape[ax] < 3:
-        raise SizeError(
-            f"need >= 3 points along {axis.name.lower()} for central differences, "
-            f"got {a.shape[ax]}"
-        )
-    f, h = a.real.data, a.imag.data
-    return Grid2(_phase_derivative_band(f, h, *_guarded_envelope(f, h), ax))
-
-
-def _guarded_envelope(f: np.ndarray, h: np.ndarray):
-    """f^2 + h^2 of a whole section and its trust mask, for both derivatives."""
-    env2 = _envelope_squared(f, h)
-    return env2, _trusted(env2, env2.max())
 
 
 def _trusted(env2: np.ndarray, env2_max) -> np.ndarray:

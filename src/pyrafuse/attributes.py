@@ -44,7 +44,6 @@ from .grid import (
     SeismicSection,
     SeismicVolume,
     _check_finite,
-    _check_interval,
 )
 from .pyramid import (
     GaussianKernel,
@@ -127,45 +126,32 @@ def _dip_quotient(
     return dip, ok
 
 
-@dataclass(frozen=True, eq=False)
-class DipField:
-    """Inline dip p (and crossline dip q for volumes) on one lateral lattice.
-
-    For time-slice fields the grid rows index x and the columns index y.
-    ``quality`` is 1.0 where both dips are trusted.
-    """
-
-    p: Grid2
-    q: Grid2 | None
-    dt: float
-    dx: float
-    dy: float | None = None
-    quality: Grid2 | None = None
-
-    def __post_init__(self):
-        if self.q is not None and self.q.shape != self.p.shape:
-            raise ShapeError(f"q shape {self.q.shape} != p shape {self.p.shape}")
-        if self.quality is not None and self.quality.shape != self.p.shape:
-            raise ShapeError("quality shape differs from dip shape")
-        object.__setattr__(self, "dt", _check_interval("dt", self.dt))
-        object.__setattr__(self, "dx", _check_interval("dx", self.dx))
-        if self.dy is not None:
-            object.__setattr__(self, "dy", _check_interval("dy", self.dy))
-
-
 def _time_dip_meta(velocity: float) -> dict[str, str]:
     return {"velocity": repr(float(velocity)), "convention": "time-dip"}
 
 
 def _dip_angle_values(p, q, dt: float, dx: float, dy: float, velocity: float) -> np.ndarray:
-    """:func:`dip_angle` per cell, over any leading axes. Keep p and q
-    C-contiguous: numpy's arctan may round other layouts differently."""
+    """Dip angle in radians, in [0, pi/2), per cell over any leading axes.
+
+    angle = atan(hypot(s_x, s_y)) with the physical slopes
+    s_x = p * (v * dt / 2) / dx and s_y = q * (v * dt / 2) / dy. Keep p and
+    q C-contiguous: numpy's arctan may round other layouts differently.
+    """
     half_step = velocity * dt / 2.0
     return np.arctan(np.hypot(p * (half_step / dx), q * (half_step / dy)))
 
 
 def _curvatures(p, q, dt: float, dx: float, dy: float, velocity: float):
-    """(a + b, hypot(a - b, c)) of :func:`curvature`, on the last two axes (x, y)."""
+    """(a + b, hypot(a - b, c)) of a dip field, on the last two axes (x, y).
+
+    With the physical slopes s_x, s_y of :func:`_dip_angle_values`:
+
+        a = (1/2) ds_x/dx,  b = (1/2) ds_y/dy,
+        c = (1/2) (ds_x/dy + ds_y/dx),
+        k_pos/k_neg = (a + b) +/- hypot(a - b, c)
+
+    so k_pos >= k_neg everywhere; both are in 1/m.
+    """
     half_step = velocity * dt / 2.0
     s_x = p * (half_step / dx)
     s_y = q * (half_step / dy)
@@ -181,90 +167,6 @@ def _curvatures(p, q, dt: float, dx: float, dy: float, velocity: float):
     del s_y
     c *= 0.5
     return a + b, np.hypot(a - b, c)
-
-
-def dip_angle(
-    p: AttributeMap,
-    q: AttributeMap,
-    dt: float,
-    dx: float,
-    dy: float,
-    velocity: float = VELOCITY_DEFAULT,
-) -> AttributeMap:
-    """Combine inline and crossline dip into an angle map (radians).
-
-    angle = atan(sqrt(s_x^2 + s_y^2)) with s_x = p*(v*dt/2)/dx and
-    s_y = q*(v*dt/2)/dy. Output is in [0, pi/2).
-
-    Raises:
-        ShapeError: p and q dims differ.
-        ParameterError: inputs are not dip maps, velocity <= 0, or dt, dx
-            or dy not a positive finite number.
-    """
-    if p.kind is not AttributeKind.PHASE_DIP or q.kind is not AttributeKind.PHASE_DIP:
-        raise ParameterError("dip_angle expects two phase-dip maps")
-    if p.grid.shape != q.grid.shape:
-        raise ShapeError(f"p dims {p.grid.shape} != q dims {q.grid.shape}")
-    _check_velocity(velocity)
-    dt, dx, dy = (_check_interval(*step) for step in (("dt", dt), ("dx", dx), ("dy", dy)))
-    angle = _dip_angle_values(p.grid.data, q.grid.data, dt, dx, dy, velocity)
-    if p.quality is not None and q.quality is not None:
-        quality = Grid2(np.minimum(p.quality.data, q.quality.data))
-    else:
-        quality = p.quality or q.quality
-    return AttributeMap(
-        grid=Grid2(angle),
-        kind=AttributeKind.DIP_ANGLE,
-        scale=p.scale if p.scale == q.scale else None,
-        dt=dt,
-        dx=dx,
-        dy=dy,
-        quality=quality,
-        meta=_time_dip_meta(velocity),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class CurvaturePair:
-    k_pos: AttributeMap
-    k_neg: AttributeMap
-
-
-def curvature(dips: DipField, velocity: float = VELOCITY_DEFAULT) -> CurvaturePair:
-    """Most-positive / most-negative curvature of a time-slice dip field.
-
-    With physical slopes s_x, s_y (same convention as :func:`dip_angle`):
-
-        a = (1/2) ds_x/dx,  b = (1/2) ds_y/dy,
-        c = (1/2) (ds_x/dy + ds_y/dx),
-        k_pos/k_neg = (a + b) +/- sqrt((a - b)^2 + c^2)
-
-    so k_pos >= k_neg everywhere; units are 1/m.
-
-    Raises:
-        ConfigError: no crossline dip (section-derived field).
-        SizeError: lattice smaller than 3x3.
-    """
-    if dips.q is None:
-        raise ConfigError("curvature needs a volume-derived dip field (crossline dip missing)")
-    if dips.dy is None:
-        raise ConfigError("curvature needs the crossline interval dy")
-    rows, cols = dips.p.shape
-    if rows < 3 or cols < 3:
-        raise SizeError(f"curvature needs at least a 3x3 lattice, got {rows}x{cols}")
-    _check_velocity(velocity)
-    mean2, fold = _curvatures(dips.p.data, dips.q.data, dips.dt, dips.dx, dips.dy, velocity)
-    common = dict(
-        dt=dips.dt,
-        dx=dips.dx,
-        dy=dips.dy,
-        quality=dips.quality,
-        meta=_time_dip_meta(velocity),
-    )
-    return CurvaturePair(
-        k_pos=AttributeMap(Grid2(mean2 + fold), AttributeKind.CURV_POS, **common),
-        k_neg=AttributeMap(Grid2(mean2 - fold), AttributeKind.CURV_NEG, **common),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,7 +367,7 @@ def _dip_rows(
         batch = slice(k, k + len(f))
         fh[0, :, batch] = f[:, band].swapaxes(0, 1)
         fh[1, :, batch] = h[:, band].swapaxes(0, 1)
-        # f^2 + h^2 in the order _envelope_squared uses, squaring h in place
+        # f^2 + h^2 as f * f, then h * h added to it, squaring h in place
         env2 = f * f
         env2 += np.square(h, out=h)
         env2_max[batch, 0] = env2.max(axis=(1, 2))
@@ -562,35 +464,6 @@ def dip_stack(
     )
 
 
-def dip_slice_fields(
-    volume: SeismicVolume,
-    t_index: int,
-    scales: int,
-    kernel: GaussianKernel | None = None,
-    *,
-    p_max: float = P_MAX_DEFAULT,
-    eps_freq: float = EPS_FREQ_DEFAULT,
-) -> list[DipField]:
-    """Per-scale inline+crossline dip fields at one time slice.
-
-    Row ``t_index`` of the expanded dip stack of each fixed-y section fills
-    column y of ``p``; that of each fixed-x section fills row x of ``q``.
-
-    Raises:
-        ConfigError: ``volume`` is not a SeismicVolume.
-        BoundsError: t_index outside the volume.
-        ParameterError: scales < 1, or p_max or eps_freq not positive.
-        SizeError: either orientation's sections (nt x nx or nt x ny)
-            cannot support ``scales`` dip scales; checked before any work.
-    """
-    kernel = kernel if kernel is not None else make_kernel()
-    p, q, ok = _slice_dips(volume, t_index, scales, kernel, p_max, eps_freq)
-    return [
-        DipField(Grid2(p_i), Grid2(q_i), volume.dt, volume.dx, volume.dy, quality=Grid2(ok_i))
-        for p_i, q_i, ok_i in zip(p, q, ok)
-    ]
-
-
 def _slice_dips(
     volume: SeismicVolume,
     t: int,
@@ -599,10 +472,18 @@ def _slice_dips(
     p_max: float,
     eps_freq: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`dip_slice_fields` as C-contiguous (scales, nx, ny) arrays p and
-    q, and where both are trusted."""
-    if not isinstance(volume, SeismicVolume):
-        raise ConfigError(f"dip slice fields need a volume, got a {type(volume).__name__}")
+    """Per-scale inline dip p and crossline dip q at time slice ``t``, and
+    where both are trusted, as C-contiguous (scales, nx, ny) arrays.
+
+    Row ``t`` of the expanded dip stack of each fixed-y section fills
+    column y of ``p``; that of each fixed-x section fills row x of ``q``.
+
+    Raises:
+        BoundsError: t outside the volume.
+        ParameterError: scales < 1, or p_max or eps_freq not positive.
+        SizeError: either orientation's sections (nt x nx or nt x ny)
+            cannot support ``scales`` dip scales; checked before any work.
+    """
     t = int(t)
     if t < 0 or t >= volume.nt:
         raise BoundsError(f"time index {t} outside [0, {volume.nt - 1}]")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -279,17 +280,27 @@ def _attribute_kind(args, obj) -> AttributeKind:
     return kind
 
 
+@contextmanager
+def _naming_input(path: str):
+    """Prefix the library's refusal of a kind/input combination with ``path``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _cmd_attr(args) -> None:
     obj = read_grid(args.grid)
     kind = _attribute_kind(args, obj)
-    if kind is AttributeKind.PHASE_DIP:
-        m = phase_dip(obj, p_max=args.pmax, eps_freq=args.eps_freq)
-    else:
-        m = attribute_stack(
-            obj, kind, 1, None,  # one scale: the kernel never runs
-            time_index=args.time_index, velocity=args.velocity,
-            p_max=args.pmax, eps_freq=args.eps_freq,
-        ).maps[0]
+    with _naming_input(args.grid):
+        if kind is AttributeKind.PHASE_DIP:
+            m = phase_dip(obj, p_max=args.pmax, eps_freq=args.eps_freq)
+        else:
+            m = attribute_stack(
+                obj, kind, 1, None,  # one scale: the kernel never runs
+                time_index=args.time_index, velocity=args.velocity,
+                p_max=args.pmax, eps_freq=args.eps_freq,
+            ).maps[0]
     write_grid(args.out, m)
     log.info("wrote %s", args.out)
     if args.quality_out:
@@ -342,11 +353,12 @@ def _cmd_pipeline(args) -> None:
     obj = read_grid(args.grid)
     spec = _fusion_spec(args, args.scales)  # a bad --fuse rank is a usage error first
     kernel = make_kernel(args.sigma, args.radius)
-    fused = _multiscale(
-        obj, _attribute_kind(args, obj), args.scales, kernel, spec, boundary=_f32,
-        time_index=args.time_index, velocity=args.velocity,
-        p_max=args.pmax, eps_freq=args.eps_freq,
-    )
+    with _naming_input(args.grid):
+        fused = _multiscale(
+            obj, _attribute_kind(args, obj), args.scales, kernel, spec, boundary=_f32,
+            time_index=args.time_index, velocity=args.velocity,
+            p_max=args.pmax, eps_freq=args.eps_freq,
+        )
     write_grid(args.out, fused)
     log.info("wrote %s", args.out)
 

@@ -24,6 +24,11 @@ import numpy as np
 from .errors import ParameterError, SizeError
 from .grid import Grid2
 
+# Largest kernel half-width accepted. The sample table is (2r+1)^2 float64,
+# 33.6 MB at r = 1024, and is built before any grid is seen, so a larger
+# radius is refused before anything is allocated.
+MAX_RADIUS = 1024
+
 
 def gaussian_samples(sigma: float, radius: int) -> np.ndarray:
     """Unnormalized Gaussian lattice samples on [-radius, radius]^2.
@@ -39,6 +44,8 @@ def gaussian_samples(sigma: float, radius: int) -> np.ndarray:
         raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
     if radius < 1:
         raise ParameterError(f"radius must be >= 1, got {radius}")
+    if radius > MAX_RADIUS:
+        raise ParameterError(f"radius must be <= {MAX_RADIUS}, got {radius}")
     coords = np.arange(-radius, radius + 1, dtype=np.float64)
     sq = coords[:, None] ** 2 + coords[None, :] ** 2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -95,8 +102,9 @@ def make_kernel(sigma: float = 1.0, radius: int = 2) -> GaussianKernel:
             ``2 * radius + 1`` per axis.
 
     Raises:
-        ParameterError: sigma <= 0, non-finite, or radius < 1; or sigma
-            so small or large that :func:`gaussian_samples` refuses it.
+        ParameterError: sigma <= 0, non-finite, or radius outside
+            [1, MAX_RADIUS]; or sigma so small or large that
+            :func:`gaussian_samples` refuses it.
     """
     gaussian_samples(sigma, radius)  # validates the parameter domain
     taps = _unit_sum_taps(sigma, radius)

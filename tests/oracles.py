@@ -16,9 +16,10 @@ kernels as they were before fusion used a sorting network and expansion
 worked in place; ``np.sort`` is not stable, so the two sort oracles agree
 with the package by value, while the Python ``sorted`` oracles agree bit
 for bit. The exceptions are :func:`phase_dip_reference`, which states
-single-scale phase dip as the package's public analytic stages (analytic
-section, phase derivative along time, then trace) followed by the dip
-quotient written out; :func:`dip_stack_reference`, which reduces a section
+single-scale phase dip stage by stage in numpy, in the package's operation
+order: the quadrature of :func:`quadrature_fft`, the squared envelope and
+its relative guard, the phase derivatives along time and trace, and the
+dip quotient; :func:`dip_stack_reference`, which reduces a section
 one level at a time with the public ``reduce_grid``, takes each level's
 :func:`phase_dip_reference` and expands it with ``expand_to``; and
 :func:`dip_slice_reference`, which takes time slices of that. The package's
@@ -38,7 +39,6 @@ import numpy as np
 
 from pyrafuse import (
     AttributeKind,
-    Axis,
     FormatError,
     Grid2,
     ParameterError,
@@ -46,10 +46,8 @@ from pyrafuse import (
     SeismicSection,
     SeismicVolume,
     UnsupportedFormatError,
-    analytic_section,
     expand_to,
     make_kernel,
-    phase_derivative,
     reduce_grid,
 )
 from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT, VELOCITY_DEFAULT
@@ -288,20 +286,57 @@ def interp_axis_reference(values: np.ndarray, target: int, axis: int) -> np.ndar
     return np.moveaxis(out, 0, axis)
 
 
+# f^2 + h^2 at or below this fraction of its section maximum is untrusted.
+ENVELOPE_GUARD_REL = 1e-10
+
+
+def quadrature_fft(values: np.ndarray) -> np.ndarray:
+    """Quadrature of every trace (axis 0) of ``values``, by FFT.
+
+    The positive-frequency bins are multiplied by -i, the DC bin and the
+    Nyquist bin of an even length by 0, and the spectrum is transformed
+    back: the same steps, in the same order, as the package.
+    """
+    n = values.shape[0]
+    mult = np.full(n // 2 + 1, -1j)
+    mult[0] = 0.0
+    if n % 2 == 0:
+        mult[-1] = 0.0
+    spectrum = np.fft.rfft(values, axis=0)
+    spectrum *= mult.reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.fft.irfft(spectrum, n=n, axis=0)
+
+
 def phase_dip_reference(
     section,
     *,
     p_max: float = P_MAX_DEFAULT,
     eps_freq: float = EPS_FREQ_DEFAULT,
 ):
-    """(dip, quality) of a section from the public analytic stages.
+    """(dip, quality) of a section, stage by stage.
 
-    The dip is -d_trace/d_time where |d_time| >= eps_freq, clipped to
-    [-p_max, p_max], and 0 with quality 0 elsewhere.
+    With f the section and h its :func:`quadrature_fft`, the squared
+    envelope is f*f + h*h, trusted where above ``ENVELOPE_GUARD_REL`` times
+    its maximum. The phase derivative along an axis is
+    (f*dh - h*df)/(f*f + h*h) from ``np.gradient`` differences (one-sided
+    at the edges), 0 where untrusted. The dip is -d_trace/d_time where
+    |d_time| >= eps_freq, clipped to [-p_max, p_max], and 0 with quality 0
+    elsewhere.
     """
-    a = analytic_section(section)
-    d_time = phase_derivative(a, Axis.TIME).data
-    d_trace = phase_derivative(a, Axis.TRACE).data
+    f = section.grid.data
+    h = quadrature_fft(f)
+    env2 = f * f + h * h
+    trusted = env2 > ENVELOPE_GUARD_REL * env2.max()
+
+    def derivative(axis: int) -> np.ndarray:
+        num = (f * np.gradient(h, axis=axis, edge_order=1)
+               - h * np.gradient(f, axis=axis, edge_order=1))
+        out = np.zeros(num.shape)
+        out[trusted] = num[trusted] / env2[trusted]
+        return out
+
+    d_time = derivative(0)
+    d_trace = derivative(1)
     ok = np.abs(d_time) >= eps_freq
     dip = np.zeros(d_time.shape)
     dip[ok] = -(d_trace[ok] / d_time[ok])

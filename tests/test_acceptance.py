@@ -20,7 +20,6 @@ from pyrafuse import (
     AttributeKind,
     AttributeMap,
     AttributeStack,
-    DipField,
     FusionMethod,
     FusionSpec,
     Grid2,
@@ -30,19 +29,19 @@ from pyrafuse import (
     SynthSpec,
     attribute_stack,
     build_pyramid,
-    curvature,
     decode_ibm32,
     derivative_noise_demo,
     dip_stack,
     encode_ibm32,
     fuse,
     gaussian_samples,
-    hilbert_trace,
     make_kernel,
     make_synthetic,
     multiscale_attribute,
     reduce_grid,
 )
+from pyrafuse.analytic import _quadrature
+from pyrafuse.attributes import VELOCITY_DEFAULT, _curvatures
 from pyrafuse.cli import main as cli_main
 
 
@@ -167,7 +166,7 @@ class TestAcceptance:
         worst_pair = 0.0
         for k in (1, 2, 3, 7, 31, 100, 127):
             w = 2.0 * math.pi * k / n
-            err = np.max(np.abs(hilbert_trace(np.cos(w * t)) - np.sin(w * t)))
+            err = np.max(np.abs(_quadrature(np.cos(w * t), axis=0) - np.sin(w * t)))
             worst_pair = max(worst_pair, float(err))
         rng = np.random.default_rng(1)
         trace = rng.standard_normal(n)
@@ -175,7 +174,7 @@ class TestAcceptance:
         spectrum[0] = 0.0
         spectrum[-1] = 0.0  # even n: Nyquist bin is real and not recoverable
         band = np.fft.irfft(spectrum, n)
-        twice = hilbert_trace(hilbert_trace(trace))
+        twice = _quadrature(_quadrature(trace, axis=0), axis=0)
         worst_double = float(np.max(np.abs(twice - (-band))))
         ok = worst_pair < 1e-9 and worst_double < 1e-9
         _report(capsys, "A04 quadrature-identities", ok,
@@ -276,15 +275,12 @@ class TestAcceptance:
         assert tie_ok
 
     def test_a08_curvature_calibration(self, capsys):
-        flat = curvature(DipField(
-            p=Grid2(np.full((50, 40), 0.3)),
-            q=Grid2(np.full((50, 40), -0.2)),
-            dt=0.004, dx=25.0, dy=25.0,
-        ))
-        flat_worst = max(
-            float(np.max(np.abs(flat.k_pos.grid.data))),
-            float(np.max(np.abs(flat.k_neg.grid.data))),
-        )
+        def k_pos_neg(p, q):
+            mean2, fold = _curvatures(p, q, 0.004, 25.0, 25.0, VELOCITY_DEFAULT)
+            return mean2 + fold, mean2 - fold
+
+        flat_pos, flat_neg = k_pos_neg(np.full((50, 40), 0.3), np.full((50, 40), -0.2))
+        flat_worst = max(float(np.max(np.abs(flat_pos))), float(np.max(np.abs(flat_neg))))
 
         # In-band wavelet (2.5 Hz at 4 ms) so the check measures the
         # curvature math, not the dip estimator's carrier bias.
@@ -307,12 +303,8 @@ class TestAcceptance:
         rng = np.random.default_rng(3)
         ordered = True
         for _ in range(20):
-            pair = curvature(DipField(
-                p=Grid2(rng.standard_normal((12, 10))),
-                q=Grid2(rng.standard_normal((12, 10))),
-                dt=0.004, dx=25.0, dy=25.0,
-            ))
-            ordered &= bool(np.all(pair.k_pos.grid.data >= pair.k_neg.grid.data))
+            pos, neg = k_pos_neg(rng.standard_normal((12, 10)), rng.standard_normal((12, 10)))
+            ordered &= bool(np.all(pos >= neg))
 
         ok = flat_worst < 1e-8 and rel <= 0.05 and neg_worst <= 1e-6 and ordered
         _report(capsys, "A08 curvature-calibration", ok,

@@ -23,7 +23,6 @@ from pyrafuse import (
     AttributeStack,
     BoundsError,
     ConfigError,
-    DipField,
     Grid2,
     ParameterError,
     QuadraticEvent,
@@ -32,20 +31,22 @@ from pyrafuse import (
     ShapeError,
     SizeError,
     SynthSpec,
-    analytic_section,
     attribute_stack,
-    curvature,
-    dip_angle,
-    dip_slice_fields,
     dip_stack,
-    guard_mask,
     make_kernel,
     make_synthetic,
     multiscale_attribute,
     phase_dip,
 )
 from pyrafuse import attributes
-from pyrafuse.attributes import VELOCITY_DEFAULT
+from pyrafuse.analytic import _quadrature, _trusted
+from pyrafuse.attributes import (
+    EPS_FREQ_DEFAULT,
+    P_MAX_DEFAULT,
+    VELOCITY_DEFAULT,
+    _curvatures,
+    _dip_angle_values,
+)
 from pyrafuse.cli import _f32
 
 
@@ -55,6 +56,22 @@ def _plane_wave_section(n=128, m=48, k=6, p=0.5, dt=0.004, dx=25.0):
     t = np.arange(n, dtype=np.float64)[:, None]
     x = np.arange(m, dtype=np.float64)[None, :]
     return SeismicSection(Grid2(np.cos(w * (t - p * x))), dt=dt, dx=dx), w
+
+
+def _guard_fires(section) -> bool:
+    """Whether the envelope guard leaves some cell of ``section`` untrusted."""
+    f = section.grid.data
+    h = _quadrature(f, axis=0)
+    env2 = f * f + h * h
+    return not _trusted(env2, env2.max()).all()
+
+
+def _slice_fields(vol, t, scales, kernel=None, *, p_max=P_MAX_DEFAULT, eps_freq=EPS_FREQ_DEFAULT):
+    """Per scale, the inline dip p, crossline dip q and 0/1 quality of
+    ``_slice_dips`` at time slice ``t``."""
+    kernel = kernel if kernel is not None else make_kernel()
+    p, q, ok = attributes._slice_dips(vol, t, scales, kernel, p_max, eps_freq)
+    return list(zip(p, q, ok.astype(np.float64)))
 
 
 class TestPhaseDip:
@@ -127,7 +144,7 @@ class TestPhaseDip:
             data = np.random.default_rng(shape[0] * shape[1]).standard_normal(shape)
         section = SeismicSection(Grid2(data), dt=0.004, dx=25.0)
         if case == "guard":
-            assert not guard_mask(analytic_section(section)).all()
+            assert _guard_fires(section)
         kw = {"p_max": 0.5, "eps_freq": 0.05} if case == "clamp" else {}
         m = phase_dip(section, scale=1, **kw)
         dip, quality = phase_dip_reference(section, **kw)
@@ -146,73 +163,49 @@ class TestPhaseDip:
 
 
 class TestDipAngle:
-    def _maps(self, p_val, q_val, shape=(6, 5)):
-        p = AttributeMap(Grid2(np.full(shape, p_val)), AttributeKind.PHASE_DIP, scale=1)
-        q = AttributeMap(Grid2(np.full(shape, q_val)), AttributeKind.PHASE_DIP, scale=1)
-        return p, q
-
     def test_matches_closed_form(self):
-        p, q = self._maps(0.5, -0.25)
-        out = dip_angle(p, q, dt=0.004, dx=25.0, dy=12.5, velocity=2000.0)
+        p, q = np.full((6, 5), 0.5), np.full((6, 5), -0.25)
+        out = _dip_angle_values(p, q, dt=0.004, dx=25.0, dy=12.5, velocity=2000.0)
         s_x = 0.5 * (2000.0 * 0.004 / 2.0) / 25.0
         s_y = -0.25 * (2000.0 * 0.004 / 2.0) / 12.5
         want = math.atan(math.hypot(s_x, s_y))
-        assert np.allclose(out.grid.data, want, atol=1e-12)
-        assert out.kind is AttributeKind.DIP_ANGLE
+        assert np.allclose(out, want, atol=1e-12)
 
     def test_flat_gives_zero_angle(self):
-        p, q = self._maps(0.0, 0.0)
-        out = dip_angle(p, q, dt=0.004, dx=25.0, dy=25.0)
-        assert np.array_equal(out.grid.data, np.zeros((6, 5)))
+        flat = np.zeros((6, 5))
+        out = _dip_angle_values(flat, flat, 0.004, 25.0, 25.0, VELOCITY_DEFAULT)
+        assert np.array_equal(out, np.zeros((6, 5)))
 
     def test_angle_is_bounded_below_right_angle(self):
-        p, q = self._maps(100.0, 100.0)
-        out = dip_angle(p, q, dt=0.004, dx=25.0, dy=25.0)
-        assert np.max(out.grid.data) < math.pi / 2.0
+        steep = np.full((6, 5), 100.0)
+        out = _dip_angle_values(steep, steep, 0.004, 25.0, 25.0, VELOCITY_DEFAULT)
+        assert np.max(out) < math.pi / 2.0
 
     def test_records_convention_metadata(self):
-        p, q = self._maps(0.1, 0.2)
-        out = dip_angle(p, q, dt=0.004, dx=25.0, dy=25.0, velocity=1500.0)
+        vol, _ = _plane_wave_volume(nt=32, nx=12, ny=10)
+        out = attribute_stack(vol, AttributeKind.DIP_ANGLE, 1, time_index=4, velocity=1500.0)
         assert out.meta["velocity"] == repr(1500.0)
         assert out.meta["convention"] == "time-dip"
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
     @pytest.mark.parametrize("name", ["dt", "dx", "dy"])
     def test_rejects_bad_intervals(self, name, value):
-        p, q = self._maps(0.1, 0.2)
+        # the angle's intervals are the volume's, which refuses bad ones
         steps = {"dt": 0.004, "dx": 25.0, "dy": 25.0, name: value}
         with pytest.raises(ParameterError, match=f"{name} must be a positive finite number"):
-            dip_angle(p, q, **steps)
-
-    def test_quality_is_the_minimum_of_both_masks(self):
-        p, q = self._maps(0.1, 0.2, shape=(2, 3))
-        p = AttributeMap(p.grid, p.kind, quality=Grid2([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
-        q = AttributeMap(q.grid, q.kind, quality=Grid2([[1.0, 1.0, 0.0], [0.0, 0.5, 1.0]]))
-        out = dip_angle(p, q, dt=0.004, dx=25.0, dy=25.0)
-        assert np.array_equal(out.quality.data, [[1.0, 0.0, 0.0], [0.0, 0.5, 1.0]])
-
-    def test_rejects_wrong_kinds_and_shapes(self):
-        p, q = self._maps(0.1, 0.2)
-        raw = AttributeMap(Grid2(np.zeros((6, 5))), AttributeKind.RAW)
-        with pytest.raises(ParameterError):
-            dip_angle(p, raw, dt=0.004, dx=25.0, dy=25.0)
-        small = AttributeMap(Grid2(np.zeros((3, 3))), AttributeKind.PHASE_DIP)
-        with pytest.raises(ShapeError):
-            dip_angle(p, small, dt=0.004, dx=25.0, dy=25.0)
+            SeismicVolume(np.zeros((8, 6, 5)), **steps)
 
 
 class TestCurvature:
+    @staticmethod
+    def _k(p, q, dx=25.0, dy=25.0, velocity=VELOCITY_DEFAULT):
+        mean2, fold = _curvatures(p, q, 0.004, dx, dy, velocity)
+        return mean2 + fold, mean2 - fold
+
     def test_constant_dip_field_has_exactly_zero_curvature(self):
-        field = DipField(
-            Grid2(np.full((8, 7), 0.3)),
-            Grid2(np.full((8, 7), -0.2)),
-            dt=0.004,
-            dx=25.0,
-            dy=12.5,
-        )
-        pair = curvature(field)
-        assert np.array_equal(pair.k_pos.grid.data, np.zeros((8, 7)))
-        assert np.array_equal(pair.k_neg.grid.data, np.zeros((8, 7)))
+        k_pos, k_neg = self._k(np.full((8, 7), 0.3), np.full((8, 7), -0.2), dy=12.5)
+        assert np.array_equal(k_pos, np.zeros((8, 7)))
+        assert np.array_equal(k_neg, np.zeros((8, 7)))
 
     def test_cylindrical_ramp_recovers_kappa(self):
         # s_x = kappa * X (lateral meters): a linear slope field whose
@@ -222,47 +215,15 @@ class TestCurvature:
         lateral = (np.arange(nx, dtype=np.float64) - 4.0) * dx
         s_x = kappa * lateral
         p = s_x[:, None] * np.ones(ny) / ((v * dt / 2.0) / dx)
-        field = DipField(Grid2(p), Grid2(np.zeros((nx, ny))), dt=dt, dx=dx, dy=dx)
-        pair = curvature(field, velocity=v)
-        assert np.allclose(pair.k_pos.grid.data, kappa, atol=1e-15)
-        assert np.allclose(pair.k_neg.grid.data, 0.0, atol=1e-15)
+        k_pos, k_neg = self._k(p, np.zeros((nx, ny)), dx=dx, dy=dx, velocity=v)
+        assert np.allclose(k_pos, kappa, atol=1e-15)
+        assert np.allclose(k_neg, 0.0, atol=1e-15)
 
     def test_ordering_holds_on_random_fields(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            p = Grid2(rng.standard_normal((10, 9)))
-            q = Grid2(rng.standard_normal((10, 9)))
-            field = DipField(p, q, dt=0.004, dx=25.0, dy=25.0)
-            pair = curvature(field)
-            assert np.all(pair.k_pos.grid.data >= pair.k_neg.grid.data)
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["dt", "dx", "dy"])
-    def test_dip_field_rejects_bad_intervals(self, name, value):
-        dips = Grid2(np.zeros((8, 7)))
-        steps = {"dt": 0.004, "dx": 25.0, "dy": 12.5, name: value}
-        with pytest.raises(ParameterError, match=f"{name} must be a positive finite number"):
-            DipField(dips, dips, **steps)
-
-    def test_dip_field_rejects_mis_shaped_q_and_quality(self):
-        p = Grid2(np.zeros((8, 7)))
-        other = Grid2(np.zeros((7, 8)))
-        with pytest.raises(ShapeError, match="q shape"):
-            DipField(p, other, dt=0.004, dx=25.0, dy=25.0)
-        with pytest.raises(ShapeError, match="quality shape"):
-            DipField(p, p, dt=0.004, dx=25.0, dy=25.0, quality=other)
-
-    def test_requires_crossline_dip_and_min_size(self):
-        p = Grid2(np.zeros((8, 8)))
-        with pytest.raises(ConfigError):
-            curvature(DipField(p, None, dt=0.004, dx=25.0, dy=None))
-        with pytest.raises(ConfigError, match="crossline interval dy"):
-            curvature(DipField(p, p, dt=0.004, dx=25.0, dy=None))
-        with pytest.raises(SizeError):
-            curvature(
-                DipField(Grid2(np.zeros((2, 8))), Grid2(np.zeros((2, 8))),
-                         dt=0.004, dx=25.0, dy=25.0)
-            )
+            k_pos, k_neg = self._k(rng.standard_normal((10, 9)), rng.standard_normal((10, 9)))
+            assert np.all(k_pos >= k_neg)
 
 
 class TestDipStack:
@@ -417,19 +378,19 @@ def _plane_wave_volume(nt=96, nx=28, ny=24, k=4, px=0.4, py=-0.3):
 class TestVolumeDips:
     def test_slice_fields_recover_both_lateral_dips(self):
         vol, w = _plane_wave_volume()
-        fields = dip_slice_fields(vol, 48, 2)
+        fields = _slice_fields(vol, 48, 2)
         assert len(fields) == 2
-        f0 = fields[0]
-        assert f0.p.shape == (28, 24)
+        p0, q0, _ = fields[0]
+        assert p0.shape == (28, 24)
         expected_p = math.sin(w * 0.4) / math.sin(w)
         expected_q = -math.sin(w * 0.3) / math.sin(w)
-        assert abs(float(np.median(f0.p.data[2:-2, 2:-2])) - expected_p) < 1e-6
-        assert abs(float(np.median(f0.q.data[2:-2, 2:-2])) - expected_q) < 1e-6
+        assert abs(float(np.median(p0[2:-2, 2:-2])) - expected_p) < 1e-6
+        assert abs(float(np.median(q0[2:-2, 2:-2])) - expected_q) < 1e-6
 
     def test_bad_time_index(self):
         vol, _ = _plane_wave_volume(nt=32)
         with pytest.raises(BoundsError):
-            dip_slice_fields(vol, 32, 1)
+            _slice_fields(vol, 32, 1)
 
     def test_slice_fields_equal_per_section_reference(self):
         spec = SynthSpec(
@@ -438,32 +399,30 @@ class TestVolumeDips:
         )
         vol, _ = make_synthetic(spec)
         for t in (0, 23, vol.nt - 1):
-            fields = dip_slice_fields(vol, t, 2)
+            fields = _slice_fields(vol, t, 2)
             reference = dip_slice_reference(vol, t, 2)
             assert len(fields) == len(reference) == 2
-            for field, (p, q, quality) in zip(fields, reference):
-                assert same_bits(field.p.data, p)
-                assert same_bits(field.q.data, q)
-                assert same_bits(field.quality.data, quality)
+            for field, want in zip(fields, reference):
+                for got, value in zip(field, want):
+                    assert same_bits(got, value)
 
     @pytest.mark.parametrize("volume, p_max, eps_freq", _SLICE_CASES)
     @pytest.mark.parametrize("t", range(45))
     def test_slice_fields_equal_reference_at_every_t(self, t, volume, p_max, eps_freq):
         vol = _SLICE_VOLUMES[volume]()
         kernel = make_kernel(1.0, 1)
-        fields = dip_slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
+        fields = _slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
         reference = _cube_reference("nx>ny", volume, p_max, eps_freq)
         assert len(fields) == len(reference) == 3
-        for field, (p, q, quality) in zip(fields, reference):
-            assert same_bits(field.p.data, p[t])
-            assert same_bits(field.q.data, q[t])
-            assert same_bits(field.quality.data, quality[t])
+        for field, cube in zip(fields, reference):
+            for got, value in zip(field, cube):
+                assert same_bits(got, value[t])
 
     def test_slice_cases_clamp_reject_and_guard(self):
         # the exact comparison above only covers the clamp, the eps
         # rejection and the envelope guard if its cases hit them
         section = _packet_volume().crossline_section(5)
-        assert not guard_mask(analytic_section(section)).all()
+        assert _guard_fires(section)
         volume, p_max, eps_freq = _SLICE_CASES[1]
         # scale 0 at every t
         p, q, quality = _cube_reference("nx>ny", volume, p_max, eps_freq)[0]
@@ -474,7 +433,7 @@ class TestVolumeDips:
     def test_scales_below_one_is_a_parameter_error(self, scales):
         vol, _ = _plane_wave_volume(nt=32, nx=12, ny=10)
         with pytest.raises(ParameterError, match=f"scales must be >= 1, got {scales}"):
-            dip_slice_fields(vol, 4, scales)
+            _slice_fields(vol, 4, scales)
         with pytest.raises(ParameterError, match="scales must be >= 1"):
             attribute_stack(vol, AttributeKind.DIP_ANGLE, scales, time_index=4)
         with pytest.raises(ParameterError, match="scales must be >= 1"):
@@ -488,7 +447,7 @@ class TestVolumeDips:
     def test_dip_parameters_out_of_domain(self, kw):
         vol, _ = _plane_wave_volume(nt=32, nx=12, ny=10)
         with pytest.raises(ParameterError, match=next(iter(kw))):
-            dip_slice_fields(vol, 4, 1, **kw)
+            _slice_fields(vol, 4, 1, **kw)
 
     def test_infeasible_orientation_fails_before_any_work(self, monkeypatch):
         # fixed-y sections (32x40) allow 4 scales, fixed-x sections (32x4)
@@ -500,7 +459,7 @@ class TestVolumeDips:
 
         monkeypatch.setattr(attributes, "_quadrature", no_work)
         with pytest.raises(SizeError, match=r"section 32x4 supports at most 1 dip scale\(s\), requested 2"):
-            dip_slice_fields(vol, 10, 2)
+            _slice_fields(vol, 10, 2)
 
 
 class TestBatchedLevels:
@@ -515,11 +474,10 @@ class TestBatchedLevels:
         kernel = make_kernel(1.0, 1)
         reference = _cube_reference("nx>ny", volume, p_max, eps_freq)
         for t in (0, 9, 22, 44):
-            fields = dip_slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
-            for field, (p, q, quality) in zip(fields, reference):
-                assert same_bits(field.p.data, p[t])
-                assert same_bits(field.q.data, q[t])
-                assert same_bits(field.quality.data, quality[t])
+            fields = _slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
+            for field, cube in zip(fields, reference):
+                for got, value in zip(field, cube):
+                    assert same_bits(got, value[t])
 
     def test_batches_hold_the_peak(self, monkeypatch):
         # the base level runs one section at a time and sets the peak; four
@@ -527,10 +485,10 @@ class TestBatchedLevels:
         vol, _ = _plane_wave_volume(nt=96, nx=24, ny=20)
 
         def peak() -> int:
-            dip_slice_fields(vol, 40, 3)
+            _slice_fields(vol, 40, 3)
             tracemalloc.start()
             try:
-                dip_slice_fields(vol, 40, 3)
+                _slice_fields(vol, 40, 3)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -555,7 +513,7 @@ class TestSharedBaseLevel:
 
         quadrature = attributes._quadrature
         monkeypatch.setattr(attributes, "_quadrature", counting)
-        dip_slice_fields(vol, 20, 3, make_kernel(1.0, 1))
+        _slice_fields(vol, 20, 3, make_kernel(1.0, 1))
         base = [shape for shape in calls if shape[-2] == vol.nt]
         # nx fixed-x sections of ny traces, not also ny fixed-y ones
         assert base == [(1, vol.nt, vol.ny)] * vol.nx
@@ -575,11 +533,10 @@ class TestSharedBaseLevel:
         reference = _cube_reference(aspect, volume, p_max, eps_freq)
         offset = [1, 3, 4, 64].index(batch)
         for t in sorted({0, 1, vol.nt - 2, vol.nt - 1, *range(offset, vol.nt, 4)}):
-            fields = dip_slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
-            for field, (p, q, quality) in zip(fields, reference):
-                assert same_bits(field.p.data, p[t])
-                assert same_bits(field.q.data, q[t])
-                assert same_bits(field.quality.data, quality[t])
+            fields = _slice_fields(vol, t, 3, kernel, p_max=p_max, eps_freq=eps_freq)
+            for field, cube in zip(fields, reference):
+                for got, value in zip(field, cube):
+                    assert same_bits(got, value[t])
 
 
 class TestVolumeAttributes:
@@ -692,12 +649,12 @@ class TestQuadratureOverflow:
                 vol.crossline_section(3), AttributeKind.PHASE_DIP, 2, make_kernel(),
                 p_max=5.0, eps_freq=1e-3, boundary=_f32,
             ),
-            lambda vol: dip_slice_fields(vol, 10, 2),
+            lambda vol: _slice_fields(vol, 10, 2),
             lambda vol: multiscale_attribute(
                 vol, AttributeKind.DIP_ANGLE, scales=2, time_index=10
             ),
         ],
-        ids=["phase_dip", "dip_stack", "float32_boundary", "dip_slice_fields", "multiscale_attribute"],
+        ids=["phase_dip", "dip_stack", "float32_boundary", "dip_slices", "multiscale_attribute"],
     )
     def test_non_finite_quadrature_is_a_parameter_error(self, call):
         vol = self._volume()
@@ -712,9 +669,9 @@ class TestQuadratureOverflow:
         vol = SeismicVolume(rng.standard_normal((64, 16, 16)) * 1e160, dt=0.004, dx=25.0, dy=25.0)
         with np.errstate(over="ignore", invalid="ignore"):
             stack = dip_stack(vol.crossline_section(3), 2)
-            fields = dip_slice_fields(vol, 10, 2)
-        for quality in [m.quality for m in stack.maps] + [f.quality for f in fields]:
-            assert not quality.data.any()
+            fields = _slice_fields(vol, 10, 2)
+        for quality in [m.quality.data for m in stack.maps] + [f[2] for f in fields]:
+            assert not quality.any()
 
 
 class TestAttributeStackDispatch:
@@ -750,9 +707,8 @@ class TestAttributeStackDispatch:
         [
             (lambda section, vol: phase_dip(vol), "phase dip runs on sections"),
             (lambda section, vol: dip_stack(vol, 2), "phase dip runs on sections"),
-            (lambda section, vol: dip_slice_fields(section, 3, 1), "need a volume"),
         ],
-        ids=["phase_dip", "dip_stack", "dip_slice_fields"],
+        ids=["phase_dip", "dip_stack"],
     )
     def test_wrong_container_at_a_dip_entry_is_a_config_error(self, call, needs):
         section, _ = _plane_wave_section(n=64, m=32)

@@ -20,6 +20,7 @@ from pyrafuse import (
     read_grid,
 )
 from pyrafuse.cli import _ATTR_FLAGS, main
+from pyrafuse.pyramid import MAX_RADIUS
 
 SPEC_TEXT = """\
 nt = 96
@@ -410,6 +411,16 @@ class TestExitCodes:
         assert "Warning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, target", [("pipeline", "--out"), ("pyramid", "--out-prefix")]
+    )
+    def test_radius_above_the_cap_exits_one(self, tmp_path, caplog, command, target):
+        src = _synth(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, src, "--radius", str(MAX_RADIUS + 1), target, str(out)]) == 1
+        assert f"radius must be <= {MAX_RADIUS}, got {MAX_RADIUS + 1}" in caplog.text
+        assert not list(tmp_path.glob("o*"))
+
     def test_data_errors_exit_two(self, tmp_path):
         missing = str(tmp_path / "nope.pfg")
         assert main(["info", missing]) == 2
@@ -509,6 +520,14 @@ class TestContainerRefusals:
         assert main(["pyramid", vol, "--out-prefix", prefix]) == 2
         assert main(["pyramid", dip_map, "--out-prefix", prefix]) == 2
         assert not list(tmp_path.glob("lvl*"))
+
+    @pytest.mark.parametrize("command", ["attr", "pipeline"])
+    def test_attribute_refusal_names_the_input(self, tmp_path, caplog, command):
+        _, _, dip_map = self._inputs(tmp_path)
+        out = tmp_path / "o.pfg"
+        assert main([command, dip_map, "--out", str(out)]) == 2
+        assert f"{dip_map}: unsupported input type AttributeMap" in caplog.text
+        assert not out.exists()
 
     def test_expand_refuses_a_volume(self, tmp_path):
         vol, _, _ = self._inputs(tmp_path)

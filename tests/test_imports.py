@@ -104,3 +104,20 @@ def test_unread_module_level_names_are_found():
         "    pass\n"
     )
     assert sorted(module_names(source) - loaded_names(source)) == ["B", "LIMIT", "_g", "f"]
+
+
+def test_export_list_is_sorted_unique_and_resolves():
+    exported = pyrafuse.__all__
+    assert exported == sorted(set(exported))
+    assert [name for name in exported if not hasattr(pyrafuse, name)] == []
+
+
+def test_every_public_import_is_exported():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert sorted(imported - set(pyrafuse.__all__)) == []

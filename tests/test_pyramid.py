@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pyrafuse import (
     max_scales,
     reduce_grid,
 )
-from pyrafuse.pyramid import _interp_axis, _reduce
+from pyrafuse.pyramid import MAX_RADIUS, _interp_axis, _reduce
 
 
 class TestKernel:
@@ -68,6 +69,19 @@ class TestKernel:
             make_kernel(sigma=-1.0)
         with pytest.raises(ParameterError):
             make_kernel(radius=0)
+
+    def test_radius_above_the_cap_is_refused_before_any_allocation(self):
+        tracemalloc.start()
+        try:
+            for call in (gaussian_samples, make_kernel):
+                with pytest.raises(
+                    ParameterError, match=f"radius must be <= {MAX_RADIUS}, got {MAX_RADIUS + 1}"
+                ):
+                    call(1.0, MAX_RADIUS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one (2r+1)^2 table at the cap is 33.6 MB
 
     @pytest.mark.parametrize("sigma", [1e-170, 1e-155, 5e-155, 6e153, 1e200])
     def test_sigma_whose_samples_are_not_finite_is_named(self, sigma):
