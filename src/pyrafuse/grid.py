@@ -21,13 +21,33 @@ import numpy as np
 from .errors import BoundsError, ParameterError, ShapeError
 
 
+class _Adopted:
+    """A float64 C-order array that a file reader made and checked.
+
+    Passed as a container's data, the array itself is frozen and kept: no
+    copy, and the reader's check of each sample where the data entered
+    stands for ``_check_finite``. The reader must hold no other reference
+    to it.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen_array(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True, order="C")
+    adopted = isinstance(values, _Adopted)
+    if adopted:
+        arr = values.array
+    else:
+        arr = np.array(values, dtype=np.float64, copy=True, order="C")
     if arr.ndim != ndim:
         raise ShapeError(f"expected a {ndim}D array, got {arr.ndim}D")
     if arr.size == 0:
         raise ShapeError("grid dimensions must all be >= 1")
-    _check_finite(arr)
+    if not adopted:
+        _check_finite(arr)
     arr.flags.writeable = False
     return arr
 

@@ -28,8 +28,20 @@ and lowercases keys, so the writer refuses metadata that would not read
 back unchanged: a key that is not already stripped and lowercase, a
 structural key, and non-ASCII text.
 
+The reader parses the header from a bounded prefix (one block at a time
+until the blank line), takes the payload size from the file's size, and
+reads the payload in blocks of whole last-axis slices, each one contiguous
+run of the file, into one reused buffer. Each block is checked at float32
+and cast into its last-axis slice of the C-order float64 result, which
+becomes the container's data without a copy: the peak is the result plus
+about one block. `info` reads only the header. The writer casts, checks
+and writes the payload one last-axis block at a time; a value beyond the
+float32 range fails the write.
+
 Writes go to a temp file in the target directory followed by an atomic
-rename, so readers never observe a half-written grid.
+rename, so readers never observe a half-written grid; a failure while
+writing (a refused rename, an error raised from a payload block) removes
+the temp file and leaves an existing target as it was.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from .grid import (
     SeismicSection,
     SeismicVolume,
     Units,
+    _Adopted,
 )
 
 MAGIC = "PFGRID1"
@@ -59,9 +72,18 @@ _STRUCTURAL_KEYS = {
 
 _MAX_CELLS = 1 << 34  # refuse absurd headers before allocating
 
+# 4-byte words per block read or written; a block holds whole SEG-Y trace
+# records or whole last-axis slices of a grid, at least one
+_BLOCK_WORDS = 1 << 17
 
-def _atomic_write(path: str, *chunks) -> None:
-    """Write ``chunks`` (bytes or C-contiguous arrays), in order, to ``path``."""
+
+def _atomic_write(path: str, chunks) -> None:
+    """Write ``chunks`` (bytes or C-contiguous arrays), in order, to ``path``.
+
+    ``chunks`` is consumed one item at a time, so a generator need not
+    make its blocks all at once. An exception it raises removes the temp
+    file and leaves ``path`` as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(prefix=".pfg-", dir=directory)
     try:
@@ -81,14 +103,10 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _header_and_payload(
+def _header_and_samples(
     obj, extra_meta: dict[str, str] | None = None
 ) -> tuple[bytes, np.ndarray]:
-    """The header bytes, and the payload as a C-contiguous float32 array.
-
-    The payload array is the transpose of the samples, so its buffer is the
-    file's first-axis-fastest payload without another copy.
-    """
+    """The header bytes and the float64 samples."""
     if isinstance(obj, Grid2):
         obj = AttributeMap(obj, AttributeKind.RAW)
     if isinstance(obj, AttributeMap):
@@ -123,11 +141,8 @@ def _header_and_payload(
             raise ParameterError(f"metadata key {key!r} shadows a structural key")
         pairs.append((key, value))
 
-    samples = _float32_payload(data)
-    if not np.isfinite(samples).all():
-        raise ParameterError("values overflow float32; cannot serialize")
     header = "".join(f"{k}={v}\n" for k, v in pairs) + "\n"
-    return header.encode("ascii"), samples
+    return header.encode("ascii"), data
 
 
 def _float32_payload(data: np.ndarray) -> np.ndarray:
@@ -144,14 +159,40 @@ def _float32_payload(data: np.ndarray) -> np.ndarray:
     return samples
 
 
+def _slices_per_block(data: np.ndarray) -> int:
+    """Last-axis slices of ``data`` in one block; each slice is one
+    contiguous run of the first-axis-fastest payload."""
+    return max(1, _BLOCK_WORDS // (data.size // data.shape[-1]))
+
+
+def _file_blocks(header: bytes, data: np.ndarray):
+    """The header, then the float32 payload one block at a time.
+
+    Raises:
+        ParameterError: a block holds a value beyond the float32 range.
+    """
+    yield header
+    step = _slices_per_block(data)
+    for k in range(0, data.shape[-1], step):
+        samples = _float32_payload(data[..., k : k + step])
+        if not np.isfinite(samples).all():
+            raise ParameterError("values overflow float32; cannot serialize")
+        yield samples
+
+
 def write_grid(path: str, obj, extra_meta: dict[str, str] | None = None) -> None:
     """Serialize a section, volume, map, or bare grid to ``path`` atomically.
 
     ``extra_meta`` adds free-form header pairs on top of the object's own
     metadata (same restrictions: ASCII only, no '=' in a key, no newlines,
     keys already stripped and lowercase, no structural keys).
+
+    Raises:
+        ParameterError: unserializable object or metadata, or a value
+            beyond the float32 range; an existing file at ``path`` is left
+            as it was.
     """
-    _atomic_write(path, *_header_and_payload(obj, extra_meta))
+    _atomic_write(path, _file_blocks(*_header_and_samples(obj, extra_meta)))
 
 
 def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
@@ -194,6 +235,81 @@ def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
         offset = end + 1
 
 
+def _read_exactly(handle, buffer, path: str, offset: int) -> None:
+    """Fill ``buffer`` from ``handle``, which stands at byte ``offset``.
+
+    Raises:
+        FormatError: the file ends first, because it shrank after its size
+            was taken; the offset is where it ended.
+    """
+    got = handle.readinto(buffer) or 0
+    if got < len(buffer):
+        raise FormatError(
+            f"{path}: file ends at byte {offset + got}, short of the size it had when opened",
+            offset=offset + got,
+        )
+
+
+def _read_header(handle, path: str) -> tuple[dict[str, str], int, int]:
+    """Parse the header of an open grid file: (pairs, data offset, file size).
+
+    The prefix handed to parse_header grows a block at a time until it
+    holds the blank line that ends the header, or the whole file, so every
+    line it parses is a whole line of the file.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    prefix = b""
+    while True:
+        chunk = handle.read(4 * _BLOCK_WORDS)
+        prefix += chunk
+        if not chunk or prefix.startswith(b"\n") or b"\n\n" in prefix:
+            return (*parse_header(prefix, path=path), size)
+
+
+def _read_payload(
+    handle, pairs: dict[str, str], offset: int, size: int, path: str
+) -> np.ndarray:
+    """The payload the header describes, as a C-order float64 array.
+
+    Each block is checked at float32 before it is cast: casting a
+    signalling NaN would raise a warning first.
+    """
+    rows = _require_int(pairs, "rows", path, offset)
+    cols = _require_int(pairs, "cols", path, offset)
+    planes = _require_int(pairs, "planes", path, offset) if "planes" in pairs else None
+    cells = rows * cols * (planes or 1)
+    if cells > _MAX_CELLS:
+        raise FormatError(f"{path}: header declares {cells} cells", offset=offset)
+    expected = cells * 4
+    actual = size - offset
+    if actual != expected:
+        raise FormatError(
+            f"{path}: payload holds {actual} bytes, header implies {expected}",
+            offset=offset + min(actual, expected),
+        )
+
+    data = np.empty((rows, cols) if planes is None else (rows, cols, planes))
+    step = _slices_per_block(data)
+    plane = data.size // data.shape[-1]
+    buffer = bytearray(4 * plane * min(step, data.shape[-1]))
+    handle.seek(offset)
+    for k in range(0, data.shape[-1], step):
+        stop = min(k + step, data.shape[-1])
+        view = memoryview(buffer)[: 4 * plane * (stop - k)]
+        _read_exactly(handle, view, path, offset)
+        block = np.frombuffer(view, dtype="<f4")
+        finite = np.isfinite(block)
+        if not finite.all():
+            raise FormatError(
+                f"{path}: payload contains non-finite samples",
+                offset=offset + 4 * int(np.argmin(finite)),
+            )
+        # a slice's words run first-axis-fastest: the reversed shape in C order
+        data[..., k:stop] = block.reshape(stop - k, *data.shape[-2::-1]).T
+        offset += len(view)
+    return data
+
+
 def _require_int(pairs: dict[str, str], key: str, path: str, offset: int) -> int:
     if key not in pairs:
         raise FormatError(f"{path}: header is missing {key}", offset=offset)
@@ -234,35 +350,8 @@ def read_grid(path: str):
             non-finite sample (at its byte offset).
     """
     with open(path, "rb") as handle:
-        blob = handle.read()
-    pairs, data_offset = parse_header(blob, path=path)
-
-    rows = _require_int(pairs, "rows", path, data_offset)
-    cols = _require_int(pairs, "cols", path, data_offset)
-    planes = _require_int(pairs, "planes", path, data_offset) if "planes" in pairs else None
-    cells = rows * cols * (planes or 1)
-    if cells > _MAX_CELLS:
-        raise FormatError(f"{path}: header declares {cells} cells", offset=data_offset)
-
-    expected = cells * 4
-    actual = len(blob) - data_offset
-    if actual != expected:
-        raise FormatError(
-            f"{path}: payload holds {actual} bytes, header implies {expected}",
-            offset=data_offset + min(actual, expected),
-        )
-    flat = np.frombuffer(blob, dtype="<f4", count=cells, offset=data_offset)
-    # checked at float32: casting a signalling NaN would raise a warning first
-    finite = np.isfinite(flat)
-    if not finite.all():
-        raise FormatError(
-            f"{path}: payload contains non-finite samples",
-            offset=data_offset + 4 * int(np.argmin(finite)),
-        )
-    del finite
-    shape = (rows, cols) if planes is None else (rows, cols, planes)
-    # a float32 view; the container makes the one float64 copy
-    data = flat.reshape(shape, order="F")
+        pairs, data_offset, size = _read_header(handle, path)
+        data = _Adopted(_read_payload(handle, pairs, data_offset, size, path))
 
     dt = _optional_interval(pairs, "dt", path, data_offset)
     dx = _optional_interval(pairs, "dx", path, data_offset)
@@ -275,11 +364,11 @@ def read_grid(path: str):
     meta = {k: v for k, v in pairs.items() if k not in _STRUCTURAL_KEYS}
 
     if kind is AttributeKind.RAW:
-        if planes is not None:
+        if "planes" in pairs:
             return SeismicVolume(data, dt=dt, dx=dx, dy=dy)
         return SeismicSection(Grid2(data), dt=dt, dx=dx, label=meta.get("label", ""))
 
-    if planes is not None:
+    if "planes" in pairs:
         raise FormatError(f"{path}: attribute maps must be 2D", offset=0)
     units_tag = pairs.get("units", KIND_UNITS[kind].value)
     try:
@@ -317,11 +406,10 @@ def read_grid(path: str):
 def describe_grid(path: str) -> list[tuple[str, str]]:
     """Header pairs plus derived data-offset/payload-bytes, for `info`."""
     with open(path, "rb") as handle:
-        blob = handle.read()
-    pairs, data_offset = parse_header(blob, path=path)
+        pairs, data_offset, size = _read_header(handle, path)
     described = list(pairs.items())
     described.append(("data_offset", str(data_offset)))
-    described.append(("payload_bytes", str(len(blob) - data_offset)))
+    described.append(("payload_bytes", str(size - data_offset)))
     return described
 
 
@@ -357,4 +445,4 @@ def export_pgm(
         unit = np.clip((data - lo) / (hi - lo), 0.0, 1.0)
         pixels = np.rint(unit * 255.0).astype(np.uint8)
     header = f"P5 {grid.cols} {grid.rows} 255\n".encode("ascii")
-    _atomic_write(path, header, pixels)
+    _atomic_write(path, (header, pixels))

@@ -9,19 +9,24 @@ from the start of the file):
     3220  uint16  samples per trace
     3224  uint16  sample format code (1 = IBM float, 5 = IEEE float32)
 
-Every trace record is 240 + 4*ns bytes long (SEG-Y rev 1), so the records
-are read through one structured ``np.frombuffer`` view of that item size,
-with three fields: the inline and crossline trace-header words (offsets
-188 and 192 inside each trace header) and the ns samples. The geometry is
-decided from the inline/crossline arrays alone: traces form a volume when
-their pairs fill a complete regular grid, each cell once, with at least
-two distinct values on each axis; anything else imports as a single 2D
-section in file order. The samples are then decoded in blocks of whole
-records (``_BLOCK_WORDS`` sample words or one record), one
-:func:`decode_ibm32` call per block, and each block is written straight
-into its columns of the one (ns, traces) output array: lattice cells for
-a volume, file order for a section. Lateral spacings are not stored in
-this header subset, so the importer takes them as options.
+Every trace record is 240 + 4*ns bytes long (SEG-Y rev 1). The body size
+comes from the file's size, so every header and record-count check runs
+before any trace is read. The records are then read twice, in blocks of
+whole records (``_BLOCK_WORDS`` sample words or one record) into one
+reused buffer, viewed through a structured dtype with three fields: the
+inline and crossline trace-header words (offsets 188 and 192 inside each
+trace header) and the ns samples. The first pass keeps only the
+inline/crossline words, which decide the geometry: traces form a volume
+when their pairs fill a complete regular grid, each cell once, with at
+least two distinct values on each axis; anything else imports as a single
+2D section in file order. The second pass decodes each block with one
+:func:`decode_ibm32` call and writes it straight into its columns of the
+one (ns, traces) output array: lattice cells for a volume, file order for
+a section. That array becomes the container's data without a copy, so the
+import peaks at the float64 result plus about one block. A file that ends
+early (it shrank after its size was taken) is a ``FormatError`` at the
+byte where it ended. Lateral spacings are not stored in this header
+subset, so the importer takes them as options.
 
 IBM single precision: sign bit, 7-bit base-16 exponent biased by 64,
 24-bit fraction in [0, 1):
@@ -46,12 +51,14 @@ value beyond the float32 range) is a ``FormatError`` at its byte offset.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ParameterError, UnsupportedFormatError
-from .grid import Grid2, SeismicSection, SeismicVolume
+from .grid import Grid2, SeismicSection, SeismicVolume, _Adopted
+from .gridio import _BLOCK_WORDS, _read_exactly
 
 TEXT_HEADER_BYTES = 3200
 BINARY_HEADER_BYTES = 400
@@ -78,10 +85,6 @@ def _ibm_scale_table() -> np.ndarray:
 
 # IBM value per unit of fraction, by the word's top byte (sign, exponent)
 _IBM_SCALE = _ibm_scale_table()
-
-# sample words decoded per block; a block holds whole records, at least one
-_BLOCK_WORDS = 1 << 17
-
 
 def decode_ibm32(words) -> np.ndarray:
     """Decode IBM System/360 single-precision words (uint32) to float64."""
@@ -165,79 +168,98 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
 
     A sample must be finite as float32, the precision of grid files: an
     IBM value beyond the float32 range is rejected here, not at write time.
+    The file is read in blocks, so the peak is the float64 result plus
+    about one block.
 
     Raises:
         FormatError: file shorter than its headers, zero sample interval
             or trace length, trailing bytes that do not divide into whole
-            trace records, or a sample whose float32 rounding is not
-            finite (the offset is that of the first such sample).
+            trace records, a sample whose float32 rounding is not finite
+            (the offset is that of the first such sample), or a file that
+            ends before the size it had when opened.
         UnsupportedFormatError: sample format other than 1 or 5.
     """
     options = options or SegyImportOptions()
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < HEADER_BYTES:
-        raise FormatError(
-            f"{path}: file holds {len(blob)} bytes, SEG-Y headers need {HEADER_BYTES}",
-            offset=len(blob),
-        )
-    big = options.big_endian
-    dt_us = _read_u16(blob, _OFF_SAMPLE_INTERVAL, big)
-    ns = _read_u16(blob, _OFF_SAMPLES_PER_TRACE, big)
-    fmt = options.format_code or _read_u16(blob, _OFF_FORMAT_CODE, big)
-    if dt_us == 0:
-        raise FormatError(f"{path}: sample interval is 0", offset=_OFF_SAMPLE_INTERVAL)
-    if ns == 0:
-        raise FormatError(f"{path}: samples per trace is 0", offset=_OFF_SAMPLES_PER_TRACE)
-    if fmt not in SUPPORTED_FORMATS:
-        raise UnsupportedFormatError(
-            f"{path}: sample format {fmt} unsupported (supported: "
-            f"{FORMAT_IBM} = IBM float, {FORMAT_IEEE} = IEEE float32)",
-            offset=_OFF_FORMAT_CODE,
-        )
+        size = os.fstat(handle.fileno()).st_size
+        head = handle.read(HEADER_BYTES)
+        if len(head) < HEADER_BYTES:
+            raise FormatError(
+                f"{path}: file holds {len(head)} bytes, SEG-Y headers need {HEADER_BYTES}",
+                offset=len(head),
+            )
+        big = options.big_endian
+        dt_us = _read_u16(head, _OFF_SAMPLE_INTERVAL, big)
+        ns = _read_u16(head, _OFF_SAMPLES_PER_TRACE, big)
+        fmt = options.format_code or _read_u16(head, _OFF_FORMAT_CODE, big)
+        if dt_us == 0:
+            raise FormatError(f"{path}: sample interval is 0", offset=_OFF_SAMPLE_INTERVAL)
+        if ns == 0:
+            raise FormatError(f"{path}: samples per trace is 0", offset=_OFF_SAMPLES_PER_TRACE)
+        if fmt not in SUPPORTED_FORMATS:
+            raise UnsupportedFormatError(
+                f"{path}: sample format {fmt} unsupported (supported: "
+                f"{FORMAT_IBM} = IBM float, {FORMAT_IEEE} = IEEE float32)",
+                offset=_OFF_FORMAT_CODE,
+            )
 
-    record = TRACE_HEADER_BYTES + 4 * ns
-    body = len(blob) - HEADER_BYTES
-    n_traces = body // record
-    if n_traces < 1:
-        raise FormatError(f"{path}: no complete trace records", offset=HEADER_BYTES)
-    if body % record != 0:
-        raise FormatError(
-            f"{path}: {body} bytes of traces is not a whole number of "
-            f"{record}-byte records",
-            offset=HEADER_BYTES + n_traces * record,
-        )
-    if options.max_traces is not None:
-        n_traces = min(n_traces, int(options.max_traces))
+        record = TRACE_HEADER_BYTES + 4 * ns
+        body = size - HEADER_BYTES
+        n_traces = body // record
+        if n_traces < 1:
+            raise FormatError(f"{path}: no complete trace records", offset=HEADER_BYTES)
+        if body % record != 0:
+            raise FormatError(
+                f"{path}: {body} bytes of traces is not a whole number of "
+                f"{record}-byte records",
+                offset=HEADER_BYTES + n_traces * record,
+            )
+        if options.max_traces is not None:
+            n_traces = min(n_traces, int(options.max_traces))
 
-    order = ">" if big else "<"
-    sample = order + ("f4" if fmt == FORMAT_IEEE else "u4")
-    layout = np.dtype({
-        "names": ["inline", "crossline", "samples"],
-        "formats": [order + "i4", order + "i4", (sample, ns)],
-        "offsets": [_OFF_INLINE, _OFF_CROSSLINE, TRACE_HEADER_BYTES],
-        "itemsize": record,
-    })
-    records = np.frombuffer(blob, dtype=layout, count=n_traces, offset=HEADER_BYTES)
-    lattice, cells = _lattice(records["inline"], records["crossline"])
+        order = ">" if big else "<"
+        sample = order + ("f4" if fmt == FORMAT_IEEE else "u4")
+        layout = np.dtype({
+            "names": ["inline", "crossline", "samples"],
+            "formats": [order + "i4", order + "i4", (sample, ns)],
+            "offsets": [_OFF_INLINE, _OFF_CROSSLINE, TRACE_HEADER_BYTES],
+            "itemsize": record,
+        })
+        per_block = min(n_traces, max(1, _BLOCK_WORDS // ns))
+        buffer = bytearray(per_block * record)
+        starts = range(0, n_traces, per_block)
+        blocks = [(start, min(start + per_block, n_traces)) for start in starts]
 
-    # one column per trace: file order for a section, lattice cells for a volume
-    out = np.empty((ns, n_traces))
-    samples = records["samples"]
-    per_block = max(1, _BLOCK_WORDS // ns)
-    for start in range(0, n_traces, per_block):
-        stop = min(start + per_block, n_traces)
-        values = samples[start:stop]
-        if fmt == FORMAT_IBM:
-            values = decode_ibm32(values)
-        _check_samples(values, path, HEADER_BYTES + start * record, record)
-        out[:, cells[start:stop]] = values.T
+        def records(start: int, stop: int) -> np.ndarray:
+            view = memoryview(buffer)[: (stop - start) * record]
+            _read_exactly(handle, view, path, HEADER_BYTES + start * record)
+            return np.frombuffer(view, dtype=layout)
 
-    del blob, records, samples, values  # never hold the file and the copy below at once
+        # pass 1: the inline and crossline words decide the geometry
+        inlines = np.empty(n_traces, dtype=np.int32)
+        crosslines = np.empty(n_traces, dtype=np.int32)
+        for start, stop in blocks:
+            block = records(start, stop)
+            inlines[start:stop] = block["inline"]
+            crosslines[start:stop] = block["crossline"]
+        lattice, cells = _lattice(inlines, crosslines)
+
+        # pass 2: one column per trace, file order for a section and
+        # lattice cells for a volume
+        out = np.empty((ns, *(lattice or (n_traces,))))
+        columns = out.reshape(ns, n_traces)
+        handle.seek(HEADER_BYTES)
+        for start, stop in blocks:
+            values = records(start, stop)["samples"]
+            if fmt == FORMAT_IBM:
+                values = decode_ibm32(values)
+            _check_samples(values, path, HEADER_BYTES + start * record, record)
+            columns[:, cells[start:stop]] = values.T
+
     dt = dt_us * 1e-6
     if lattice is None:
-        return SeismicSection(Grid2(out), dt=dt, dx=options.dx, label="segy import")
-    return SeismicVolume(out.reshape(ns, *lattice), dt=dt, dx=options.dx, dy=options.dy)
+        return SeismicSection(Grid2(_Adopted(out)), dt=dt, dx=options.dx, label="segy import")
+    return SeismicVolume(_Adopted(out), dt=dt, dx=options.dx, dy=options.dy)
 
 
 def _lattice(inlines: np.ndarray, crosslines: np.ndarray):

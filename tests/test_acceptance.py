@@ -25,7 +25,6 @@ from pyrafuse import (
     Grid2,
     PlaneEvent,
     QuadraticEvent,
-    SeismicSection,
     SynthSpec,
     attribute_stack,
     build_pyramid,

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from oracles import (
     fuse_median_sort,
     fuse_rank_naive,
     fuse_rank_sort,
-    median_listwise,
     same_bits,
 )
 from pyrafuse import (

@@ -17,6 +17,7 @@ from pyrafuse import (
     Units,
     reassemble_volume,
 )
+from pyrafuse.grid import _Adopted
 
 
 class TestGrid2:
@@ -53,6 +54,22 @@ class TestGrid2:
         assert grid.data[1, 1] == 4.0
 
 
+class TestAdopted:
+    def test_a_reader_array_is_kept_and_frozen_without_a_copy(self):
+        owned = np.arange(6, dtype=np.float64).reshape(2, 3)
+        grid = Grid2(_Adopted(owned))
+        assert grid.data is owned
+        assert not owned.flags.writeable
+        volume = SeismicVolume(_Adopted(np.ones((2, 2, 2))), dt=0.004, dx=25.0, dy=12.5)
+        assert not volume.data.flags.writeable
+
+    def test_shape_and_interval_checks_still_run(self):
+        with pytest.raises(ShapeError):
+            Grid2(_Adopted(np.ones((2, 2, 2))))
+        with pytest.raises(ParameterError):
+            SeismicVolume(_Adopted(np.ones((2, 2, 2))), dt=0.0, dx=25.0, dy=12.5)
+
+
 class TestSeismicSection:
     def test_basic_properties(self):
         section = SeismicSection(Grid2(np.zeros((100, 40))), dt=0.004, dx=25.0)
@@ -71,6 +88,20 @@ class TestSeismicVolume:
     def _volume(self):
         data = np.arange(4 * 3 * 2, dtype=np.float64).reshape(4, 3, 2)
         return SeismicVolume(data, dt=0.004, dx=25.0, dy=12.5), data
+
+    def test_copies_and_freezes_input(self):
+        volume, data = self._volume()
+        data[0, 0, 0] = 99.0
+        assert volume.data[0, 0, 0] == 0.0
+        assert not np.shares_memory(volume.data, data)
+        with pytest.raises(ValueError):
+            volume.data[0, 0, 0] = 1.0
+
+    def test_rejects_non_finite_values(self):
+        data = np.zeros((2, 2, 2))
+        data[1, 0, 1] = np.nan
+        with pytest.raises(ParameterError, match="finite"):
+            SeismicVolume(data, dt=1.0, dx=1.0, dy=1.0)
 
     def test_time_slice_layout(self):
         vol, data = self._volume()

@@ -4,6 +4,7 @@ import glob
 import os
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,23 @@ MAGIC_LINE = b"magic=PFGRID1\n"
 # float32 words that are not finite: quiet NaN, signalling NaNs of either
 # sign and the largest signalling payload, and both infinities
 NON_FINITE_WORDS = [0x7FC00000, 0x7F800001, 0xFF800001, 0x7FBFFFFF, 0x7F800000, 0xFF800000]
+
+
+def _peak(call, *args):
+    """The result of ``call(*args)`` and the peak bytes traced during it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _block_bytes() -> int:
+    return 4 * gridio._BLOCK_WORDS
 
 
 def _section(rows=16, cols=9, label=""):
@@ -372,21 +390,150 @@ class TestWriteValidation:
             write_grid(str(tmp_path / "no.pfg"), {"not": "a grid"})
 
     def test_volume_write_holds_one_float32_copy(self, tmp_path):
-        # the Fortran-order float32 samples are written from their own
-        # buffer, without a bytes copy or a header-plus-payload join
+        # the float32 payload of about 8 blocks is cast and written one block at
+        # a time, without a bytes copy, a join or a whole-payload check
         volume = SeismicVolume(
-            np.random.default_rng(3).standard_normal((200, 30, 20)), dt=0.004, dx=25.0, dy=25.0
+            np.random.default_rng(3).standard_normal((250, 64, 64)), dt=0.004, dx=25.0, dy=25.0
         )
+        assert volume.data.size * 4 > 6 * _block_bytes()
         path = str(tmp_path / "v.pfg")
-        tracemalloc.start()
-        try:
-            write_grid(path, volume)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * volume.data.size * 4
+        _, peak = _peak(write_grid, path, volume)
+        assert peak < 3 * _block_bytes()
         back = read_grid(path)
         assert np.array_equal(back.data, volume.data.astype(np.float32))
+
+
+class TestStreamedIO:
+    """Readers hold the float64 result plus about one block, the writer
+    about one block."""
+
+    @pytest.mark.parametrize("shape", [(1000, 1024), (250, 64, 64)], ids=["section", "volume"])
+    def test_read_peak_is_the_result_plus_a_block(self, tmp_path, shape):
+        data = np.random.default_rng(4).standard_normal(shape)
+        obj = (
+            SeismicVolume(data, dt=0.004, dx=25.0, dy=25.0)
+            if len(shape) == 3
+            else SeismicSection(Grid2(data), dt=0.004, dx=25.0)
+        )
+        path = str(tmp_path / "g.pfg")
+        write_grid(path, obj)
+        assert os.path.getsize(path) > 6 * _block_bytes()
+        back, peak = _peak(read_grid, path)
+        got = back.data if len(shape) == 3 else back.grid.data
+        assert np.array_equal(got, data.astype(np.float32))
+        assert peak < data.size * 8 + 3 * _block_bytes()
+
+    def test_describe_reads_only_the_header(self, tmp_path):
+        path = str(tmp_path / "d.pfg")
+        write_grid(path, SeismicSection(Grid2(np.ones((1000, 1024))), dt=0.004, dx=25.0))
+        pairs, peak = _peak(describe_grid, path)
+        assert dict(pairs)["payload_bytes"] == str(1000 * 1024 * 4)
+        assert peak < 2 * _block_bytes()
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 4)], ids=["section", "volume"])
+    def test_result_is_read_only_and_owns_its_buffer(self, tmp_path, shape):
+        path = str(tmp_path / "r.pfg")
+        data = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        obj = SeismicVolume(data, dt=1.0, dx=1.0, dy=1.0) if len(shape) == 3 else Grid2(data)
+        write_grid(path, obj)
+        back = read_grid(path)
+        got = back.data if len(shape) == 3 else back.grid.data
+        assert np.array_equal(got, data)
+        assert not got.flags.writeable and got.flags.c_contiguous
+        assert got.base is None  # no writable array behind it
+        with pytest.raises(ValueError):
+            got[(0,) * len(shape)] = 1.0
+
+    @pytest.mark.parametrize("shape", [(4, 7), (2, 3, 7)], ids=["section", "volume"])
+    def test_non_finite_sample_in_the_last_block_is_an_error_at_its_offset(
+        self, tmp_path, monkeypatch, shape
+    ):
+        plane = int(np.prod(shape[:-1]))
+        monkeypatch.setattr(gridio, "_BLOCK_WORDS", 2 * plane)  # two slices per block
+        path = tmp_path / "late.pfg"
+        ones = np.ones(shape)
+        obj = SeismicVolume(ones, dt=1.0, dx=1.0, dy=1.0) if len(shape) == 3 else Grid2(ones)
+        write_grid(str(path), obj)
+        blob = bytearray(path.read_bytes())
+        offset = len(blob) - 4 * 2  # the last slice's second-to-last word
+        blob[offset : offset + 4] = (0x7F800001).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite") as err:
+            read_grid(str(path))
+        assert err.value.offset == offset
+
+    def test_a_file_that_shrank_after_the_size_check_gives_no_container(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(gridio, "_BLOCK_WORDS", 8)
+        path = tmp_path / "shrunk.pfg"
+        write_grid(str(path), _section(rows=8, cols=4))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-12])
+        real = os.fstat
+        monkeypatch.setattr(
+            os, "fstat", lambda fd: SimpleNamespace(st_size=real(fd).st_size + 12)
+        )
+        with pytest.raises(FormatError, match="ends at byte") as err:
+            read_grid(str(path))
+        assert err.value.offset == len(blob) - 12
+
+    @pytest.mark.parametrize("words", [1, 3, 64])
+    def test_a_header_longer_than_a_block_reads_the_same(self, tmp_path, monkeypatch, words):
+        path = str(tmp_path / "m.pfg")
+        original = AttributeMap(
+            Grid2(np.arange(-6.0, 6.0).reshape(3, 4) / 4), AttributeKind.PHASE_DIP,
+            scale=2, dt=0.004, dx=25.0, meta={"note": "x" * 40, "source": "test"},
+        )
+        write_grid(path, original)
+        expected = describe_grid(path)
+        monkeypatch.setattr(gridio, "_BLOCK_WORDS", words)
+        assert describe_grid(path) == expected
+        back = read_grid(path)
+        assert np.array_equal(back.grid.data, original.grid.data)
+        assert back.meta == original.meta and back.scale == 2
+
+    @pytest.mark.parametrize("blob, message, offset", [
+        (MAGIC_LINE + b"rows=2\ngarbage\n\n", "malformed", len(MAGIC_LINE) + 7),
+        (MAGIC_LINE + b"rows=2\ncols=2\n", "never terminated", len(MAGIC_LINE) + 14),
+        (b"\nrows=2\n\n", "missing rows", 1),
+    ], ids=["malformed", "unterminated", "blank-first-line"])
+    def test_header_errors_do_not_depend_on_the_block(
+        self, tmp_path, monkeypatch, blob, message, offset
+    ):
+        path = tmp_path / "h.pfg"
+        path.write_bytes(blob)
+        for words in (1, 1 << 17):
+            monkeypatch.setattr(gridio, "_BLOCK_WORDS", words)
+            with pytest.raises(FormatError, match=message) as err:
+                read_grid(str(path))
+            assert err.value.offset == offset
+
+    def test_overflow_in_the_last_block_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gridio, "_BLOCK_WORDS", 6)  # one slice per block
+        path = str(tmp_path / "keep.pfg")
+        write_grid(path, Grid2(np.full((2, 2), 7.0)))
+        before = Path(path).read_bytes()
+        data = np.ones((2, 3, 5))
+        data[1, 2, 4] = -1e39
+        with pytest.raises(ParameterError, match="overflow float32"):
+            write_grid(path, SeismicVolume(data, dt=1.0, dx=1.0, dy=1.0))
+        assert Path(path).read_bytes() == before
+        assert glob.glob(str(tmp_path / ".pfg-*")) == []
+
+    def test_a_failing_block_leaves_no_temp_file(self, tmp_path):
+        path = str(tmp_path / "keep.pfg")
+        write_grid(path, Grid2(np.full((2, 2), 7.0)))
+        before = Path(path).read_bytes()
+
+        def chunks():
+            yield b"partial"
+            raise ParameterError("block refused")
+
+        with pytest.raises(ParameterError, match="block refused"):
+            gridio._atomic_write(path, chunks())
+        assert Path(path).read_bytes() == before
+        assert glob.glob(str(tmp_path / ".pfg-*")) == []
 
 
 class TestHeaderParsing:

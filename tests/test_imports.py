@@ -1,9 +1,9 @@
-"""Every name that a package module imports is used in that module, and
-every name that a module defines is read somewhere.
+"""Every name that a package or test module imports is used in that
+module, and every name that a package module defines is read somewhere.
 
 No linter runs on this code, so this keeps imports and definitions left
-over by a refactor out of the source. ``__init__.py`` is skipped for
-imports: its imports are the public API.
+over by a refactor out of the source and the tests. ``__init__.py`` is
+skipped for imports: its imports are the public API.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import pytest
 import pyrafuse
 
 PACKAGE = Path(pyrafuse.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 # the code that may read a module-level name: the package and its tests
-READERS = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+READERS = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +35,9 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda path: path.name
+)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,6 +351,94 @@ class TestReadErrors:
     def test_bad_max_traces(self):
         with pytest.raises(ParameterError):
             SegyImportOptions(max_traces=0)
+
+
+def _peak(read, *args):
+    """The result of ``read(*args)`` and the peak bytes traced during it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = read(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _larger_fstat(monkeypatch, extra: int) -> None:
+    """Make ``os.fstat`` report files ``extra`` bytes larger than they are."""
+    real = os.fstat
+
+    def fstat(fd):
+        return SimpleNamespace(st_size=real(fd).st_size + extra)
+
+    monkeypatch.setattr(os, "fstat", fstat)
+
+
+class TestStreamedRead:
+    """The reader holds the float64 result plus about one block."""
+
+    NS, N_IL, N_XL = 250, 64, 64
+
+    @pytest.mark.parametrize("volume", [True, False], ids=["volume", "section"])
+    @pytest.mark.parametrize("fmt", [1, 5], ids=["ibm", "ieee"])
+    def test_peak_is_the_result_plus_a_few_blocks(self, tmp_path, fmt, volume):
+        n = self.N_IL * self.N_XL
+        traces = np.random.default_rng(5).standard_normal((self.NS, n))
+        inlines = np.repeat(np.arange(self.N_IL), self.N_XL) if volume else np.ones(n, int)
+        crosslines = np.tile(np.arange(self.N_XL), self.N_IL) if volume else np.arange(n)
+        path = _write(tmp_path, _build_segy(traces, inlines, crosslines, fmt=fmt))
+        result, peak = _peak(read_segy, path)
+        assert isinstance(result, SeismicVolume if volume else SeismicSection)
+        block = 4 * segy._BLOCK_WORDS
+        assert os.path.getsize(path) > 8 * block  # several blocks
+        # the IBM decode's temporaries are about seven blocks
+        assert peak < self.NS * n * 8 + 12 * block
+
+    @pytest.mark.parametrize("fmt, word", [(1, 0x7FFFFFFF), (5, 0x7FC00000)], ids=["ibm", "ieee"])
+    def test_bad_sample_in_the_last_block_is_an_error_at_its_offset(
+        self, tmp_path, monkeypatch, fmt, word
+    ):
+        monkeypatch.setattr(segy, "_BLOCK_WORDS", 2 * 8)  # two records per block
+        words = np.full((8, 7), 0x41100000 if fmt == 1 else 0x3F800000, dtype=np.uint32)
+        words[5, 6] = word
+        blob = _build_segy(words, [1] * 7, range(7), fmt=fmt, raw=True)
+        with pytest.raises(FormatError) as err:
+            read_segy(_write(tmp_path, blob))
+        assert err.value.offset == 3600 + 6 * (240 + 4 * 8) + 240 + 4 * 5
+
+    @pytest.mark.parametrize("extra_records", [1, 3])
+    def test_a_file_that_shrank_after_the_size_check_gives_no_container(
+        self, tmp_path, monkeypatch, extra_records
+    ):
+        monkeypatch.setattr(segy, "_BLOCK_WORDS", 2 * 8)
+        blob = _build_segy(np.ones((8, 6)), [1, 1, 1, 2, 2, 2], [1, 2, 3] * 2)
+        path = _write(tmp_path, blob)
+        _larger_fstat(monkeypatch, extra_records * (240 + 4 * 8))
+        with pytest.raises(FormatError, match="ends at byte") as err:
+            read_segy(path)
+        assert err.value.offset == len(blob)
+
+    def test_max_traces_caps_what_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segy, "_BLOCK_WORDS", 8)  # one record per block
+        traces = np.ones((8, 5))
+        traces[2, 4] = np.nan  # beyond the cap, so never decoded
+        path = _write(tmp_path, _build_segy(traces, [1] * 5, range(5), fmt=5))
+        section = read_segy(path, SegyImportOptions(max_traces=4))
+        assert section.grid.shape == (8, 4)
+        with pytest.raises(FormatError):
+            read_segy(path)
+
+    @pytest.mark.parametrize("inlines", [[1, 1, 2, 2], [1] * 4], ids=["volume", "section"])
+    def test_result_is_read_only_and_owns_its_buffer(self, tmp_path, inlines):
+        path = _write(tmp_path, _build_segy(np.ones((8, 4)), inlines, [1, 2, 1, 2]))
+        result = read_segy(path)
+        data = result.data if isinstance(result, SeismicVolume) else result.grid.data
+        assert not data.flags.writeable and data.flags.c_contiguous
+        assert data.base is None  # no writable array behind it
+        with pytest.raises(ValueError):
+            data[0, 0] = 1.0
 
 
 def _same_import(actual, expected) -> None:
