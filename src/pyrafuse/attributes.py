@@ -24,11 +24,17 @@ arrays, so a slice is bit-for-bit that row of the full per-section stack.
 It builds the base level one section at a time and the levels above it for
 batches of four sections. Both orientations of a volume hold the same
 traces, so one pass over the fixed-x sections takes the base level's
-quadrature for both. None of this changes a byte.
+quadrature for both. Once every level is recorded, each output row is
+independent of the others, so the finishing (phase derivatives, dip
+quotient and expansion) runs in contiguous row parts at once, one per CPU
+in the process's affinity for large sections; a time slice is one row and
+one part. None of this changes a byte.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -70,6 +76,11 @@ _MIN_DIP_COLS = 3
 # as many cells as one base level, which runs one section at a time and
 # sets the peak memory.
 _BATCH = 4
+
+# Cells a row part of the dip finishing or of fusion holds at least: below
+# that a thread costs more than it saves, so a 512x512 section splits in two
+# on two CPUs while a 64x64 volume slice, or its one-row finish, runs whole.
+_MIN_PART_CELLS = 1 << 16
 
 
 def phase_dip(
@@ -270,6 +281,86 @@ def _check_dip_request(
     return scales
 
 
+def _row_plan(nt: int, scales: int, first: int, stop: int) -> list[tuple]:
+    """Per level, what base rows [first, stop) of an nt-row section read.
+
+    ``band``, the level rows the time differences need: the interpolation's
+    rows and one more each side, clipped to the level; ``read``, where the
+    interpolation's rows sit in the band; ``blend``, their (lower, upper,
+    fraction) relative to ``read``, or None on the base level, which is not
+    resized. They depend on the level's row count alone, so every section
+    shares them, and the rows of any sub-range read a sub-band.
+    """
+    # an index array, not a slice: the plan keeps copies of these rows of
+    # each level's stencil, not views that hold the whole stencil alive
+    targets = np.arange(first, stop)
+    levels = []
+    level_rows = nt
+    for _ in range(scales):
+        if level_rows == nt:
+            lo, up, blend = first, stop - 1, None
+        else:
+            lower, upper, fracs = _interp_stencil(level_rows, nt)
+            lower, upper = lower[targets], upper[targets]
+            lo, up = int(lower[0]), int(upper[-1])
+            blend = (lower - lo, upper - lo, fracs[targets, None, None])
+        start = max(lo - 1, 0)
+        levels.append(
+            (slice(start, min(up + 2, level_rows)), slice(lo - start, up + 1 - start), blend)
+        )
+        level_rows = (level_rows + 1) // 2
+    return levels
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_parts(first: int, stop: int, cells: int, work: Callable[[int, int], None]) -> None:
+    """``work(a, b)`` over contiguous parts [a, b) of rows [first, stop),
+    all at once: one part per CPU, each of at least ``_MIN_PART_CELLS`` of
+    the ``cells`` the rows hold.
+
+    The parts but the last run on threads started for this call, under the
+    caller's numpy error state; the last runs in the caller's thread. Every
+    part is joined before the first exception, in part order, is raised.
+    A single part runs here, on no thread.
+    """
+    parts = max(1, min(_cpus(), cells // _MIN_PART_CELLS, stop - first))
+    if parts == 1:
+        work(first, stop)
+        return
+    bounds = [first + (stop - first) * i // parts for i in range(parts + 1)]
+    errors: list[BaseException | None] = [None] * parts
+    # a new thread starts with numpy's default error state
+    errstate = {**np.geterr(), "call": np.geterrcall()}
+
+    def run(i: int) -> None:
+        try:
+            with np.errstate(**errstate):
+                work(bounds[i], bounds[i + 1])
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(parts - 1):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(parts - 1)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _dip_rows(
     data: np.ndarray,
     rows: slice,
@@ -297,11 +388,19 @@ def _dip_rows(
     the fixed-x sections takes the base level's quadrature for both: the
     fixed-y sections read its f, h and f^2 + h^2 through transposed views
     and their maxima as a running maximum over x, and are only reduced.
-    Phase derivatives and the dip quotient then run, for all sections of an
-    orientation at once, only on the level rows that the time interpolation
-    to ``rows`` reads (one more row each side for the time differences),
-    and only those rows are expanded across. None of this changes a byte:
-    every section's arithmetic is the same, and a maximum is exact.
+    That is the record stage; it keeps, per level, the band of rows that
+    :func:`_row_plan` gives for the whole request.
+
+    The finish stage then takes phase derivatives, the dip quotient and the
+    expansion for all sections of an orientation at once, only on the level
+    rows that the time interpolation to ``rows`` reads (one more row each
+    side for the time differences), and expands only those rows across. It
+    runs in contiguous parts of ``rows`` at once (:func:`_in_parts`): each
+    part reads the sub-band that :func:`_row_plan` gives for its own rows,
+    and writes its rows of the result. None of this changes a byte: every
+    section's arithmetic is the same, a maximum is exact, a band widened by
+    one row gives its inner rows their full-section time differences, and
+    the expansion works row by row.
 
     ``boundary`` (None: identity) is applied to each level before its
     quadrature, while the reduction chain stays unrounded, and to the dip
@@ -313,29 +412,7 @@ def _dip_rows(
     """
     nt = data.shape[0]
     first, stop, _ = rows.indices(nt)
-    # an index array, not a slice: the plan keeps copies of these rows of
-    # each level's stencil, not views that hold the whole stencil alive
-    targets = np.arange(first, stop)
-    # Per level: ``band``, the rows the time differences need; ``read``,
-    # where the interpolation's rows sit in the band; ``blend``, their
-    # (lower, upper, fraction) relative to ``read``, or None on the base
-    # level, which is not resized. They depend on the level's row count
-    # alone, so every section of ``data`` shares them.
-    levels = []
-    level_rows = nt
-    for _ in range(scales):
-        if level_rows == nt:
-            lo, up, blend = first, stop - 1, None
-        else:
-            lower, upper, fracs = _interp_stencil(level_rows, nt)
-            lower, upper = lower[targets], upper[targets]
-            lo, up = int(lower[0]), int(upper[-1])
-            blend = (lower - lo, upper - lo, fracs[targets, None, None])
-        start = max(lo - 1, 0)
-        levels.append(
-            (slice(start, min(up + 2, level_rows)), slice(lo - start, up + 1 - start), blend)
-        )
-        level_rows = (level_rows + 1) // 2
+    levels = _row_plan(nt, scales, first, stop)
 
     def plan(count: int, n: int, base: tuple | None = None) -> list[tuple]:
         """Per level, buffers for ``count`` sections of ``n`` traces: f and h
@@ -410,18 +487,33 @@ def _dip_rows(
             out[...] = boundary(out)
 
     def finish(buffers: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives, quotient and expansion of the recorded rows."""
-        dips = np.empty((scales, len(targets), buffers[0][1].shape[1], n))
+        """Derivatives, quotient and expansion of the recorded rows, in row
+        parts that run at once (:func:`_in_parts`)."""
+        dips = np.empty((scales, stop - first, buffers[0][1].shape[1], n))
         trust = np.empty(dips.shape, dtype=bool)
-        for i, ((_, read, blend), ((f, h), env2, env2_max)) in enumerate(zip(levels, buffers)):
-            trusted = _trusted(env2, env2_max)
-            d_time = _phase_derivative_band(f, h, env2, trusted, 0, read)
-            d_trace = _phase_derivative_band(f[read], h[read], env2, trusted, 2)
-            dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
-            # the 0/1 trust is expanded through dips[i] before its dip is
-            expand(ok.astype(np.float64), blend, n, dips[i])
-            np.greater(dips[i], 0.5, out=trust[i])
-            expand(dip, blend, n, dips[i])
+
+        def part(a: int, b: int) -> None:
+            rows = slice(a - first, b - first)
+            own = levels if (a, b) == (first, stop) else _row_plan(nt, scales, a, b)
+            for i, ((band, read, _), (part_band, part_read, blend), ((f, h), env2, env2_max)) in (
+                enumerate(zip(levels, own, buffers))
+            ):
+                # the part's band and read rows within the recorded ones
+                in_band = slice(part_band.start - band.start, part_band.stop - band.start)
+                f, h = f[in_band], h[in_band]
+                at = part_band.start + part_read.start - band.start - read.start
+                env2 = env2[at : at + part_read.stop - part_read.start]
+                trusted = _trusted(env2, env2_max)
+                d_time = _phase_derivative_band(f, h, env2, trusted, 0, part_read)
+                d_trace = _phase_derivative_band(f[part_read], h[part_read], env2, trusted, 2)
+                dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
+                # the 0/1 trust is expanded through the dip rows before its dip is
+                out = dips[i, rows]
+                expand(ok.astype(np.float64), blend, n, out)
+                np.greater(out, 0.5, out=trust[i, rows])
+                expand(dip, blend, n, out)
+
+        _in_parts(first, stop, dips[0].size, part)
         return dips, trust
 
     if data.ndim == 2:

@@ -20,6 +20,10 @@ instructions disagree across CPUs on which of them comes first, so every
 cell that holds a zero is ordered again with ``np.sort(kind="stable")``.
 Of -0.0 on one scale and +0.0 on a later one, -0.0 sorts first, and the
 sign of a fused zero depends only on the data.
+
+Every rule works cell by cell, so a large map is fused in contiguous row
+parts at once, one per CPU in the process's affinity; the bytes are those
+of one part.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .attributes import (
     VELOCITY_DEFAULT,
     AttributeStack,
     _attribute_layers,
+    _in_parts,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
@@ -100,18 +105,17 @@ def default_weights(scales: int, bias: float = 2.0) -> np.ndarray:
     return w / total
 
 
-def _masked_mean(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+def _masked_mean(values: np.ndarray, valid: np.ndarray, out: np.ndarray) -> None:
+    """Per-cell mean of the valid entries into the zeroed ``out``."""
     counts = valid.sum(axis=0)
     total = np.where(valid, values, 0.0).sum(axis=0)
-    out = np.zeros(values.shape[1:])
     np.divide(total, counts, out=out, where=counts > 0)
     # a one-sample mean must be that sample bit for bit (summation would
     # turn -0.0 into +0.0)
     if np.any(counts == 1):
         first = np.argmax(valid, axis=0)
         single = np.take_along_axis(values, first[None], axis=0)[0]
-        out = np.where(counts == 1, single, out)
-    return out
+        np.copyto(out, single, where=counts == 1)
 
 
 def _sort_rows(values: np.ndarray) -> list[np.ndarray]:
@@ -146,9 +150,10 @@ def _zero_ties(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, np.sort(values[:, cells], axis=0, kind="stable")
 
 
-def _median_of_sorted(rows, counts: np.ndarray) -> np.ndarray:
-    """Per-cell median of the first ``counts`` of the ascending ``rows``."""
-    out = np.zeros(counts.shape)
+def _median_of_sorted(rows, counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell median of the first ``counts`` of the ascending ``rows``,
+    into ``out`` (zeroed; None: a new one), which cells of no count keep."""
+    out = np.zeros(counts.shape) if out is None else out
     for c in range(1, len(rows) + 1):
         lower, upper = rows[(c - 1) // 2], rows[c // 2]
         middle = lower if c % 2 else 0.5 * (lower + upper)
@@ -156,16 +161,16 @@ def _median_of_sorted(rows, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _masked_median(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Per-cell median of the valid entries; overwrites ``values``."""
+def _masked_median(values: np.ndarray, valid: np.ndarray, out: np.ndarray) -> None:
+    """Per-cell median of the valid entries into the zeroed ``out``;
+    overwrites ``values``."""
     counts = valid.sum(axis=0)
     # guarded entries go to +inf, past every real value, so a cell's c
     # valid entries are its first c sorted ones
     np.copyto(values, np.inf, where=~valid)
     cells, tied = _zero_ties(values)
-    out = _median_of_sorted(_sort_rows(values), counts)
+    _median_of_sorted(_sort_rows(values), counts, out)
     out[cells] = _median_of_sorted(tied, counts[cells])
-    return out
 
 
 def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
@@ -206,29 +211,26 @@ def _check_fusion(spec: FusionSpec, scales: int) -> None:
 
 
 def _fuse_arrays(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
-    """:func:`fuse`, overwriting ``stack.values``."""
+    """:func:`fuse`, overwriting ``stack.values``.
+
+    Every rule works cell by cell, so the rows are fused in parts that run
+    at once (:func:`attributes._in_parts`), each into its rows of the map.
+    """
     values, valid = stack.values, stack.valid
     scales = values.shape[0]
     _check_fusion(spec, scales)
     method = spec.method
     meta = {"method": method.value, "scales": str(scales)}
-    if method is FusionMethod.MEAN:
-        fused = _masked_mean(values, valid)
-    elif method is FusionMethod.MEDIAN:
-        fused = _masked_median(values, valid)
-    elif method is FusionMethod.WEIGHTED_MEAN:
-        w = np.asarray(spec.weights, dtype=np.float64)
-        fused = np.einsum("k,kij->ij", w / w.sum(), values)
+    if method is FusionMethod.WEIGHTED_MEAN:
         meta["weights"] = ",".join(repr(float(x)) for x in spec.weights)
     elif method is FusionMethod.RANK:
-        r = int(spec.rank)
-        cells, tied = _zero_ties(values)
-        fused = _sort_rows(values)[r]
-        fused[cells] = tied[r]
-        meta["rank"] = str(r)
-    else:  # pragma: no cover - enum is closed
-        raise ParameterError(f"unknown fusion method {method!r}")
+        meta["rank"] = str(int(spec.rank))
+    fused = np.zeros(values.shape[1:])
 
+    def part(a: int, b: int) -> None:
+        _fuse_rows(values[:, a:b], valid[:, a:b], spec, fused[a:b])
+
+    _in_parts(0, len(fused), fused.size, part)
     any_valid = valid.any(axis=0)
     for key in ("sigma", "radius", "velocity", "time_index"):
         if key in stack.meta:
@@ -243,6 +245,26 @@ def _fuse_arrays(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
         quality=Grid2(any_valid.astype(np.float64)),
         meta=meta,
     )
+
+
+def _fuse_rows(values: np.ndarray, valid: np.ndarray, spec: FusionSpec, out: np.ndarray) -> None:
+    """Fuse (K, ...) ``values`` by a checked ``spec`` into the zeroed
+    ``out``; overwrites ``values``."""
+    method = spec.method
+    if method is FusionMethod.MEAN:
+        _masked_mean(values, valid, out)
+    elif method is FusionMethod.MEDIAN:
+        _masked_median(values, valid, out)
+    elif method is FusionMethod.WEIGHTED_MEAN:
+        w = np.asarray(spec.weights, dtype=np.float64)
+        np.einsum("k,kij->ij", w / w.sum(), values, out=out)
+    elif method is FusionMethod.RANK:
+        r = int(spec.rank)
+        cells, tied = _zero_ties(values)
+        np.copyto(out, _sort_rows(values)[r])
+        out[cells] = tied[r]
+    else:  # pragma: no cover - enum is closed
+        raise ParameterError(f"unknown fusion method {method!r}")
 
 
 def multiscale_attribute(

@@ -75,6 +75,10 @@ _MAX_CELLS = 1 << 34  # refuse absurd headers before allocating
 # 4-byte words per block read or written; a block holds whole SEG-Y trace
 # records or whole last-axis slices of a grid, at least one
 _BLOCK_WORDS = 1 << 17
+# last-axis slices a grid read takes per block at least, or the whole axis:
+# a 64-byte line of the float64 result holds 8 neighbours along that axis,
+# so each line is then written by one block
+_READ_SLICES = 8
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -271,6 +275,10 @@ def _read_payload(
 ) -> np.ndarray:
     """The payload the header describes, as a C-order float64 array.
 
+    The payload is read in blocks of whole last-axis slices: about
+    ``_BLOCK_WORDS`` words, and at least ``_READ_SLICES`` slices or the
+    whole axis, so a volume with large slices is read a few blocks above
+    its result rather than writing each cache line from several blocks.
     Each block is checked at float32 before it is cast: casting a
     signalling NaN would raise a warning first.
     """
@@ -289,7 +297,7 @@ def _read_payload(
         )
 
     data = np.empty((rows, cols) if planes is None else (rows, cols, planes))
-    step = _slices_per_block(data)
+    step = max(_READ_SLICES, _slices_per_block(data))
     plane = data.size // data.shape[-1]
     buffer = bytearray(4 * plane * min(step, data.shape[-1]))
     handle.seek(offset)

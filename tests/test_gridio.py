@@ -478,6 +478,45 @@ class TestStreamedIO:
             read_grid(str(path))
         assert err.value.offset == len(blob) - 12
 
+    @pytest.mark.parametrize(
+        "shape, blocks",
+        [((6, 20, 19), [8, 8, 3]), ((6, 20, 5), [5]), ((130, 21), [8, 8, 5]), ((40, 900), None)],
+        ids=["volume", "short-axis", "section", "section-of-many-blocks"],
+    )
+    def test_reads_take_at_least_eight_slices_per_block(self, tmp_path, monkeypatch, shape, blocks):
+        # a 64-byte line of the float64 result holds 8 neighbours along the
+        # last axis, so a block of fewer slices would write it only in part
+        monkeypatch.setattr(gridio, "_BLOCK_WORDS", 64)  # less than one slice
+        data = np.random.default_rng(9).standard_normal(shape).astype(np.float32)
+        obj = (
+            SeismicVolume(data, dt=1.0, dx=1.0, dy=1.0) if len(shape) == 3
+            else SeismicSection(Grid2(data), dt=1.0, dx=1.0)
+        )
+        path = str(tmp_path / "b.pfg")
+        write_grid(path, obj)
+        plane = int(np.prod(shape[:-1]))
+        sizes = []
+        real = gridio._read_exactly
+
+        def record(handle, buffer, path, offset):
+            sizes.append(len(buffer))
+            real(handle, buffer, path, offset)
+
+        monkeypatch.setattr(gridio, "_read_exactly", record)
+        back = read_grid(path)
+        assert np.array_equal(back.data if len(shape) == 3 else back.grid.data, data)
+        slices = [size // (4 * plane) for size in sizes]
+        assert [size % (4 * plane) for size in sizes] == [0] * len(sizes)
+        assert sum(slices) == shape[-1]
+        assert all(n >= 8 for n in slices[:-1])
+        if blocks is not None:
+            assert slices == blocks
+        # larger blocks stay whole slices of about _BLOCK_WORDS words
+        monkeypatch.setattr(gridio, "_BLOCK_WORDS", 16 * plane)
+        sizes.clear()
+        read_grid(path)
+        assert [size // (4 * plane) for size in sizes][:-1] == [16] * (len(sizes) - 1)
+
     @pytest.mark.parametrize("words", [1, 3, 64])
     def test_a_header_longer_than_a_block_reads_the_same(self, tmp_path, monkeypatch, words):
         path = str(tmp_path / "m.pfg")
