@@ -40,7 +40,7 @@ from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
 from .pyramid import build_pyramid, expand_to, make_kernel
 from .segy import SegyImportOptions, read_segy
-from .synth import NOISE_PRNG, make_synthetic, parse_synth_spec
+from .synth import make_synthetic, parse_synth_spec
 
 log = logging.getLogger("pyrafuse")
 
@@ -82,8 +82,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -229,11 +229,7 @@ def _cmd_synth(args) -> None:
         raise ParameterError(f"{args.spec}: not UTF-8 text at byte offset {exc.start}") from None
     spec = parse_synth_spec(text)
     data, truth = make_synthetic(spec)
-    meta = {"seed": str(spec.seed), "f_peak": repr(spec.f_peak)}
-    if spec.snr_db is not None:
-        meta["snr_db"] = repr(float(spec.snr_db))
-        meta["noise_prng"] = NOISE_PRNG
-    write_grid(args.out, data, extra_meta=meta)
+    write_grid(args.out, data)
     log.info("wrote %s", args.out)
     if args.truth_prefix:
         dy = None if spec.ny is None else spec.dy
@@ -264,9 +260,9 @@ def _cmd_pyramid(args) -> None:
         write_grid(
             target,
             SeismicSection(level, dt=section.dt * 2**i, dx=section.dx * 2**i,
-                           label=section.label),
-            extra_meta={"level": str(i), "sigma": repr(kernel.sigma),
-                        "radius": str(kernel.radius)},
+                           label=section.label,
+                           meta={**section.meta, "level": str(i), "sigma": repr(kernel.sigma),
+                                 "radius": str(kernel.radius)}),
         )
         log.info("wrote %s (%dx%d)", target, level.rows, level.cols)
 
@@ -306,8 +302,8 @@ def _cmd_attr(args) -> None:
     if args.quality_out:
         write_grid(
             args.quality_out,
-            SeismicSection(m.quality, dt=m.dt, dx=m.dx, label="quality"),
-            extra_meta={"role": "quality"},
+            SeismicSection(m.quality, dt=m.dt, dx=m.dx, label="quality",
+                           meta={"role": "quality"}),
         )
         log.info("wrote %s", args.quality_out)
 
@@ -372,7 +368,7 @@ def _cmd_segy_import(args) -> None:
         dy=args.dy,
     )
     data = read_segy(args.segy, options)
-    write_grid(args.out, data, extra_meta={"source": "segy"})
+    write_grid(args.out, data)
     log.info("wrote %s", args.out)
 
 

@@ -106,16 +106,22 @@ class SeismicSection:
         dt: sample interval in seconds.
         dx: trace spacing in meters.
         label: free-form provenance tag (e.g. "inline 12").
+        meta: header pairs, as on :class:`AttributeMap`; a ``label`` key
+            in it is a ParameterError, as the label has its own field.
     """
 
     grid: Grid2
     dt: float
     dx: float
     label: str = ""
+    meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "dt", _check_interval("dt", self.dt))
         object.__setattr__(self, "dx", _check_interval("dx", self.dx))
+        if "label" in self.meta:
+            raise ParameterError("a section's label is its label field, not a meta key")
+        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def n_samples(self) -> int:
@@ -145,12 +151,14 @@ class SeismicVolume:
     dt: float
     dx: float
     dy: float
+    meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_array(self.data, 3))
         object.__setattr__(self, "dt", _check_interval("dt", self.dt))
         object.__setattr__(self, "dx", _check_interval("dx", self.dx))
         object.__setattr__(self, "dy", _check_interval("dy", self.dy))
+        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def nt(self) -> int:
@@ -178,16 +186,17 @@ class SeismicVolume:
     def inline_section(self, x_index: int) -> SeismicSection:
         """Vertical section at fixed inline position: lateral axis = y."""
         x = self._check_index("inline", x_index, self.nx)
-        return SeismicSection(
-            Grid2(self.data[:, x, :]), dt=self.dt, dx=self.dy, label=f"inline {x}"
-        )
+        return self._section(self.data[:, x, :], self.dy, f"inline {x}")
 
     def crossline_section(self, y_index: int) -> SeismicSection:
         """Vertical section at fixed crossline position: lateral axis = x."""
         y = self._check_index("crossline", y_index, self.ny)
-        return SeismicSection(
-            Grid2(self.data[:, :, y]), dt=self.dt, dx=self.dx, label=f"crossline {y}"
-        )
+        return self._section(self.data[:, :, y], self.dx, f"crossline {y}")
+
+    def _section(self, data: np.ndarray, dx: float, label: str) -> SeismicSection:
+        """A section with this volume's meta, less any ``label`` key."""
+        meta = {k: v for k, v in self.meta.items() if k != "label"}
+        return SeismicSection(Grid2(data), dt=self.dt, dx=dx, label=label, meta=meta)
 
     def __repr__(self) -> str:
         return (
@@ -279,7 +288,7 @@ def reassemble_volume(sections: list[SeismicSection], dx: float) -> SeismicVolum
     """Stack inline sections (fixed x, lateral axis y) back into a volume.
 
     Inverse of taking ``inline_section`` at every x. Sections must agree in
-    shape and sampling.
+    shape and sampling; the volume takes the first section's ``meta``.
     """
     if not sections:
         raise ShapeError("need at least one section")
@@ -288,4 +297,4 @@ def reassemble_volume(sections: list[SeismicSection], dx: float) -> SeismicVolum
         if s.grid.shape != first.grid.shape or s.dt != first.dt or s.dx != first.dx:
             raise ShapeError("sections disagree in shape or sampling")
     data = np.stack([s.grid.data for s in sections], axis=1)
-    return SeismicVolume(data, dt=first.dt, dx=dx, dy=first.dx)
+    return SeismicVolume(data, dt=first.dt, dx=dx, dy=first.dx, meta=first.meta)

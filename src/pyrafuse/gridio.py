@@ -15,9 +15,10 @@ followed by the raw sample payload:
     <rows * cols (* planes) float32 little-endian samples>
 
 Required keys: magic (first line), rows, cols. Volumes add planes and dy.
-Any other key=value pair is free-form metadata: `info` prints every pair,
-and read_grid keeps each non-structural one as the meta of an attribute
-map, but only label of a raw section and none of a volume. The payload is
+Any other key=value pair is free-form metadata: the writer takes it from
+the container's meta (and a section's label), `info` prints every pair,
+and read_grid returns each non-structural one in the container's meta
+(label as a section's label field). A key may appear once. The payload is
 stored first-axis-fastest: all rows of column 0, then column 1, ... (for a
 section that makes each trace contiguous; for a volume the time axis varies
 fastest, then x, then y). The data offset is wherever the blank line ends;
@@ -107,23 +108,18 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _header_and_samples(
-    obj, extra_meta: dict[str, str] | None = None
-) -> tuple[bytes, np.ndarray]:
+def _header_and_samples(obj) -> tuple[bytes, np.ndarray]:
     """The header bytes and the float64 samples."""
     if isinstance(obj, Grid2):
         obj = AttributeMap(obj, AttributeKind.RAW)
     if isinstance(obj, AttributeMap):
-        data, kind, scale, meta = obj.grid.data, obj.kind, obj.scale, obj.meta
-    elif isinstance(obj, SeismicSection):
-        data, kind, scale = obj.grid.data, AttributeKind.RAW, 0
-        meta = {"label": obj.label} if obj.label else {}
-    elif isinstance(obj, SeismicVolume):
-        data, kind, scale, meta = obj.data, AttributeKind.RAW, 0, {}
+        data, kind, scale = obj.grid.data, obj.kind, obj.scale
+    elif isinstance(obj, (SeismicSection, SeismicVolume)):
+        data, kind, scale = getattr(obj, "grid", obj).data, AttributeKind.RAW, 0
     else:
         raise ParameterError(f"cannot serialize a {type(obj).__name__}")
-
-    meta = {**meta, **(extra_meta or {})}
+    label = getattr(obj, "label", "")
+    meta = {**obj.meta, "label": label} if label else obj.meta
     pairs = [("magic", MAGIC), *zip(("rows", "cols", "planes"), map(str, data.shape))]
     for key in ("dt", "dx", "dy"):
         value = getattr(obj, key, None)
@@ -184,27 +180,27 @@ def _file_blocks(header: bytes, data: np.ndarray):
         yield samples
 
 
-def write_grid(path: str, obj, extra_meta: dict[str, str] | None = None) -> None:
+def write_grid(path: str, obj) -> None:
     """Serialize a section, volume, map, or bare grid to ``path`` atomically.
 
-    ``extra_meta`` adds free-form header pairs on top of the object's own
-    metadata (same restrictions: ASCII only, no '=' in a key, no newlines,
-    keys already stripped and lowercase, no structural keys).
+    The header carries the object's ``meta`` (and a section's label):
+    ASCII only, no '=' in a key, no newlines, keys already stripped and
+    lowercase, no structural keys.
 
     Raises:
         ParameterError: unserializable object or metadata, or a value
             beyond the float32 range; an existing file at ``path`` is left
             as it was.
     """
-    _atomic_write(path, _file_blocks(*_header_and_samples(obj, extra_meta)))
+    _atomic_write(path, _file_blocks(*_header_and_samples(obj)))
 
 
 def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
     """Parse the ASCII header; returns (pairs, data offset).
 
     Raises:
-        FormatError: missing/blank magic line, malformed line, no blank
-            terminator. The error carries the byte offset.
+        FormatError: missing/blank magic line, malformed line, a repeated
+            key, no blank terminator. The error carries the byte offset.
     """
     pairs: dict[str, str] = {}
     offset = 0
@@ -235,6 +231,8 @@ def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
                     f"{path}: bad magic {found!r}; expected {MAGIC}", offset=0
                 )
             first = False
+        if key in pairs:
+            raise FormatError(f"{path}: repeated header key {key!r}", offset=offset)
         pairs[key] = value
         offset = end + 1
 
@@ -349,7 +347,8 @@ def read_grid(path: str):
     """Read a grid file back into the object its header describes.
 
     kind=raw gives a SeismicSection (or SeismicVolume when planes is
-    present); any attribute kind gives an AttributeMap.
+    present); any attribute kind gives an AttributeMap. Each other pair
+    goes into its meta, and a section's label into its label field.
 
     Raises:
         FormatError: bad magic, malformed header, unknown kind/units/scale,
@@ -373,8 +372,8 @@ def read_grid(path: str):
 
     if kind is AttributeKind.RAW:
         if "planes" in pairs:
-            return SeismicVolume(data, dt=dt, dx=dx, dy=dy)
-        return SeismicSection(Grid2(data), dt=dt, dx=dx, label=meta.get("label", ""))
+            return SeismicVolume(data, dt=dt, dx=dx, dy=dy, meta=meta)
+        return SeismicSection(Grid2(data), dt=dt, dx=dx, label=meta.pop("label", ""), meta=meta)
 
     if "planes" in pairs:
         raise FormatError(f"{path}: attribute maps must be 2D", offset=0)

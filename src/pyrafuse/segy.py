@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError, UnsupportedFormatError
-from .grid import Grid2, SeismicSection, SeismicVolume, _Adopted
+from .grid import Grid2, SeismicSection, SeismicVolume, _Adopted, _check_interval
 from .gridio import _BLOCK_WORDS, _read_exactly
 
 TEXT_HEADER_BYTES = 3200
@@ -156,6 +156,8 @@ class SegyImportOptions:
             )
         if self.max_traces is not None and int(self.max_traces) < 1:
             raise ParameterError(f"max_traces must be >= 1, got {self.max_traces}")
+        _check_interval("dx", self.dx)
+        _check_interval("dy", self.dy)
 
 
 def _read_u16(blob: bytes, offset: int, big_endian: bool) -> int:
@@ -258,8 +260,10 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
 
     dt = dt_us * 1e-6
     if lattice is None:
-        return SeismicSection(Grid2(_Adopted(out)), dt=dt, dx=options.dx, label="segy import")
-    return SeismicVolume(_Adopted(out), dt=dt, dx=options.dx, dy=options.dy)
+        return SeismicSection(Grid2(_Adopted(out)), dt=dt, dx=options.dx, label="segy import",
+                              meta={"source": "segy"})
+    return SeismicVolume(_Adopted(out), dt=dt, dx=options.dx, dy=options.dy,
+                         meta={"source": "segy"})
 
 
 def _lattice(inlines: np.ndarray, crosslines: np.ndarray):

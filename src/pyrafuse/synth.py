@@ -287,7 +287,7 @@ def make_synthetic(spec: SynthSpec):
 
     The ground truth is evaluated from the event parameters (shallowest
     event wins at each lateral position); it is never measured from the
-    rendered data.
+    rendered data. The data's meta records the seed, f_peak and any noise.
     """
     x = np.arange(spec.nx, dtype=np.float64)
     if spec.ny is None:
@@ -302,10 +302,12 @@ def make_synthetic(spec: SynthSpec):
     fault_shift = _fault_shift(spec, x_traces)
     data = _render(spec, surfaces, np.broadcast_to(fault_shift, lateral_shape), lateral_shape)
 
+    meta = {"seed": str(spec.seed), "f_peak": repr(float(spec.f_peak))}
     if spec.snr_db is not None:
         sigma = _noise_sigma(data, float(spec.snr_db))
         rng = np.random.default_rng(int(spec.seed))
         data = data + sigma * rng.standard_normal(data.shape)
+        meta.update(snr_db=repr(float(spec.snr_db)), noise_prng=NOISE_PRNG)
 
     # Shallowest event at each lateral position owns the truth there.
     stacked_t = np.stack([np.broadcast_to(s[0], lateral_shape) for s in surfaces])
@@ -321,7 +323,7 @@ def make_synthetic(spec: SynthSpec):
 
     if spec.ny is None:
         truth = GroundTruth(dip_p=Grid2(np.broadcast_to(dip_p, (spec.nt, spec.nx)).copy()))
-        section = SeismicSection(Grid2(data), dt=spec.dt, dx=spec.dx, label="synthetic")
+        section = SeismicSection(Grid2(data), dt=spec.dt, dx=spec.dx, label="synthetic", meta=meta)
         return section, truth
     truth = GroundTruth(
         dip_p=Grid2(dip_p),
@@ -329,7 +331,7 @@ def make_synthetic(spec: SynthSpec):
         k_pos=Grid2(k_pos),
         k_neg=Grid2(k_neg),
     )
-    volume = SeismicVolume(data, dt=spec.dt, dx=spec.dx, dy=spec.dy)
+    volume = SeismicVolume(data, dt=spec.dt, dx=spec.dx, dy=spec.dy, meta=meta)
     return volume, truth
 
 

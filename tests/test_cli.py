@@ -106,7 +106,23 @@ class TestSynthCommand:
 
     def test_volume_spec_round_trips(self, tmp_path):
         out = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
-        assert read_grid(out).data.shape == (48, 20, 16)
+        volume = read_grid(out)
+        assert volume.data.shape == (48, 20, 16)
+        assert volume.meta == {"seed": "3", "f_peak": "25.0"}
+
+    def test_stage_outputs_keep_the_provenance(self, tmp_path):
+        src = _synth(tmp_path, text=SPEC_TEXT + "snr_db = 10\n")
+        provenance = {"seed": "7", "f_peak": "2.5", "snr_db": "10.0", "noise_prng": "PCG64"}
+        assert read_grid(src).meta == provenance
+        out = str(tmp_path / "big.pfg")
+        assert main(["expand", src, "--rows", "100", "--cols", "50", "--out", out]) == 0
+        expanded = read_grid(out)
+        assert (expanded.label, expanded.meta) == ("synthetic", provenance)
+        prefix = str(tmp_path / "pyr")
+        assert main(["pyramid", src, "--scales", "2", "--out-prefix", prefix]) == 0
+        level = read_grid(f"{prefix}_level1.pfg")
+        assert level.label == "synthetic"
+        assert level.meta == {**provenance, "level": "1", "sigma": "1.0", "radius": "2"}
 
 
 class TestPyramidCommand:
@@ -286,6 +302,7 @@ class TestSegyImport:
         section = read_grid(out)
         assert section.grid.shape == (ns, n)
         assert section.dx == 12.5
+        assert (section.label, section.meta) == ("segy import", {"source": "segy"})
         assert np.allclose(section.grid.data, traces, rtol=5e-7, atol=1e-9)
 
     def test_unsupported_format_exit_code(self, tmp_path):
@@ -395,6 +412,25 @@ class TestExitCodes:
         out = str(tmp_path / "o.pfg")
         assert main(["pipeline", src, "--scales", "3", *flags, "--out", out]) == 1
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--dx", "nan"), ("--dy", "inf"), ("--sigma", "inf"), ("--pmax", "nan")]
+    )
+    def test_non_finite_float_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # the flag is refused by name before any input is read: the SEG-Y
+        # file here is not even valid
+        out = tmp_path / "o.pfg"
+        if flag in ("--dx", "--dy"):
+            source = tmp_path / "junk.sgy"
+            source.write_bytes(b"\0" * 100)
+            argv = ["segy-import", str(source)]
+        else:
+            argv = ["pipeline", _synth(tmp_path)]
+        capsys.readouterr()
+        assert main([*argv, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a positive finite number, got {value!r}" in err
+        assert not out.exists()
 
     def test_sigma_with_non_finite_samples_exits_one_without_a_warning(self, tmp_path):
         # a child process, so that a warning reaches stderr as a user sees it
@@ -553,7 +589,9 @@ class TestContainerRefusals:
         a, b = read_grid(section).grid.data, read_grid(other).grid.data
         assert not np.array_equal(a, b)
         want = ((a + b) / 2).astype(np.float32).astype(np.float64)
-        assert same_bits(read_grid(out).grid.data, want)
+        fused = read_grid(out)
+        assert same_bits(fused.grid.data, want)
+        assert fused.meta == {"method": "mean", "scales": "2"}
 
 
 class TestConsoleEntry:

@@ -83,6 +83,16 @@ class TestSeismicSection:
         with pytest.raises(ParameterError):
             SeismicSection(grid, dt=0.004, dx=-1.0)
 
+    def test_meta_is_copied(self):
+        meta = {"source": "segy"}
+        section = SeismicSection(Grid2(np.zeros((2, 2))), dt=0.004, dx=25.0, meta=meta)
+        meta["source"] = "changed"
+        assert section.meta == {"source": "segy"}
+
+    def test_a_label_key_in_meta_is_refused(self):
+        with pytest.raises(ParameterError, match="label"):
+            SeismicSection(Grid2(np.zeros((2, 2))), dt=0.004, dx=25.0, meta={"label": "x"})
+
 
 class TestSeismicVolume:
     def _volume(self):
@@ -123,6 +133,23 @@ class TestSeismicVolume:
         assert s.grid.shape == (4, 3)
         assert np.array_equal(s.grid.data, data[:, :, 0])
         assert s.dx == 25.0
+
+    def test_sections_and_reassembly_carry_the_meta(self):
+        _, data = self._volume()
+        vol = SeismicVolume(data, dt=0.004, dx=25.0, dy=12.5, meta={"source": "segy"})
+        inline, crossline = vol.inline_section(1), vol.crossline_section(0)
+        assert inline.meta == crossline.meta == {"source": "segy"}
+        assert (inline.label, crossline.label) == ("inline 1", "crossline 0")
+        sections = [vol.inline_section(x) for x in range(3)]
+        assert reassemble_volume(sections, dx=25.0).meta == {"source": "segy"}
+
+    def test_sections_name_themselves_over_a_label_key(self):
+        # a volume's meta may hold any key; its sections keep their own label
+        _, data = self._volume()
+        vol = SeismicVolume(data, dt=0.004, dx=25.0, dy=12.5, meta={"label": "gsb", "a": "1"})
+        section = vol.inline_section(2)
+        assert (section.label, section.meta) == ("inline 2", {"a": "1"})
+        assert vol.meta == {"label": "gsb", "a": "1"}
 
     def test_out_of_range_indices(self):
         vol, _ = self._volume()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import glob
 import os
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,12 +53,12 @@ def _block_bytes() -> int:
     return 4 * gridio._BLOCK_WORDS
 
 
-def _section(rows=16, cols=9, label=""):
+def _section(rows=16, cols=9, label="", meta=None):
     rng = np.random.default_rng(7)
     data = np.asarray(
         rng.standard_normal((rows, cols)).astype(np.float32), dtype=np.float64
     )
-    return SeismicSection(Grid2(data), dt=0.002, dx=12.5, label=label)
+    return SeismicSection(Grid2(data), dt=0.002, dx=12.5, label=label, meta=meta or {})
 
 
 class TestRoundTrips:
@@ -154,9 +155,10 @@ class TestRoundTrips:
 _PIN_GRID = np.arange(6.0).reshape(3, 2)
 _RAW_KEYS = ("kind=raw", "units=dimensionless", "scale=0")
 
-# Each container, and the header lines write_grid gives it without and with
-# the extra pairs {"source": "segy", "level": "2"}: structural keys in a
-# fixed order, then every metadata pair sorted by key.
+# Each container, and the header lines write_grid gives it as built and with
+# the pairs of _PIN_EXTRA added to its meta: structural keys in a fixed
+# order, then every metadata pair sorted by key. A bare grid has no meta.
+_PIN_EXTRA = {"source": "segy", "level": "2"}
 HEADER_PINS = {
     "labelled-section": (
         lambda: SeismicSection(Grid2(_PIN_GRID), dt=0.002, dx=12.5, label="inline 12"),
@@ -200,18 +202,27 @@ HEADER_PINS = {
     "bare-grid": (
         lambda: Grid2(_PIN_GRID),
         ("rows=3", "cols=2", "dt=1.0", "dx=1.0", *_RAW_KEYS),
-        ("rows=3", "cols=2", "dt=1.0", "dx=1.0", *_RAW_KEYS, "level=2", "source=segy"),
+        None,
     ),
 }
 
 
-@pytest.mark.parametrize("extra", [False, True], ids=["own-meta", "extra-meta"])
-@pytest.mark.parametrize("name", sorted(HEADER_PINS))
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        pytest.param(name, extra, id=f"{name}-{'extra' if extra else 'own'}-meta")
+        for name in sorted(HEADER_PINS)
+        for extra in (False, True)
+        if not extra or HEADER_PINS[name][2] is not None
+    ],
+)
 def test_header_bytes_are_pinned(tmp_path, name, extra):
     make, plain, with_extra = HEADER_PINS[name]
     obj = make()
+    if extra:
+        obj = replace(obj, meta={**obj.meta, **_PIN_EXTRA})
     path = str(tmp_path / "pin.pfg")
-    write_grid(path, obj, extra_meta={"source": "segy", "level": "2"} if extra else None)
+    write_grid(path, obj)
     lines = ("magic=PFGRID1", *(with_extra if extra else plain))
     header = "".join(f"{line}\n" for line in lines).encode("ascii") + b"\n"
     blob = Path(path).read_bytes()
@@ -268,6 +279,41 @@ def test_write_then_read_is_float32_rounding(tmp_path, hypothesis_home):
     check()
 
 
+def test_meta_round_trips_on_every_container(tmp_path, hypothesis_home):
+    """Whatever meta a section (with or without a label), a volume or a map
+    carries comes back from read_grid unchanged, and a section's label with
+    it."""
+    path = str(tmp_path / "m.pfg")
+    printable = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+    keys = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8).filter(
+        lambda k: k not in gridio._STRUCTURAL_KEYS
+    )
+    data = np.arange(12.0).reshape(4, 3)
+
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(
+        container=st.sampled_from(["section", "volume", "map"]),
+        meta=st.dictionaries(keys, printable, max_size=5),
+        label=st.just("") | printable,
+    )
+    def check(container, meta, label):
+        if container == "section":
+            meta.pop("label", None)
+            obj = SeismicSection(Grid2(data), dt=0.002, dx=12.5, label=label, meta=meta)
+        elif container == "volume":
+            obj = SeismicVolume(data.reshape(4, 3, 1), dt=0.004, dx=25.0, dy=12.5, meta=meta)
+        else:
+            obj = AttributeMap(Grid2(data), AttributeKind.PHASE_DIP, meta=meta)
+        write_grid(path, obj)
+        back = read_grid(path)
+        assert type(back) is type(obj)
+        assert back.meta == meta
+        if container == "section":
+            assert back.label == label
+
+    check()
+
+
 class TestFloat32Payload:
     """The blocked transposing cast gives the bytes of one Fortran cast."""
 
@@ -317,22 +363,23 @@ class TestWriteValidation:
         assert Path(path).read_bytes() == before
         assert glob.glob(str(tmp_path / ".pfg-*")) == []
 
-    def test_extra_meta_round_trip(self, tmp_path):
+    def test_section_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "x.pfg")
-        write_grid(path, _section(), extra_meta={"source": "demo"})
+        write_grid(path, _section(label="line 3", meta={"source": "demo"}))
         back = read_grid(path)
         pairs = dict(describe_grid(path))
-        assert pairs["source"] == "demo"
+        assert (pairs["source"], pairs["label"]) == ("demo", "line 3")
         assert isinstance(back, SeismicSection)
+        assert (back.meta, back.label) == ({"source": "demo"}, "line 3")
 
-    def test_extra_meta_cannot_shadow_structure(self, tmp_path):
+    def test_section_meta_cannot_shadow_structure(self, tmp_path):
         path = str(tmp_path / "x.pfg")
         with pytest.raises(ParameterError):
-            write_grid(path, _section(), extra_meta={"rows": "9"})
+            write_grid(path, _section(meta={"rows": "9"}))
         with pytest.raises(ParameterError):
-            write_grid(path, _section(), extra_meta={"a=b": "c"})
+            write_grid(path, _section(meta={"a=b": "c"}))
         with pytest.raises(ParameterError):
-            write_grid(path, _section(), extra_meta={"note": "two\nlines"})
+            write_grid(path, _section(meta={"note": "two\nlines"}))
         assert not os.path.exists(path)
 
     def test_meta_cannot_shadow_a_key_the_object_omits(self, tmp_path):
@@ -340,7 +387,7 @@ class TestWriteValidation:
         # either from the header: the file could not be read back
         path = str(tmp_path / "x.pfg")
         with pytest.raises(ParameterError, match="'dy' shadows a structural key"):
-            write_grid(path, _section(), extra_meta={"dy": "-1"})
+            write_grid(path, _section(meta={"dy": "-1"}))
         planes = AttributeMap(
             Grid2(np.zeros((3, 2))), AttributeKind.PHASE_DIP, meta={"planes": "4"}
         )
@@ -349,26 +396,31 @@ class TestWriteValidation:
         assert not os.path.exists(path)
 
     @pytest.mark.parametrize(
-        "meta, extra, match",
+        "container, meta, match",
         [
             # the reader strips and lowercases keys: " dt" would overwrite dt
-            ({" dt": "3"}, None, "' dt' is not stripped and lowercase"),
+            ("map", {" dt": "3"}, "' dt' is not stripped and lowercase"),
             # ROWS would read as rows=2 and the payload would not fit it
-            ({"ROWS": "2"}, None, "'ROWS' is not stripped and lowercase"),
+            ("map", {"ROWS": "2"}, "'ROWS' is not stripped and lowercase"),
             # Kind would read as kind=raw, a section instead of a map
-            ({"Kind": "raw"}, None, "'Kind' is not stripped and lowercase"),
-            ({}, {"Note ": "x"}, "'Note ' is not stripped and lowercase"),
-            ({"label": "café"}, None, "not representable: 'label'"),
-            ({}, {"café": "x"}, "not representable"),
+            ("map", {"Kind": "raw"}, "'Kind' is not stripped and lowercase"),
+            ("section", {"Note ": "x"}, "'Note ' is not stripped and lowercase"),
+            ("map", {"label": "café"}, "not representable: 'label'"),
+            ("section", {"café": "x"}, "not representable"),
         ],
         ids=["padded-dt", "upper-rows", "capital-kind", "extra-padded", "non-ascii-value",
              "non-ascii-key"],
     )
-    def test_meta_that_would_not_read_back_unchanged_is_refused(self, tmp_path, meta, extra, match):
+    def test_meta_that_would_not_read_back_unchanged_is_refused(
+        self, tmp_path, container, meta, match
+    ):
         path = str(tmp_path / "x.pfg")
-        m = AttributeMap(Grid2(np.zeros((4, 5))), AttributeKind.PHASE_DIP, dt=1.0, meta=meta)
+        if container == "map":
+            m = AttributeMap(Grid2(np.zeros((4, 5))), AttributeKind.PHASE_DIP, dt=1.0, meta=meta)
+        else:
+            m = _section(meta=meta)
         with pytest.raises(ParameterError, match=match):
-            write_grid(path, m, extra_meta=extra)
+            write_grid(path, m)
         assert not os.path.exists(path)
         assert glob.glob(str(tmp_path / ".pfg-*")) == []
 
@@ -605,6 +657,20 @@ class TestHeaderParsing:
         with pytest.raises(FormatError) as err:
             parse_header(blob)
         assert err.value.offset == len(MAGIC_LINE)
+
+    @pytest.mark.parametrize("line", [b"dx=50.0", b"DX=50.0", b" dx =50.0", b"magic=PFGRID1"])
+    def test_a_repeated_key_is_refused_at_its_line(self, tmp_path, line):
+        # keys compare after strip and lowercase, as the reader stores them
+        path = str(tmp_path / "rep.pfg")
+        write_grid(path, SeismicSection(Grid2(np.ones((2, 2))), dt=0.004, dx=25.0))
+        blob = Path(path).read_bytes()
+        end = blob.index(b"\n\n") + 1
+        Path(path).write_bytes(blob[:end] + line + b"\n" + blob[end:])
+        with pytest.raises(FormatError, match="repeated header key") as err:
+            read_grid(path)
+        assert err.value.offset == end
+        with pytest.raises(FormatError):
+            describe_grid(path)
 
     def test_non_ascii_line(self):
         with pytest.raises(FormatError) as err:

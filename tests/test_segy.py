@@ -212,6 +212,7 @@ class TestReadSection:
         path = _write(tmp_path, _build_segy(traces, [1] * 3, [1, 2, 3]))
         section = read_segy(path, SegyImportOptions(dx=12.5))
         assert section.dx == 12.5
+        assert (section.label, section.meta) == ("segy import", {"source": "segy"})
 
     def test_ieee_format(self, tmp_path):
         traces = np.linspace(-1, 1, 24).reshape(8, 3)
@@ -258,6 +259,7 @@ class TestReadVolume:
         assert isinstance(volume, SeismicVolume)
         assert volume.data.shape == (ns, nil, nxl)
         assert volume.dy == 12.5
+        assert volume.meta == {"source": "segy"}
         assert np.all(volume.data[:, 0, 0] == 1007.0)
         assert np.all(volume.data[:, 1, 2] == 1019.0)
 
@@ -351,6 +353,14 @@ class TestReadErrors:
     def test_bad_max_traces(self):
         with pytest.raises(ParameterError):
             SegyImportOptions(max_traces=0)
+
+    @pytest.mark.parametrize(
+        "spacing", [{"dx": -1.0}, {"dx": 0.0}, {"dy": float("nan")}, {"dy": float("inf")}]
+    )
+    def test_bad_lateral_spacing_is_refused_before_any_read(self, spacing):
+        name = next(iter(spacing))
+        with pytest.raises(ParameterError, match=f"{name} must be a positive finite number"):
+            SegyImportOptions(**spacing)
 
 
 def _peak(read, *args):

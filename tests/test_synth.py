@@ -52,6 +52,23 @@ class TestRicker:
             ricker(25.0, 0.004, 0)
 
 
+class TestProvenance:
+    def test_clean_section_records_seed_and_f_peak(self):
+        spec = SynthSpec(nt=32, nx=8, events=(PlaneEvent(t0=10, sx=0.0),), seed=4, f_peak=20)
+        section, _ = make_synthetic(spec)
+        assert section.label == "synthetic"
+        assert section.meta == {"seed": "4", "f_peak": "20.0"}
+
+    def test_noisy_volume_records_the_noise(self):
+        spec = SynthSpec(
+            nt=32, nx=4, ny=3, events=(PlaneEvent(t0=10, sx=0.0),), seed=2, snr_db=6,
+        )
+        volume, _ = make_synthetic(spec)
+        assert volume.meta == {
+            "seed": "2", "f_peak": "25.0", "snr_db": "6.0", "noise_prng": "PCG64",
+        }
+
+
 class TestPlaneEvents:
     def test_flat_event_peaks_on_its_row(self):
         spec = SynthSpec(nt=64, nx=16, events=(PlaneEvent(t0=30, sx=0.0),), seed=0)
