@@ -65,7 +65,7 @@ from .synth import (
     ricker,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AttributeKind",

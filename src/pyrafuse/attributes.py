@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import _phase_derivative_band, _quadrature, _trusted
-from .errors import BoundsError, ConfigError, ParameterError, ShapeError, SizeError
+from .errors import ConfigError, ParameterError, ShapeError, SizeError
 from .grid import (
     AttributeKind,
     AttributeMap,
@@ -88,14 +88,13 @@ def phase_dip(
     *,
     p_max: float = P_MAX_DEFAULT,
     eps_freq: float = EPS_FREQ_DEFAULT,
-    scale: int = 0,
 ) -> AttributeMap:
     """Phase dip of a section in samples/trace, with a quality mask.
 
     This is scale 0 of a one-scale :func:`dip_stack`, by construction: one
     scale is never reduced, so it needs no kernel. Cells where the envelope
     guard fires or |dtheta/dt| < eps_freq are 0 with quality 0; everything
-    else is clamped to [-p_max, p_max]. ``scale`` only tags the map.
+    else is clamped to [-p_max, p_max]. The map is tagged scale 0.
 
     Raises:
         ConfigError: ``section`` is not a SeismicSection.
@@ -105,7 +104,7 @@ def phase_dip(
             not finite.
     """
     stack = _attribute_layers(section, AttributeKind.PHASE_DIP, 1, p_max=p_max, eps_freq=eps_freq)
-    return replace(stack.maps[0], scale=scale, meta={})
+    return replace(stack.maps[0], meta={})
 
 
 def _check_dip_params(p_max: float, eps_freq: float) -> None:
@@ -576,9 +575,7 @@ def _slice_dips(
         SizeError: either orientation's sections (nt x nx or nt x ny)
             cannot support ``scales`` dip scales; checked before any work.
     """
-    t = int(t)
-    if t < 0 or t >= volume.nt:
-        raise BoundsError(f"time index {t} outside [0, {volume.nt - 1}]")
+    t = volume._check_index("time", t, volume.nt)
     shapes = ((volume.nt, volume.nx), (volume.nt, volume.ny))
     scales = _check_dip_request(shapes, scales, kernel, p_max, eps_freq)
     # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows of q
@@ -607,8 +604,6 @@ def _attribute_layers(
     attributes have no stage route, so it is not applied to them.
     """
     kernel = kernel if kernel is not None else make_kernel()
-    if kind is AttributeKind.RAW:
-        raise ParameterError("raw data is not a computable attribute")
     meta = {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
     if isinstance(data, SeismicSection):
         if kind is not AttributeKind.PHASE_DIP:

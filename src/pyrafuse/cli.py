@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage/parameter error, 2 data or file-format
 error. Logs go to stderr only; data goes to files (or stdout for `info`).
 Identical invocations produce byte-identical outputs.
 
+Each command reads grid files through one typed reader: a container the
+command cannot use (`fuse` takes attribute maps only) exits 2 naming the file.
+
 On a section, `pipeline` is the exact composition of its stage
 subcommands: it rounds every stage boundary (pyramid level, per-level dip,
 expanded map) to float32, the precision a stage has after a trip through a
@@ -34,7 +37,7 @@ from .attributes import (
     attribute_stack,
     phase_dip,
 )
-from .errors import ConfigError, ParameterError, PyrafuseError
+from .errors import BoundsError, ConfigError, ParameterError, PyrafuseError
 from .fusion import FusionMethod, FusionSpec, _multiscale, default_weights, fuse
 from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
@@ -211,12 +214,13 @@ def _fusion_spec(args, scales: int) -> FusionSpec:
     return FusionSpec(method)
 
 
-def _read_section(path: str) -> SeismicSection:
+def _read(path: str, *types: type):
+    """The grid in ``path``; a ConfigError unless it is one of ``types``."""
     obj = read_grid(path)
-    if isinstance(obj, SeismicVolume):
-        raise ConfigError(f"{path} is a volume; this command needs a 2D section")
-    if isinstance(obj, AttributeMap):
-        raise ConfigError(f"{path} is a {obj.kind.value} map, not seismic data")
+    if not isinstance(obj, types):
+        takes = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{path}: unsupported input type {type(obj).__name__}; "
+                          f"this command takes {takes}")
     return obj
 
 
@@ -252,7 +256,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_pyramid(args) -> None:
-    section = _read_section(args.grid)
+    section = _read(args.grid, SeismicSection)
     kernel = make_kernel(args.sigma, args.radius)
     pyr = build_pyramid(section.grid, args.scales, kernel)
     for i, level in enumerate(pyr.levels):
@@ -278,15 +282,15 @@ def _attribute_kind(args, obj) -> AttributeKind:
 
 @contextmanager
 def _naming_input(path: str):
-    """Prefix the library's refusal of a kind/input combination with ``path``."""
+    """Prefix the library's refusal of a kind/input or time index with ``path``."""
     try:
         yield
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except (BoundsError, ConfigError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _cmd_attr(args) -> None:
-    obj = read_grid(args.grid)
+    obj = _read(args.grid, SeismicSection, SeismicVolume)
     kind = _attribute_kind(args, obj)
     with _naming_input(args.grid):
         if kind is AttributeKind.PHASE_DIP:
@@ -309,36 +313,22 @@ def _cmd_attr(args) -> None:
 
 
 def _cmd_expand(args) -> None:
-    obj = read_grid(args.grid)
-    if isinstance(obj, SeismicVolume):
-        raise ConfigError("expand works on 2D grids")
+    obj = _read(args.grid, SeismicSection, AttributeMap)
     write_grid(args.out, replace(obj, grid=expand_to(obj.grid, args.rows, args.cols)))
     log.info("wrote %s (%dx%d)", args.out, args.rows, args.cols)
 
 
-def _map_from_file(path: str) -> AttributeMap:
-    obj = read_grid(path)
-    if isinstance(obj, AttributeMap):
-        return obj
-    if isinstance(obj, SeismicSection):
-        return AttributeMap(obj.grid, AttributeKind.RAW, dt=obj.dt, dx=obj.dx)
-    raise ConfigError(f"{path}: cannot fuse a volume")
-
-
 def _cmd_fuse(args) -> None:
-    maps = [_map_from_file(p) for p in args.maps]
+    maps = [_read(p, AttributeMap) for p in args.maps]
     if args.quality:
         if len(args.quality) != len(maps):
             raise UsageError(
                 f"got {len(args.quality)} --quality files for {len(maps)} maps"
             )
-        rebuilt = []
-        for m, qpath in zip(maps, args.quality):
-            mask = read_grid(qpath)
-            if isinstance(mask, SeismicVolume):
-                raise ConfigError(f"{qpath}: quality masks must be 2D")
-            rebuilt.append(replace(m, quality=mask.grid))
-        maps = rebuilt
+        maps = [
+            replace(m, quality=_read(qpath, SeismicSection, AttributeMap).grid)
+            for m, qpath in zip(maps, args.quality)
+        ]
     spec = _fusion_spec(args, len(maps))
     fused = fuse(AttributeStack.from_maps(maps), spec)
     write_grid(args.out, fused)
@@ -346,8 +336,8 @@ def _cmd_fuse(args) -> None:
 
 
 def _cmd_pipeline(args) -> None:
-    obj = read_grid(args.grid)
     spec = _fusion_spec(args, args.scales)  # a bad --fuse rank is a usage error first
+    obj = _read(args.grid, SeismicSection, SeismicVolume)
     kernel = make_kernel(args.sigma, args.radius)
     with _naming_input(args.grid):
         fused = _multiscale(
@@ -373,11 +363,12 @@ def _cmd_segy_import(args) -> None:
 
 
 def _cmd_export_pgm(args) -> None:
-    obj = read_grid(args.grid)
+    obj = _read(args.grid, SeismicSection, SeismicVolume, AttributeMap)
     if isinstance(obj, SeismicVolume):
         if args.time_index is None:
             raise UsageError("a volume needs --time-index to pick a slice")
-        grid = obj.time_slice(args.time_index)
+        with _naming_input(args.grid):
+            grid = obj.time_slice(args.time_index)
     else:
         grid = obj.grid
     export_pgm(grid, args.out, clip_lo=args.clip_lo, clip_hi=args.clip_hi)

@@ -179,6 +179,7 @@ def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
     Raises:
         ParameterError: weights/rank missing, mis-sized, or out of range.
     """
+    _check_fusion(spec, len(stack.values))
     return _fuse_arrays(replace(stack, values=stack.values.copy()), spec)
 
 
@@ -211,16 +212,14 @@ def _check_fusion(spec: FusionSpec, scales: int) -> None:
 
 
 def _fuse_arrays(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
-    """:func:`fuse`, overwriting ``stack.values``.
+    """:func:`fuse` by a checked ``spec``, overwriting ``stack.values``.
 
     Every rule works cell by cell, so the rows are fused in parts that run
     at once (:func:`attributes._in_parts`), each into its rows of the map.
     """
     values, valid = stack.values, stack.valid
-    scales = values.shape[0]
-    _check_fusion(spec, scales)
     method = spec.method
-    meta = {"method": method.value, "scales": str(scales)}
+    meta = {"method": method.value, "scales": str(len(values))}
     if method is FusionMethod.WEIGHTED_MEAN:
         meta["weights"] = ",".join(repr(float(x)) for x in spec.weights)
     elif method is FusionMethod.RANK:

@@ -206,9 +206,8 @@ class SeismicVolume:
 
 
 class AttributeKind(Enum):
-    """What a map measures."""
+    """What a map measures: an attribute the package computes."""
 
-    RAW = "raw"
     PHASE_DIP = "dip"
     DIP_ANGLE = "dip_angle"
     CURV_POS = "curv_pos"
@@ -218,14 +217,12 @@ class AttributeKind(Enum):
 class Units(Enum):
     """Physical units carried by a map."""
 
-    DIMENSIONLESS = "dimensionless"
     SAMPLES_PER_TRACE = "samples_per_trace"
     RADIANS = "radians"
     PER_METER = "per_meter"
 
 
 KIND_UNITS: dict[AttributeKind, Units] = {
-    AttributeKind.RAW: Units.DIMENSIONLESS,
     AttributeKind.PHASE_DIP: Units.SAMPLES_PER_TRACE,
     AttributeKind.DIP_ANGLE: Units.RADIANS,
     AttributeKind.CURV_POS: Units.PER_METER,
@@ -241,7 +238,8 @@ class AttributeMap:
     fused map at base resolution. ``quality`` is an optional same-shaped
     grid of 1.0 (trusted) / 0.0 (guarded) flags; fusion uses it to skip
     sentinel cells. ``meta`` holds small string pairs that travel into
-    file headers (kernel parameters, fusion method, seeds, ...).
+    file headers (kernel parameters, fusion method, seeds, ...). Raw data
+    is a section or a volume, never a map.
     """
 
     grid: Grid2

@@ -15,6 +15,8 @@ followed by the raw sample payload:
     <rows * cols (* planes) float32 little-endian samples>
 
 Required keys: magic (first line), rows, cols. Volumes add planes and dy.
+Seismic data (a section or volume) is kind=raw, units=dimensionless,
+scale=0; a map has its kind, that kind's units, and its scale or fused.
 Any other key=value pair is free-form metadata: the writer takes it from
 the container's meta (and a section's label), `info` prints every pair,
 and read_grid returns each non-structural one in the container's meta
@@ -71,6 +73,9 @@ _STRUCTURAL_KEYS = {
     "magic", "rows", "cols", "planes", "dt", "dx", "dy", "kind", "units", "scale",
 }
 
+# the tags of seismic data; no attribute has this kind, so only the format names it
+_RAW_TAGS = {"kind": "raw", "units": "dimensionless", "scale": "0"}
+
 _MAX_CELLS = 1 << 34  # refuse absurd headers before allocating
 
 # 4-byte words per block read or written; a block holds whole SEG-Y trace
@@ -111,13 +116,15 @@ def _format_float(value: float) -> str:
 def _header_and_samples(obj) -> tuple[bytes, np.ndarray]:
     """The header bytes and the float64 samples."""
     if isinstance(obj, Grid2):
-        obj = AttributeMap(obj, AttributeKind.RAW)
+        obj = SeismicSection(obj, dt=1.0, dx=1.0)
     if isinstance(obj, AttributeMap):
-        data, kind, scale = obj.grid.data, obj.kind, obj.scale
+        scale = "fused" if obj.is_fused else str(obj.scale)
+        tags = {"kind": obj.kind.value, "units": obj.units.value, "scale": scale}
     elif isinstance(obj, (SeismicSection, SeismicVolume)):
-        data, kind, scale = getattr(obj, "grid", obj).data, AttributeKind.RAW, 0
+        tags = _RAW_TAGS
     else:
         raise ParameterError(f"cannot serialize a {type(obj).__name__}")
+    data = getattr(obj, "grid", obj).data
     label = getattr(obj, "label", "")
     meta = {**obj.meta, "label": label} if label else obj.meta
     pairs = [("magic", MAGIC), *zip(("rows", "cols", "planes"), map(str, data.shape))]
@@ -125,11 +132,7 @@ def _header_and_samples(obj) -> tuple[bytes, np.ndarray]:
         value = getattr(obj, key, None)
         if value is not None:
             pairs.append((key, _format_float(value)))
-    pairs += [
-        ("kind", kind.value),
-        ("units", KIND_UNITS[kind].value),
-        ("scale", "fused" if scale is None else str(scale)),
-    ]
+    pairs += tags.items()
     # each pair must come back from parse_header unchanged
     for key in sorted(meta):
         value = str(meta[key])
@@ -189,10 +192,13 @@ def write_grid(path: str, obj) -> None:
 
     Raises:
         ParameterError: unserializable object or metadata, or a value
-            beyond the float32 range; an existing file at ``path`` is left
-            as it was.
+            beyond the float32 range, named after ``path``; an existing
+            file at ``path`` is left as it was.
     """
-    _atomic_write(path, _file_blocks(*_header_and_samples(obj)))
+    try:
+        _atomic_write(path, _file_blocks(*_header_and_samples(obj)))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
@@ -352,8 +358,9 @@ def read_grid(path: str):
 
     Raises:
         FormatError: bad magic, malformed header, unknown kind/units/scale,
-            a dt/dx/dy that is not positive and finite, a negative scale,
-            a payload whose byte count disagrees with the header, or a
+            units other than the kind's, raw data whose scale is not 0, a
+            dt/dx/dy that is not positive and finite, a negative scale, a
+            payload whose byte count disagrees with the header, or a
             non-finite sample (at its byte offset).
     """
     with open(path, "rb") as handle:
@@ -363,28 +370,25 @@ def read_grid(path: str):
     dt = _optional_interval(pairs, "dt", path, data_offset)
     dx = _optional_interval(pairs, "dx", path, data_offset)
     dy = _optional_interval(pairs, "dy", path, data_offset)
-    kind_tag = pairs.get("kind", AttributeKind.RAW.value)
-    try:
-        kind = AttributeKind(kind_tag)
-    except ValueError:
-        raise FormatError(f"{path}: unknown kind {kind_tag!r}", offset=0) from None
+    kind_tag = pairs.get("kind", _RAW_TAGS["kind"])
+    if kind_tag == _RAW_TAGS["kind"]:
+        kind, units = None, _RAW_TAGS["units"]
+    else:
+        try:
+            kind = AttributeKind(kind_tag)
+        except ValueError:
+            raise FormatError(f"{path}: unknown kind {kind_tag!r}", offset=0) from None
+        if "planes" in pairs:
+            raise FormatError(f"{path}: attribute maps must be 2D", offset=0)
+        units = KIND_UNITS[kind].value
     meta = {k: v for k, v in pairs.items() if k not in _STRUCTURAL_KEYS}
 
-    if kind is AttributeKind.RAW:
-        if "planes" in pairs:
-            return SeismicVolume(data, dt=dt, dx=dx, dy=dy, meta=meta)
-        return SeismicSection(Grid2(data), dt=dt, dx=dx, label=meta.pop("label", ""), meta=meta)
-
-    if "planes" in pairs:
-        raise FormatError(f"{path}: attribute maps must be 2D", offset=0)
-    units_tag = pairs.get("units", KIND_UNITS[kind].value)
-    try:
-        units = Units(units_tag)
-    except ValueError:
-        raise FormatError(f"{path}: unknown units {units_tag!r}", offset=0) from None
-    if units is not KIND_UNITS[kind]:
+    units_tag = pairs.get("units", units)
+    if units_tag != units:
+        if units_tag not in {_RAW_TAGS["units"], *(u.value for u in Units)}:
+            raise FormatError(f"{path}: unknown units {units_tag!r}", offset=0)
         raise FormatError(
-            f"{path}: units {units.value!r} do not match kind {kind.value!r}", offset=0
+            f"{path}: units {units_tag!r} do not match kind {kind_tag!r}", offset=0
         )
     scale_tag = pairs.get("scale", "0")
     if scale_tag == "fused":
@@ -399,6 +403,12 @@ def read_grid(path: str):
                 f"{path}: scale must be 'fused' or >= 0, got {scale_tag!r}",
                 offset=data_offset,
             )
+    if kind is None:
+        if scale != 0:
+            raise FormatError(f"{path}: raw data has scale 0, got {scale_tag!r}", offset=0)
+        if "planes" in pairs:
+            return SeismicVolume(data, dt=dt, dx=dx, dy=dy, meta=meta)
+        return SeismicSection(Grid2(data), dt=dt, dx=dx, label=meta.pop("label", ""), meta=meta)
     return AttributeMap(
         grid=Grid2(data),
         kind=kind,

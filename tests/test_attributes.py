@@ -117,9 +117,9 @@ class TestPhaseDip:
 
     def test_map_metadata(self):
         section, _ = _plane_wave_section()
-        m = phase_dip(section, scale=3)
+        m = phase_dip(section)
         assert m.kind is AttributeKind.PHASE_DIP
-        assert m.scale == 3
+        assert m.scale == 0
         assert m.dt == section.dt and m.dx == section.dx
 
     def test_minimum_dims(self):
@@ -146,12 +146,12 @@ class TestPhaseDip:
         if case == "guard":
             assert _guard_fires(section)
         kw = {"p_max": 0.5, "eps_freq": 0.05} if case == "clamp" else {}
-        m = phase_dip(section, scale=1, **kw)
+        m = phase_dip(section, **kw)
         dip, quality = phase_dip_reference(section, **kw)
         assert same_bits(m.grid.data, dip)
         assert same_bits(m.quality.data, quality)
         assert (m.kind, m.scale, m.dt, m.dx, m.dy, m.meta) == (
-            AttributeKind.PHASE_DIP, 1, 0.004, 25.0, None, {}
+            AttributeKind.PHASE_DIP, 0, 0.004, 25.0, None, {}
         )
 
     def test_parameter_validation(self):
@@ -699,8 +699,6 @@ class TestAttributeStackDispatch:
             attribute_stack(vol, AttributeKind.PHASE_DIP, 2, time_index=32)
         with pytest.raises(ConfigError):
             attribute_stack(vol, AttributeKind.DIP_ANGLE, 2)  # no time_index
-        with pytest.raises(ParameterError):
-            attribute_stack(section, AttributeKind.RAW, 2)
 
     @pytest.mark.parametrize(
         "call, needs",

@@ -212,6 +212,9 @@ class TestPipelineEquivalence:
 
 
 class TestVolumeAttr:
+    def test_attr_flags_name_every_kind(self):
+        assert sorted(_ATTR_FLAGS.values(), key=str) == sorted(AttributeKind, key=str)
+
     def test_curvature_needs_volume_and_time_index(self, tmp_path):
         vol = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
         out = str(tmp_path / "kpos.pfg")
@@ -347,6 +350,13 @@ class TestExportPgm:
         assert main(["export-pgm", vol, "--time-index", "24", "--out", out]) == 0
         assert Path(out).read_bytes().startswith(b"P5 16 20 255\n")
 
+    def test_time_index_outside_the_volume_names_the_file(self, tmp_path, caplog):
+        vol = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
+        out = tmp_path / "img.pgm"
+        assert main(["export-pgm", vol, "--time-index", "99", "--out", str(out)]) == 2
+        assert f"{vol}: time index 99 outside [0, 47]" in caplog.text
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_errors_exit_one(self, tmp_path, capsys):
@@ -376,6 +386,13 @@ class TestExitCodes:
         assert ("attribute stage: section 8x6 supports at most 1 dip scale(s), requested 4"
                 in caplog.text)
         assert not out.exists()
+
+    def test_synth_beyond_float32_names_the_output(self, tmp_path, caplog):
+        out = tmp_path / "loud.pfg"
+        spec = _spec_file(tmp_path, "nt = 16\nnx = 8\nevent = plane, t0=8, amp=1e39\n")
+        assert main(["synth", spec, "--out", str(out)]) == 1
+        assert f"{out}: values overflow float32; cannot serialize" in caplog.text
+        assert list(tmp_path.iterdir()) == [Path(spec)]
 
     def test_synth_spec_that_is_not_utf8_exits_one(self, tmp_path, caplog):
         spec = tmp_path / "bad.spec"
@@ -539,6 +556,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.pfg")]) == 1
 
 
+# Each command that reads a grid file, with ``{grid}`` where the file goes,
+# a tag that tells two uses of one command apart, and the containers that
+# do not suit it; export-pgm takes any grid.
+_READERS = [
+    ("pyramid {grid} --out-prefix {out}", "", ("volume", "map")),
+    ("attr {grid} --out {out}", "", ("map",)),
+    ("pipeline {grid} --out {out}", "", ("map",)),
+    ("expand {grid} --rows 40 --cols 40 --out {out}", "", ("volume",)),
+    ("fuse {map} {grid} --out {out}", "", ("volume", "section")),
+    ("fuse {map} {map} --quality {map} --quality {grid} --out {out}", "-quality", ("volume",)),
+]
+
+
 class TestContainerRefusals:
     """Each command that reads a grid refuses a container it cannot use
     with exit 2, and writes nothing."""
@@ -579,19 +609,34 @@ class TestContainerRefusals:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_fuse_of_raw_sections_is_a_raw_map(self, tmp_path):
+    def test_fuse_refuses_raw_sections(self, tmp_path, caplog):
+        # raw data is not an attribute, so no fused raw map can be made
         _, section, _ = self._inputs(tmp_path)
         other = _synth(tmp_path, "other.pfg", SPEC_TEXT.replace("t0=20", "t0=30"))
-        out = str(tmp_path / "fused.pfg")
-        assert main(["fuse", section, other, "--fuse", "mean", "--out", out]) == 0
-        pairs = dict(describe_grid(out))
-        assert (pairs["kind"], pairs["scale"], pairs["method"]) == ("raw", "fused", "mean")
-        a, b = read_grid(section).grid.data, read_grid(other).grid.data
-        assert not np.array_equal(a, b)
-        want = ((a + b) / 2).astype(np.float32).astype(np.float64)
-        fused = read_grid(out)
-        assert same_bits(fused.grid.data, want)
-        assert fused.meta == {"method": "mean", "scales": "2"}
+        out = tmp_path / "fused.pfg"
+        assert main(["fuse", section, other, "--fuse", "mean", "--out", str(out)]) == 2
+        assert f"{section}: unsupported input type SeismicSection" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "template, wrong",
+        [
+            pytest.param(template, wrong, id=f"{template.split()[0]}{tag}-{wrong}")
+            for template, tag, refused in _READERS
+            for wrong in refused
+        ],
+    )
+    def test_wrong_container_is_refused(self, tmp_path, caplog, template, wrong):
+        vol, section, dip_map = self._inputs(tmp_path)
+        grid = {"volume": vol, "section": section, "map": dip_map}[wrong]
+        argv = [
+            word.format(grid=grid, map=dip_map, out=tmp_path / "out")
+            for word in template.split()
+        ]
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert f"{grid}: unsupported input type" in caplog.text
+        assert set(tmp_path.iterdir()) == before
 
 
 class TestConsoleEntry:

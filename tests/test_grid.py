@@ -17,7 +17,7 @@ from pyrafuse import (
     Units,
     reassemble_volume,
 )
-from pyrafuse.grid import _Adopted
+from pyrafuse.grid import KIND_UNITS, _Adopted
 
 
 class TestGrid2:
@@ -193,7 +193,15 @@ class TestAttributeMap:
         assert AttributeMap(grid, AttributeKind.DIP_ANGLE).units is Units.RADIANS
         assert AttributeMap(grid, AttributeKind.CURV_POS).units is Units.PER_METER
         assert AttributeMap(grid, AttributeKind.CURV_NEG).units is Units.PER_METER
-        assert AttributeMap(grid, AttributeKind.RAW).units is Units.DIMENSIONLESS
+
+    def test_every_kind_is_computed_and_has_units(self):
+        # raw data is a section or a volume, never a map
+        assert set(KIND_UNITS) == set(AttributeKind)
+        assert {k.name for k in AttributeKind} == {
+            "PHASE_DIP", "DIP_ANGLE", "CURV_POS", "CURV_NEG"
+        }
+        with pytest.raises(ValueError):
+            AttributeKind("raw")
 
     def test_fused_flag(self):
         grid = Grid2(np.zeros((4, 4)))
@@ -216,13 +224,13 @@ class TestAttributeMap:
 
     def test_meta_is_copied(self):
         meta = {"a": "1"}
-        m = AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.RAW, meta=meta)
+        m = AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.PHASE_DIP, meta=meta)
         meta["a"] = "2"
         assert m.meta["a"] == "1"
 
     def test_interval_validation(self):
         grid = Grid2(np.zeros((4, 4)))
         with pytest.raises(ParameterError):
-            AttributeMap(grid, AttributeKind.RAW, dt=-0.004)
+            AttributeMap(grid, AttributeKind.PHASE_DIP, dt=-0.004)
         with pytest.raises(ParameterError):
-            AttributeMap(grid, AttributeKind.RAW, dy=0.0)
+            AttributeMap(grid, AttributeKind.PHASE_DIP, dy=0.0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -441,6 +442,22 @@ class TestWriteValidation:
         with pytest.raises(ParameterError):
             write_grid(str(tmp_path / "no.pfg"), {"not": "a grid"})
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"not": "a grid"}, "cannot serialize a dict"),
+            (lambda: _section(meta={"rows": "9"}), "metadata key 'rows' shadows a structural key"),
+            (lambda: Grid2(np.full((2, 2), 1e39)), "values overflow float32; cannot serialize"),
+        ],
+        ids=["object", "meta", "overflow"],
+    )
+    def test_every_refusal_names_the_target(self, tmp_path, obj, message):
+        path = str(tmp_path / "no.pfg")
+        with pytest.raises(ParameterError) as err:
+            write_grid(path, obj() if callable(obj) else obj)
+        assert str(err.value) == f"{path}: {message}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_volume_write_holds_one_float32_copy(self, tmp_path):
         # the float32 payload of about 8 blocks is cast and written one block at
         # a time, without a bytes copy, a join or a whole-payload check
@@ -732,6 +749,26 @@ class TestHeaderParsing:
         with pytest.raises(FormatError) as err:
             read_grid(build(scale=b"soon"))
         assert "bad scale" in str(err.value)
+
+    @pytest.mark.parametrize("planes", [b"", b"planes=2\n"], ids=["section", "volume"])
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            (b"units=radians\n", "units 'radians' do not match kind 'raw'"),
+            (b"kind=raw\nunits=per_meter\n", "units 'per_meter' do not match kind 'raw'"),
+            (b"units=furlongs\n", "unknown units 'furlongs'"),
+            (b"scale=fused\n", "raw data has scale 0, got 'fused'"),
+            (b"kind=raw\nscale=2\n", "raw data has scale 0, got '2'"),
+        ],
+        ids=["radians", "per-meter", "unknown-units", "fused", "scale-2"],
+    )
+    def test_raw_data_takes_only_its_own_units_and_scale(self, tmp_path, planes, tags, message):
+        path = str(tmp_path / "raw.pfg")
+        header = MAGIC_LINE + b"rows=2\ncols=2\n" + planes + tags + b"\n"
+        with open(path, "wb") as f:
+            f.write(header + b"\x00" * (32 if planes else 16))
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: {message} "):
+            read_grid(path)
 
     @pytest.mark.parametrize(
         "bad", [b"dt=nan", b"dt=inf", b"dt=-1.0", b"dx=-1", b"dy=0", b"scale=-2"]
