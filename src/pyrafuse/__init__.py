@@ -13,7 +13,7 @@ Typical use::
 
 from __future__ import annotations
 
-from .attributes import AttributeStack, attribute_stack, dip_stack, phase_dip
+from .attributes import AttributeStack, attribute_stack, phase_dip
 from .errors import (
     BoundsError,
     ConfigError,
@@ -38,19 +38,9 @@ from .grid import (
     SeismicSection,
     SeismicVolume,
     Units,
-    reassemble_volume,
 )
 from .gridio import describe_grid, export_pgm, parse_header, read_grid, write_grid
-from .pyramid import (
-    GaussianKernel,
-    Pyramid,
-    build_pyramid,
-    expand_to,
-    gaussian_samples,
-    make_kernel,
-    max_scales,
-    reduce_grid,
-)
+from .pyramid import GaussianKernel, build_pyramid, expand_to, gaussian_samples, make_kernel
 from .segy import SegyImportOptions, decode_ibm32, encode_ibm32, read_segy
 from .synth import (
     Fault,
@@ -65,7 +55,7 @@ from .synth import (
     ricker,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AttributeKind",
@@ -84,7 +74,6 @@ __all__ = [
     "ParameterError",
     "PlaneEvent",
     "PyrafuseError",
-    "Pyramid",
     "QuadraticEvent",
     "SegyImportOptions",
     "SeismicSection",
@@ -100,7 +89,6 @@ __all__ = [
     "default_weights",
     "derivative_noise_demo",
     "describe_grid",
-    "dip_stack",
     "encode_ibm32",
     "expand_to",
     "export_pgm",
@@ -108,15 +96,12 @@ __all__ = [
     "gaussian_samples",
     "make_kernel",
     "make_synthetic",
-    "max_scales",
     "multiscale_attribute",
     "parse_header",
     "parse_synth_spec",
     "phase_dip",
     "read_grid",
     "read_segy",
-    "reassemble_volume",
-    "reduce_grid",
     "ricker",
     "write_grid",
 ]

@@ -91,10 +91,11 @@ def phase_dip(
 ) -> AttributeMap:
     """Phase dip of a section in samples/trace, with a quality mask.
 
-    This is scale 0 of a one-scale :func:`dip_stack`, by construction: one
-    scale is never reduced, so it needs no kernel. Cells where the envelope
-    guard fires or |dtheta/dt| < eps_freq are 0 with quality 0; everything
-    else is clamped to [-p_max, p_max]. The map is tagged scale 0.
+    This is scale 0 of a one-scale phase-dip :func:`attribute_stack`, by
+    construction: one scale is never reduced, so it needs no kernel. Cells
+    where the envelope guard fires or |dtheta/dt| < eps_freq are 0 with
+    quality 0; everything else is clamped to [-p_max, p_max]. The map is
+    tagged scale 0.
 
     Raises:
         ConfigError: ``section`` is not a SeismicSection.
@@ -538,21 +539,6 @@ def _dip_rows(
     if scales > 1:
         pyramid(np.moveaxis(data, 2, 0), p, None)
     return [finish(p, nx), q_rows]
-
-
-def dip_stack(
-    section: SeismicSection,
-    scales: int,
-    kernel: GaussianKernel | None = None,
-    *,
-    p_max: float = P_MAX_DEFAULT,
-    eps_freq: float = EPS_FREQ_DEFAULT,
-) -> AttributeStack:
-    """Phase dip at every pyramid scale, expanded to base resolution: the
-    phase-dip :func:`attribute_stack` of a section."""
-    return attribute_stack(
-        section, AttributeKind.PHASE_DIP, scales, kernel, p_max=p_max, eps_freq=eps_freq
-    )
 
 
 def _slice_dips(

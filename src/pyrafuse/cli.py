@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage/parameter error, 2 data or file-format
-error. Logs go to stderr only; data goes to files (or stdout for `info`).
-Identical invocations produce byte-identical outputs.
+error, or a request too large for memory. Logs go to stderr only; data
+goes to files (or stdout for `info`). Identical invocations produce
+byte-identical outputs.
 
 Each command reads grid files through one typed reader: a container the
 command cannot use (`fuse` takes attribute maps only) exits 2 naming the file.
@@ -37,8 +38,8 @@ from .attributes import (
     attribute_stack,
     phase_dip,
 )
-from .errors import BoundsError, ConfigError, ParameterError, PyrafuseError
-from .fusion import FusionMethod, FusionSpec, _multiscale, default_weights, fuse
+from .errors import BoundsError, ConfigError, ParameterError, PyrafuseError, ShapeError
+from .fusion import FusionMethod, FusionSpec, _check_fusion, _multiscale, default_weights, fuse
 from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
 from .pyramid import build_pyramid, expand_to, make_kernel
@@ -197,21 +198,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fusion_spec(args, scales: int) -> FusionSpec:
+    """The fusion flags as a spec for ``scales`` maps, checked before any
+    input is read: a flag the rule does not use is refused."""
     method = _FUSE_FLAGS[args.fuse]
-    if method is FusionMethod.WEIGHTED_MEAN:
-        if args.weights is not None:
-            try:
-                weights = tuple(float(w) for w in args.weights.split(","))
-            except ValueError:
-                raise UsageError(f"--weights must be comma-separated numbers, got {args.weights!r}") from None
-        else:
-            weights = tuple(default_weights(scales, args.weight_bias))
-        return FusionSpec.weighted(weights)
-    if method is FusionMethod.RANK:
-        if args.rank is None:
-            raise UsageError("--fuse rank needs --rank")
-        return FusionSpec.rank_of(args.rank)
-    return FusionSpec(method)
+    weights = None
+    if args.weights is not None:
+        try:
+            weights = tuple(float(w) for w in args.weights.split(","))
+        except ValueError:
+            raise UsageError(f"--weights must be comma-separated numbers, got {args.weights!r}") from None
+    elif method is FusionMethod.WEIGHTED_MEAN:
+        weights = tuple(float(w) for w in default_weights(scales, args.weight_bias))
+    if method is FusionMethod.RANK and args.rank is None:
+        raise UsageError("--fuse rank needs --rank")
+    spec = FusionSpec(method, weights, args.rank)
+    try:
+        _check_fusion(spec, scales)
+    except ParameterError as exc:
+        raise ParameterError(f"fusion stage: {exc}") from exc
+    return spec
 
 
 def _read(path: str, *types: type):
@@ -258,8 +263,7 @@ def _cmd_synth(args) -> None:
 def _cmd_pyramid(args) -> None:
     section = _read(args.grid, SeismicSection)
     kernel = make_kernel(args.sigma, args.radius)
-    pyr = build_pyramid(section.grid, args.scales, kernel)
-    for i, level in enumerate(pyr.levels):
+    for i, level in enumerate(build_pyramid(section.grid, args.scales, kernel)):
         target = f"{args.out_prefix}_level{i}.pfg"
         write_grid(
             target,
@@ -319,17 +323,19 @@ def _cmd_expand(args) -> None:
 
 
 def _cmd_fuse(args) -> None:
+    quality = args.quality or []
+    if quality and len(quality) != len(args.maps):
+        raise UsageError(f"got {len(quality)} --quality files for {len(args.maps)} maps")
+    spec = _fusion_spec(args, len(args.maps))
     maps = [_read(p, AttributeMap) for p in args.maps]
-    if args.quality:
-        if len(args.quality) != len(maps):
-            raise UsageError(
-                f"got {len(args.quality)} --quality files for {len(maps)} maps"
-            )
-        maps = [
-            replace(m, quality=_read(qpath, SeismicSection, AttributeMap).grid)
-            for m, qpath in zip(maps, args.quality)
-        ]
-    spec = _fusion_spec(args, len(maps))
+    masks = [_read(p, SeismicSection, AttributeMap).grid for p in quality]
+    rows, cols = maps[0].grid.shape
+    for path, grid in zip(args.maps + quality, [m.grid for m in maps] + masks):
+        if grid.shape != (rows, cols):
+            raise ShapeError(f"{path}: {grid.rows}x{grid.cols} grid does not match "
+                             f"the {rows}x{cols} of {args.maps[0]}")
+    if masks:
+        maps = [replace(m, quality=q) for m, q in zip(maps, masks)]
     fused = fuse(AttributeStack.from_maps(maps), spec)
     write_grid(args.out, fused)
     log.info("wrote %s", args.out)
@@ -406,6 +412,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         log.error("%s", exc)
+        return 2
+    except MemoryError as exc:
+        log.error("%s: out of memory: %s", args.command, exc)
         return 2
 
 

@@ -177,18 +177,25 @@ def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
     """Fuse a stack into one map tagged as fused-at-base-resolution.
 
     Raises:
-        ParameterError: weights/rank missing, mis-sized, or out of range.
+        ParameterError: weights/rank missing, mis-sized, out of range, or
+            given to a rule that does not use them.
     """
     _check_fusion(spec, len(stack.values))
     return _fuse_arrays(replace(stack, values=stack.values.copy()), spec)
 
 
 def _check_fusion(spec: FusionSpec, scales: int) -> None:
-    """Refuse weights or a rank that cannot fuse ``scales`` maps.
+    """Refuse weights or a rank that cannot fuse ``scales`` maps, or that
+    the rule does not use.
 
     Raises:
-        ParameterError: weights/rank missing, mis-sized, or out of range.
+        ParameterError: weights/rank missing, mis-sized, out of range, or
+            given to a rule that does not use them.
     """
+    if spec.weights is not None and spec.method is not FusionMethod.WEIGHTED_MEAN:
+        raise ParameterError(f"weights apply to weighted-mean fusion only, not {spec.method.value}")
+    if spec.rank is not None and spec.method is not FusionMethod.RANK:
+        raise ParameterError(f"a rank applies to rank fusion only, not {spec.method.value}")
     if spec.method is FusionMethod.WEIGHTED_MEAN:
         if spec.weights is None:
             raise ParameterError("weighted-mean fusion needs weights")

@@ -142,9 +142,10 @@ class SeismicSection:
 class SeismicVolume:
     """A 3D volume with axes (time, inline position x, crossline position y).
 
-    The payload is stored time-fastest in memory terms of the first axis;
-    slicing helpers below hand out sections/slices that share the layout
-    conventions of :class:`SeismicSection` and :class:`Grid2`.
+    The payload is a C-ordered array, so y varies fastest in memory; only
+    the grid file stores it first-axis-fastest. Slicing helpers below hand
+    out sections/slices that share the layout conventions of
+    :class:`SeismicSection` and :class:`Grid2`.
     """
 
     data: np.ndarray = field(repr=False)
@@ -280,19 +281,3 @@ class AttributeMap:
     def __repr__(self) -> str:
         tag = "fused" if self.is_fused else str(self.scale)
         return f"AttributeMap({self.kind.value}, scale={tag}, {self.grid.rows}x{self.grid.cols})"
-
-
-def reassemble_volume(sections: list[SeismicSection], dx: float) -> SeismicVolume:
-    """Stack inline sections (fixed x, lateral axis y) back into a volume.
-
-    Inverse of taking ``inline_section`` at every x. Sections must agree in
-    shape and sampling; the volume takes the first section's ``meta``.
-    """
-    if not sections:
-        raise ShapeError("need at least one section")
-    first = sections[0]
-    for s in sections[1:]:
-        if s.grid.shape != first.grid.shape or s.dt != first.dt or s.dx != first.dx:
-            raise ShapeError("sections disagree in shape or sampling")
-    data = np.stack([s.grid.data for s in sections], axis=1)
-    return SeismicVolume(data, dt=first.dt, dx=dx, dy=first.dx, meta=first.meta)

@@ -94,7 +94,7 @@ class GaussianKernel:
 
 
 def make_kernel(sigma: float = 1.0, radius: int = 2) -> GaussianKernel:
-    """Build the unit-sum sampled Gaussian used by :func:`reduce_grid`.
+    """Build the unit-sum sampled Gaussian used by :func:`build_pyramid`.
 
     Args:
         sigma: standard deviation in samples (> 0).
@@ -133,29 +133,14 @@ def _downsample_pass(values: np.ndarray, taps: np.ndarray, axis: int) -> np.ndar
     return acc
 
 
-def reduce_grid(grid: Grid2, kernel: GaussianKernel) -> Grid2:
+def _reduce(values: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
     """Blur with the kernel and keep every other row and column.
 
-    Output dims are (ceil(rows/2), ceil(cols/2)); borders use mirror
-    (symmetric) padding.
-
-    Raises:
-        SizeError: either input dimension is smaller than the kernel support.
-    """
-    support = kernel.support
-    if grid.rows < support or grid.cols < support:
-        raise SizeError(
-            f"grid {grid.rows}x{grid.cols} is smaller than the kernel "
-            f"support {support}x{support}"
-        )
-    return Grid2(_reduce(grid.data, kernel))
-
-
-def _reduce(values: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
-    """The array work of :func:`reduce_grid`, without its checks.
-
     ``values`` is (..., rows, cols); leading axes are a batch of grids,
-    each reduced on its own.
+    each reduced on its own. Output dims are (ceil(rows/2), ceil(cols/2));
+    borders use mirror (symmetric) padding. Sizes are not checked here:
+    :func:`build_pyramid` refuses a level count whose levels do not fit
+    the kernel support.
     """
     half_rows = _downsample_pass(values, kernel.taps, axis=-2)
     return _downsample_pass(half_rows, kernel.taps, axis=-1)
@@ -174,12 +159,6 @@ def _mirror_index(n: int, radius: int) -> np.ndarray:
     return index
 
 
-def max_scales(rows: int, cols: int, radius: int) -> int:
-    """Largest level count whose smallest level still fits the kernel support."""
-    support = 2 * int(radius) + 1
-    return _level_count(rows, cols, support, support)
-
-
 def _level_count(rows: int, cols: int, min_rows: int, min_cols: int) -> int:
     """Levels of a rows x cols pyramid, while a level keeps both minimum dims."""
     count = 0
@@ -191,20 +170,11 @@ def _level_count(rows: int, cols: int, min_rows: int, min_cols: int) -> int:
     return count
 
 
-@dataclass(frozen=True, eq=False)
-class Pyramid:
-    """levels[0] is the input itself; each later level halves both dims."""
-
-    levels: tuple[Grid2, ...]
-    kernel: GaussianKernel
-
-    @property
-    def scales(self) -> int:
-        return len(self.levels)
-
-
-def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None) -> Pyramid:
+def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None) -> tuple[Grid2, ...]:
     """Repeatedly reduce ``grid`` into a ``scales``-level pyramid.
+
+    Returns the levels, finest first: level 0 is ``grid`` itself, and each
+    later level halves both dims (the ceiling rule).
 
     Args:
         grid: base level (level 0, kept as-is).
@@ -222,7 +192,7 @@ def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None
     scales = int(scales)
     if scales < 1:
         raise ParameterError(f"scales must be >= 1, got {scales}")
-    feasible = max_scales(grid.rows, grid.cols, kernel.radius)
+    feasible = _level_count(grid.rows, grid.cols, kernel.support, kernel.support)
     if scales > feasible:
         raise SizeError(
             f"grid {grid.rows}x{grid.cols} supports at most {feasible} "
@@ -230,8 +200,8 @@ def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None
         )
     levels = [grid]
     for _ in range(scales - 1):
-        levels.append(reduce_grid(levels[-1], kernel))
-    return Pyramid(levels=tuple(levels), kernel=kernel)
+        levels.append(Grid2(_reduce(levels[-1].data, kernel)))
+    return tuple(levels)
 
 
 def _interp_axis(

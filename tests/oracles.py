@@ -20,7 +20,7 @@ single-scale phase dip stage by stage in numpy, in the package's operation
 order: the quadrature of :func:`quadrature_fft`, the squared envelope and
 its relative guard, the phase derivatives along time and trace, and the
 dip quotient; :func:`dip_stack_reference`, which reduces a section
-one level at a time with the public ``reduce_grid``, takes each level's
+one level at a time with :func:`reduce_reference`, takes each level's
 :func:`phase_dip_reference` and expands it with ``expand_to``; and
 :func:`dip_slice_reference`, which takes time slices of that. The package's
 one dip-row builder, which serves ``phase_dip``, section stacks and volume
@@ -48,7 +48,6 @@ from pyrafuse import (
     UnsupportedFormatError,
     expand_to,
     make_kernel,
-    reduce_grid,
 )
 from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT, VELOCITY_DEFAULT
 from pyrafuse.pyramid import _interp_stencil
@@ -355,20 +354,19 @@ def dip_stack_reference(
 ):
     """Per-scale (dip, quality) of a section, stage by stage.
 
-    Each level is reduced from the one before with ``reduce_grid``, which
-    needs the kernel support only on a level it reduces. Its
-    :func:`phase_dip_reference` dip and quality are expanded to the base
-    dims on their own; expanded quality is trusted (1.0) where it exceeds
-    0.5.
+    Each level is reduced from the one before with :func:`reduce_reference`.
+    Its :func:`phase_dip_reference` dip and quality are expanded to the
+    base dims on their own; expanded quality is trusted (1.0) where it
+    exceeds 0.5.
     """
     kernel = kernel if kernel is not None else make_kernel()
     rows, cols = section.grid.shape
     out = []
-    level = section.grid
+    level = section.grid.data
     for i in range(scales):
         if i:
-            level = reduce_grid(level, kernel)
-        level_section = SeismicSection(level, dt=section.dt * 2**i, dx=section.dx * 2**i)
+            level = reduce_reference(level, kernel)
+        level_section = SeismicSection(Grid2(level), dt=section.dt * 2**i, dx=section.dx * 2**i)
         dip, quality = phase_dip_reference(level_section, p_max=p_max, eps_freq=eps_freq)
         values = expand_to(Grid2(dip), rows, cols).data
         trust = expand_to(Grid2(quality), rows, cols).data > 0.5

@@ -30,18 +30,17 @@ from pyrafuse import (
     build_pyramid,
     decode_ibm32,
     derivative_noise_demo,
-    dip_stack,
     encode_ibm32,
     fuse,
     gaussian_samples,
     make_kernel,
     make_synthetic,
     multiscale_attribute,
-    reduce_grid,
 )
 from pyrafuse.analytic import _quadrature
 from pyrafuse.attributes import VELOCITY_DEFAULT, _curvatures
 from pyrafuse.cli import main as cli_main
+from pyrafuse.pyramid import _reduce
 
 
 def _report(capsys, tag: str, ok: bool, detail: str) -> None:
@@ -88,7 +87,7 @@ def _per_scale_dip_errors(spec: SynthSpec, scales: int = 4):
     coarsest margin. Returns (rms_list, fused_rms, coverage_list).
     """
     section, truth = make_synthetic(spec)
-    stack = dip_stack(section, scales)
+    stack = attribute_stack(section, AttributeKind.PHASE_DIP, scales)
     fused = fuse(stack, FusionSpec(FusionMethod.MEDIAN))
     want = truth.dip_p.data
 
@@ -115,8 +114,7 @@ class TestAcceptance:
     def test_a01_pyramid_geometry(self, capsys):
         rng = np.random.default_rng(0)
         grid = Grid2(rng.standard_normal((128, 128)))
-        pyramid = build_pyramid(grid, 4, make_kernel())
-        dims = [level.shape for level in pyramid.levels]
+        dims = [level.shape for level in build_pyramid(grid, 4, make_kernel())]
         want = [(128, 128), (64, 64), (32, 32), (16, 16)]
         ok = dims == want
         _report(capsys, "A01 pyramid-geometry", ok,
@@ -151,7 +149,7 @@ class TestAcceptance:
             rows = int(rng.integers(kernel.support, 65))
             cols = int(rng.integers(kernel.support, 65))
             grid = rng.standard_normal((rows, cols))
-            fast = reduce_grid(Grid2(grid), kernel).data
+            fast = _reduce(grid, kernel)
             slow = reduce_naive(grid, kernel.weights)
             worst = max(worst, float(np.max(np.abs(fast - slow))))
         ok = worst < 1e-9
@@ -221,7 +219,7 @@ class TestAcceptance:
                 events=PINNED_SPEC.events, snr_db=10.0, seed=seed,
             )
             section, truth = make_synthetic(noisy_spec)
-            stack = dip_stack(section, 4)
+            stack = attribute_stack(section, AttributeKind.PHASE_DIP, 4)
             fused = fuse(stack, FusionSpec(FusionMethod.MEDIAN))
             want = truth.dip_p.data[window]
 

@@ -32,7 +32,6 @@ from pyrafuse import (
     SizeError,
     SynthSpec,
     attribute_stack,
-    dip_stack,
     make_kernel,
     make_synthetic,
     multiscale_attribute,
@@ -229,7 +228,7 @@ class TestCurvature:
 class TestDipStack:
     def test_levels_are_tagged_and_expanded(self):
         section, _ = _plane_wave_section(n=128, m=64)
-        stack = dip_stack(section, 3)
+        stack = attribute_stack(section, AttributeKind.PHASE_DIP, 3)
         assert stack.scales == 3
         assert [m.scale for m in stack.maps] == [0, 1, 2]
         for m in stack.maps:
@@ -241,7 +240,7 @@ class TestDipStack:
     def test_plane_wave_dip_consistent_across_scales(self):
         # low-frequency carrier: the same dip must be seen at every level
         section, _ = _plane_wave_section(n=256, m=96, k=3, p=0.5)
-        stack = dip_stack(section, 3)
+        stack = attribute_stack(section, AttributeKind.PHASE_DIP, 3)
         vals = stack.values
         for i in range(3):
             mt, mx = 8 * 2**i, 4 * 2**i
@@ -250,7 +249,7 @@ class TestDipStack:
 
     def test_stack_values_and_validity_shapes(self):
         section, _ = _plane_wave_section(n=64, m=32)
-        stack = dip_stack(section, 2)
+        stack = attribute_stack(section, AttributeKind.PHASE_DIP, 2)
         assert stack.values.shape == (2, 64, 32)
         assert stack.valid.shape == (2, 64, 32)
         assert stack.valid.dtype == bool
@@ -258,7 +257,7 @@ class TestDipStack:
     def test_rejects_oversized_scale_count(self):
         section, _ = _plane_wave_section(n=32, m=16)
         with pytest.raises(SizeError):
-            dip_stack(section, 6)
+            attribute_stack(section, AttributeKind.PHASE_DIP, 6)
 
     @pytest.mark.parametrize(
         "shape", [(3, 8), (4, 3), (48, 4), (8, 6), (9, 9), (40, 17)], ids=str
@@ -267,12 +266,12 @@ class TestDipStack:
         # a section narrower than the kernel support still takes one scale
         section = SeismicSection(Grid2(np.zeros(shape)), dt=1.0, dx=1.0)
         with pytest.raises(SizeError) as err:
-            dip_stack(section, 9)
+            attribute_stack(section, AttributeKind.PHASE_DIP, 9)
         most = int(re.search(r"supports at most (\d+) dip scale", str(err.value)).group(1))
         if most:
-            assert dip_stack(section, most).scales == most
+            assert attribute_stack(section, AttributeKind.PHASE_DIP, most).scales == most
         with pytest.raises(SizeError, match=f"at most {most} dip scale"):
-            dip_stack(section, most + 1)
+            attribute_stack(section, AttributeKind.PHASE_DIP, most + 1)
 
     @pytest.mark.parametrize(
         "section, kernel, scales, p_max, eps_freq",
@@ -297,7 +296,9 @@ class TestDipStack:
         # support down to the 4x3 dip minimum have one
         section = _DIP_SECTIONS[section]()
         kernel = make_kernel(*kernel)
-        stack = dip_stack(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
+        stack = attribute_stack(
+            section, AttributeKind.PHASE_DIP, scales, kernel, p_max=p_max, eps_freq=eps_freq
+        )
         reference = dip_stack_reference(section, scales, kernel, p_max=p_max, eps_freq=eps_freq)
         assert len(stack.maps) == len(reference) == scales
         for m, (values, quality) in zip(stack.maps, reference):
@@ -644,7 +645,7 @@ class TestQuadratureOverflow:
         "call",
         [
             lambda vol: phase_dip(vol.crossline_section(3)),
-            lambda vol: dip_stack(vol.crossline_section(3), 2),
+            lambda vol: attribute_stack(vol.crossline_section(3), AttributeKind.PHASE_DIP, 2),
             lambda vol: attributes._attribute_layers(
                 vol.crossline_section(3), AttributeKind.PHASE_DIP, 2, make_kernel(),
                 p_max=5.0, eps_freq=1e-3, boundary=_f32,
@@ -668,7 +669,7 @@ class TestQuadratureOverflow:
         rng = np.random.default_rng(0)
         vol = SeismicVolume(rng.standard_normal((64, 16, 16)) * 1e160, dt=0.004, dx=25.0, dy=25.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            stack = dip_stack(vol.crossline_section(3), 2)
+            stack = attribute_stack(vol.crossline_section(3), AttributeKind.PHASE_DIP, 2)
             fields = _slice_fields(vol, 10, 2)
         for quality in [m.quality.data for m in stack.maps] + [f[2] for f in fields]:
             assert not quality.any()
@@ -704,7 +705,8 @@ class TestAttributeStackDispatch:
         "call, needs",
         [
             (lambda section, vol: phase_dip(vol), "phase dip runs on sections"),
-            (lambda section, vol: dip_stack(vol, 2), "phase dip runs on sections"),
+            (lambda section, vol: attribute_stack(vol, AttributeKind.PHASE_DIP, 2),
+             "phase dip runs on sections"),
         ],
         ids=["phase_dip", "dip_stack"],
     )
@@ -740,7 +742,6 @@ class TestStackContainer:
         vol, _ = _plane_wave_volume(nt=64, nx=20, ny=16)
         a = AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.PHASE_DIP)
         for stack in (
-            dip_stack(section, 2),
             attribute_stack(section, AttributeKind.PHASE_DIP, 2),
             attribute_stack(vol, AttributeKind.CURV_NEG, 2, time_index=32),
             AttributeStack.from_maps((a, a)),

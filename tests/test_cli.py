@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
 from importlib import metadata
@@ -547,6 +548,59 @@ class TestExitCodes:
         bad = tmp_path / "bad.spec"
         bad.write_text("nt = 64\nnx = 16\nevent = blob, t0=5\n")
         assert main(["synth", str(bad), "--out", str(tmp_path / "o.pfg")]) == 1
+
+    @pytest.mark.parametrize("command", ["pipeline", "fuse"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--fuse", "median", "--rank", "1"], "a rank applies to rank fusion only, not median"),
+            (["--fuse", "rank", "--rank", "0", "--weights", "1,1"],
+             "weights apply to weighted-mean fusion only, not rank"),
+        ],
+        ids=["rank", "weights"],
+    )
+    def test_fusion_flag_the_rule_does_not_use_exits_one(
+        self, tmp_path, caplog, command, flags, message
+    ):
+        # the input does not exist: the flags are refused before it is read
+        out = tmp_path / "o.pfg"
+        assert main([command, str(tmp_path / "missing.pfg"), *flags, "--out", str(out)]) == 1
+        assert f"fusion stage: {message}" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["map", "mask"])
+    def test_fuse_names_the_file_of_another_shape(self, tmp_path, caplog, role):
+        dip, big = str(tmp_path / "dip.pfg"), str(tmp_path / "big.pfg")
+        assert main(["attr", _synth(tmp_path), "--out", dip]) == 0
+        assert main(["expand", dip, "--rows", "128", "--cols", "64", "--out", big]) == 0
+        files = [dip, big] if role == "map" else [dip, dip, "--quality", dip, "--quality", big]
+        out = tmp_path / "fused.pfg"
+        assert main(["fuse", *files, "--out", str(out)]) == 2
+        assert f"{big}: 128x64 grid does not match the 96x48 of {dip}" in caplog.text
+        assert not out.exists()
+
+    def test_expand_beyond_memory_exits_two(self, tmp_path):
+        # a child process whose address space alone is capped, so that the
+        # 74.5 GiB target fails to allocate at once on any machine
+        dip = str(tmp_path / "dip.pfg")
+        assert main(["attr", _synth(tmp_path), "--out", dip]) == 0
+        out = tmp_path / "big.pfg"
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "pyrafuse.cli", "expand", dip,
+             "--rows", "100000", "--cols", "100000", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2
+        assert "expand: out of memory: Unable to allocate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_quality_count_mismatch(self, tmp_path):
         src = _synth(tmp_path)

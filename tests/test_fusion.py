@@ -183,6 +183,25 @@ class TestRank:
             fuse(stack, FusionSpec(FusionMethod.RANK))
 
 
+class TestUnusedParameters:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (FusionSpec(FusionMethod.MEDIAN, rank=1), "a rank applies to rank fusion only, not median"),
+            (FusionSpec(FusionMethod.WEIGHTED_MEAN, (1.0, 1.0), rank=0),
+             "a rank applies to rank fusion only, not wmean"),
+            (FusionSpec(FusionMethod.MEAN, weights=(1.0, 1.0)),
+             "weights apply to weighted-mean fusion only, not mean"),
+            (FusionSpec(FusionMethod.RANK, (1.0, 1.0), rank=0),
+             "weights apply to weighted-mean fusion only, not rank"),
+        ],
+        ids=["median-rank", "wmean-rank", "mean-weights", "rank-weights"],
+    )
+    def test_a_parameter_the_rule_does_not_use_is_refused(self, spec, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            fuse(_stack([[[1.0]], [[2.0]]]), spec)
+
+
 def _sort_rows_by_sign(negative_first):
     """The sorting network as it runs where min/max order -0.0 and +0.0 by
     sign (as aarch64 FMIN/FMAX do) rather than by operand position."""
@@ -387,8 +406,12 @@ class TestMultiscaleAttribute:
             (FusionSpec.weighted([1, 2]), "need 4 weights, got 2"),
             (FusionSpec.weighted([1, -1, 1, 1]), "weights must be finite and non-negative"),
             (FusionSpec.weighted([1e308] * 4), "weights must have a finite sum"),
+            (FusionSpec(FusionMethod.MEDIAN, rank=1), "a rank applies to rank fusion only, not median"),
+            (FusionSpec(FusionMethod.MEAN, weights=(1.0,) * 4),
+             "weights apply to weighted-mean fusion only, not mean"),
         ],
-        ids=["rank-4", "rank-minus-1", "two-weights", "negative-weight", "overflowing-weights"],
+        ids=["rank-4", "rank-minus-1", "two-weights", "negative-weight", "overflowing-weights",
+             "median-with-rank", "mean-with-weights"],
     )
     def test_bad_spec_fails_before_the_attribute_stage(self, monkeypatch, spec, message):
         monkeypatch.setattr("pyrafuse.fusion._attribute_layers", _no_attribute_stage)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from pyrafuse import (
     SeismicVolume,
     ShapeError,
     Units,
-    reassemble_volume,
 )
 from pyrafuse.grid import KIND_UNITS, _Adopted
 
@@ -134,14 +131,12 @@ class TestSeismicVolume:
         assert np.array_equal(s.grid.data, data[:, :, 0])
         assert s.dx == 25.0
 
-    def test_sections_and_reassembly_carry_the_meta(self):
+    def test_sections_carry_the_meta(self):
         _, data = self._volume()
         vol = SeismicVolume(data, dt=0.004, dx=25.0, dy=12.5, meta={"source": "segy"})
         inline, crossline = vol.inline_section(1), vol.crossline_section(0)
         assert inline.meta == crossline.meta == {"source": "segy"}
         assert (inline.label, crossline.label) == ("inline 1", "crossline 0")
-        sections = [vol.inline_section(x) for x in range(3)]
-        assert reassemble_volume(sections, dx=25.0).meta == {"source": "segy"}
 
     def test_sections_name_themselves_over_a_label_key(self):
         # a volume's meta may hold any key; its sections keep their own label
@@ -160,30 +155,6 @@ class TestSeismicVolume:
                 vol.inline_section(bad)
             with pytest.raises(BoundsError):
                 vol.crossline_section(bad)
-
-    def test_reassemble_from_inline_sections(self):
-        vol, data = self._volume()
-        sections = [vol.inline_section(x) for x in range(3)]
-        back = reassemble_volume(sections, dx=25.0)
-        assert np.array_equal(back.data, data)
-        assert back.dx == 25.0
-        assert back.dy == 12.5  # lateral step carried by the sections
-
-    @pytest.mark.parametrize(
-        "pick, message",
-        [
-            (lambda vol: [], "need at least one section"),
-            (lambda vol: [vol.inline_section(0), vol.crossline_section(0)],
-             "sections disagree in shape or sampling"),
-            (lambda vol: [vol.inline_section(0), replace(vol.inline_section(1), dt=0.002)],
-             "sections disagree in shape or sampling"),
-        ],
-        ids=["none", "shape", "sampling"],
-    )
-    def test_reassemble_refuses_sections_that_do_not_stack(self, pick, message):
-        vol, _ = self._volume()
-        with pytest.raises(ShapeError, match=f"^{message}$"):
-            reassemble_volume(pick(vol), dx=25.0)
 
 
 class TestAttributeMap:

@@ -33,8 +33,8 @@ from pyrafuse import (
     SeismicSection,
     SeismicVolume,
     SynthSpec,
+    attribute_stack,
     default_weights,
-    dip_stack,
     make_synthetic,
     multiscale_attribute,
     phase_dip,
@@ -102,7 +102,7 @@ def _parts(cpus: int, rows: int, cells: int) -> int:
 
 def _results(section: SeismicSection) -> dict[str, np.ndarray]:
     """Every output the parts touch, for one section."""
-    stack = dip_stack(section, 4)
+    stack = attribute_stack(section, AttributeKind.PHASE_DIP, 4)
     out = {"values": stack.values, "valid": stack.valid}
     single = phase_dip(section)
     out["phase_dip"], out["phase_quality"] = single.grid.data, single.quality.data
@@ -133,7 +133,7 @@ class TestSameBytes:
             got = _results(_section(*shape))
             for name, values in expected.items():
                 assert same_bits(got[name], values), (cpus, name)
-            # one dip finish each for dip_stack and phase_dip, and a dip
+            # one dip finish each for the stack and phase_dip, and a dip
             # finish and a fusion for each of the four rules
             assert threads.started - before == 10 * (_parts(cpus, rows, rows * cols) - 1)
         if min_cells == 1:
@@ -245,7 +245,7 @@ class TestWorkers:
         monkeypatch.setattr(attributes, "_dip_quotient", fail_off_the_caller)
         before = threading.active_count()
         with pytest.raises(ParameterError, match="worker failed"):
-            dip_stack(_section(512, 512), 2)
+            attribute_stack(_section(512, 512), AttributeKind.PHASE_DIP, 2)
         assert threads.started == 1
         assert threading.active_count() == before
 

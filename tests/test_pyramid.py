@@ -22,8 +22,6 @@ from pyrafuse import (
     expand_to,
     gaussian_samples,
     make_kernel,
-    max_scales,
-    reduce_grid,
 )
 from pyrafuse.pyramid import MAX_RADIUS, _interp_axis, _reduce
 
@@ -112,7 +110,7 @@ class TestReduce:
             rows = int(rng.integers(5, 65))
             cols = int(rng.integers(5, 65))
             values = rng.standard_normal((rows, cols))
-            got = reduce_grid(Grid2(values), kernel).data
+            got = _reduce(values, kernel)
             want = reduce_naive(values, kernel.weights)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-9
@@ -120,7 +118,7 @@ class TestReduce:
     def test_output_dims_are_ceil_half(self):
         kernel = make_kernel()
         for rows, cols in [(8, 8), (9, 9), (10, 7), (5, 12)]:
-            out = reduce_grid(Grid2(np.zeros((rows, cols))), kernel)
+            out = _reduce(np.zeros((rows, cols)), kernel)
             assert out.shape == ((rows + 1) // 2, (cols + 1) // 2)
 
     def test_constant_grid_stays_constant_power_of_two(self):
@@ -128,27 +126,26 @@ class TestReduce:
         # carries through bit for bit
         kernel = make_kernel()
         for value in (1.0, 0.5, 8.0, -2.0):
-            out = reduce_grid(Grid2(np.full((12, 12), value)), kernel)
-            assert np.all(out.data == value)
+            out = _reduce(np.full((12, 12), value), kernel)
+            assert np.all(out == value)
 
     def test_constant_grid_stays_constant_generic(self):
         kernel = make_kernel()
-        out = reduce_grid(Grid2(np.full((12, 12), 3.7)), kernel)
-        assert np.max(np.abs(out.data - 3.7)) < 1e-14
+        out = _reduce(np.full((12, 12), 3.7), kernel)
+        assert np.max(np.abs(out - 3.7)) < 1e-14
 
     def test_rejects_grid_smaller_than_support(self):
-        kernel = make_kernel()
-        with pytest.raises(SizeError):
-            reduce_grid(Grid2(np.zeros((4, 10))), kernel)
-        with pytest.raises(SizeError):
-            reduce_grid(Grid2(np.zeros((10, 4))), kernel)
+        # a 4-wide grid cannot be reduced by the 5x5 default kernel
+        for shape in [(4, 10), (10, 4)]:
+            with pytest.raises(SizeError):
+                build_pyramid(Grid2(np.zeros(shape)), 2)
 
     def test_mirror_padding_not_zero_padding(self):
         # an all-ones grid keeps value 1.0 at the corner only under
         # edge-repeating padding; zero padding would pull it down
         kernel = make_kernel()
-        out = reduce_grid(Grid2(np.ones((8, 8))), kernel)
-        assert out.data[0, 0] == pytest.approx(1.0, abs=1e-14)
+        out = _reduce(np.ones((8, 8)), kernel)
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 class TestReduceMatchesPadReference:
@@ -190,8 +187,8 @@ class TestReduceMatchesPadReference:
 
 class TestBuildPyramid:
     def test_level_dims_halve(self):
-        pyr = build_pyramid(Grid2(np.random.default_rng(0).standard_normal((128, 96))), 4)
-        assert [lvl.shape for lvl in pyr.levels] == [
+        levels = build_pyramid(Grid2(np.random.default_rng(0).standard_normal((128, 96))), 4)
+        assert [lvl.shape for lvl in levels] == [
             (128, 96),
             (64, 48),
             (32, 24),
@@ -200,14 +197,16 @@ class TestBuildPyramid:
 
     def test_level_zero_is_the_input_values(self):
         values = np.random.default_rng(1).standard_normal((32, 32))
-        pyr = build_pyramid(Grid2(values), 2)
-        assert np.array_equal(pyr.levels[0].data, values)
+        levels = build_pyramid(Grid2(values), 2)
+        assert np.array_equal(levels[0].data, values)
 
-    def test_max_scales_counts_feasible_halvings(self):
-        assert max_scales(128, 128, 2) == 5  # 128/64/32/16/8; 4 < support
-        assert max_scales(5, 5, 2) == 1
-        assert max_scales(10, 5, 2) == 1
-        assert max_scales(10, 10, 2) == 2
+    def test_refusal_names_the_largest_count(self):
+        for rows, cols, most in [(128, 128, 5), (5, 5, 1), (10, 5, 1), (10, 10, 2)]:
+            # 128/64/32/16/8 at most: a fifth halving leaves 4 < support
+            grid = Grid2(np.zeros((rows, cols)))
+            assert len(build_pyramid(grid, most)) == most
+            with pytest.raises(SizeError, match=f"supports at most {most} scale"):
+                build_pyramid(grid, most + 1)
 
     def test_too_many_scales_raises_and_names_limit(self):
         with pytest.raises(SizeError) as err:
@@ -222,11 +221,11 @@ class TestBuildPyramid:
         rng = np.random.default_rng(2)
         values = rng.standard_normal((40, 33))
         kernel = make_kernel()
-        pyr = build_pyramid(Grid2(values), 3, kernel)
-        level = Grid2(values)
-        for got in pyr.levels[1:]:
-            level = reduce_grid(level, kernel)
-            assert np.array_equal(got.data, level.data)
+        levels = build_pyramid(Grid2(values), 3, kernel)
+        level = values
+        for got in levels[1:]:
+            level = _reduce(level, kernel)
+            assert np.array_equal(got.data, level)
 
 
 class TestExpand:
@@ -290,7 +289,7 @@ class TestExpand:
         rng = np.random.default_rng(6)
         values = rng.standard_normal((21, 17))
         kernel = make_kernel()
-        level = reduce_grid(Grid2(values), kernel)
+        level = Grid2(_reduce(values, kernel))
         out = expand_to(level, 21, 17).data
         assert out.shape == (21, 17)
         assert out.min() >= level.data.min() - 1e-12
