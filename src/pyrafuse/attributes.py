@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .analytic import _phase_derivative_band, _quadrature, _trusted
-from .errors import ConfigError, ParameterError, ShapeError, SizeError
+from .errors import ConfigError, ShapeError, SizeError
 from .grid import (
     AttributeKind,
     AttributeMap,
@@ -50,14 +50,16 @@ from .grid import (
     SeismicSection,
     SeismicVolume,
     _check_finite,
+    _check_positive,
 )
 from .pyramid import (
     GaussianKernel,
     _blend,
+    _check_scales,
     _interp_axis,
     _interp_stencil,
-    _level_count,
     _reduce,
+    _scale_count,
     make_kernel,
 )
 
@@ -68,8 +70,8 @@ EPS_FREQ_DEFAULT = 1e-3
 P_MAX_DEFAULT = 5.0
 VELOCITY_DEFAULT = 2000.0  # m/s
 
-_MIN_DIP_ROWS = 4
-_MIN_DIP_COLS = 3
+# The smallest section (samples, traces) a dip scale is taken on.
+_DIP_FLOOR = (4, 3)
 
 # Sections whose pyramid levels above the base are reduced and take their
 # quadrature together. With 2x2 decimation four level-1 arrays hold about
@@ -105,19 +107,7 @@ def phase_dip(
             not finite.
     """
     stack = _attribute_layers(section, AttributeKind.PHASE_DIP, 1, p_max=p_max, eps_freq=eps_freq)
-    return replace(stack.maps[0], meta={})
-
-
-def _check_dip_params(p_max: float, eps_freq: float) -> None:
-    if p_max <= 0.0 or not np.isfinite(p_max):
-        raise ParameterError(f"p_max must be positive, got {p_max!r}")
-    if eps_freq <= 0.0 or not np.isfinite(eps_freq):
-        raise ParameterError(f"eps_freq must be positive, got {eps_freq!r}")
-
-
-def _check_velocity(velocity: float) -> None:
-    if velocity <= 0.0 or not np.isfinite(velocity):
-        raise ParameterError(f"velocity must be positive, got {velocity!r}")
+    return stack.maps[0]
 
 
 def _dip_quotient(
@@ -212,7 +202,7 @@ class AttributeStack:
                     f"stack dims disagree: {m.grid.shape} vs {first.grid.shape}"
                 )
             if m.kind is not first.kind:
-                raise ShapeError(f"stack kinds disagree: {m.kind} vs {first.kind}")
+                raise ShapeError(f"stack kinds disagree: {m.kind.value} vs {first.kind.value}")
         return _read_only(cls(
             values=np.stack([m.grid.data for m in maps]),
             valid=np.stack([
@@ -261,18 +251,11 @@ def _check_dip_request(
     eps_freq: float,
 ) -> int:
     """Validate a dip-stack request on sections of every shape in ``shapes``."""
-    scales = int(scales)
-    if scales < 1:
-        raise ParameterError(f"scales must be >= 1, got {scales}")
-    _check_dip_params(p_max, eps_freq)
-    # every level needs the 4x3 dip minimum; once the base level is reduced
-    # (more than one scale), every level also needs the kernel support
-    min_rows = max(kernel.support, _MIN_DIP_ROWS)
-    min_cols = max(kernel.support, _MIN_DIP_COLS)
+    scales = _check_scales(scales)
+    _check_positive("p_max", p_max)
+    _check_positive("eps_freq", eps_freq)
     for rows, cols in shapes:
-        feasible = _level_count(rows, cols, min_rows, min_cols)
-        if feasible < 2:  # no reduction: one scale, if the base fits 4x3
-            feasible = min(1, _level_count(rows, cols, _MIN_DIP_ROWS, _MIN_DIP_COLS))
+        feasible = _scale_count(rows, cols, kernel.support, _DIP_FLOOR)
         if scales > feasible:
             raise SizeError(
                 f"section {rows}x{cols} supports at most "
@@ -590,7 +573,6 @@ def _attribute_layers(
     attributes have no stage route, so it is not applied to them.
     """
     kernel = kernel if kernel is not None else make_kernel()
-    meta = {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
     if isinstance(data, SeismicSection):
         if kind is not AttributeKind.PHASE_DIP:
             raise ConfigError(
@@ -609,7 +591,7 @@ def _attribute_layers(
             raise ConfigError("phase dip runs on sections; extract one from the volume first")
         if time_index is None:
             raise ConfigError(f"{kind.value} on a volume needs a time index")
-        _check_velocity(velocity)
+        _check_positive("velocity", velocity)
         p, q, valid = _slice_dips(data, time_index, scales, kernel, p_max, eps_freq)
         steps = (data.dt, data.dx, data.dy, velocity)
         if kind is AttributeKind.DIP_ANGLE:
@@ -617,8 +599,11 @@ def _attribute_layers(
         else:
             mean2, fold = _curvatures(p, q, *steps)
             values = mean2 + fold if kind is AttributeKind.CURV_POS else mean2 - fold
-        meta = {**_time_dip_meta(velocity), **meta, "time_index": str(int(time_index))}
         dy = data.dy
+    # one scale is never reduced, so it has no kernel to record
+    meta = {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)} if int(scales) > 1 else {}
+    if isinstance(data, SeismicVolume):
+        meta = {**_time_dip_meta(velocity), **meta, "time_index": str(int(time_index))}
     return AttributeStack(
         values=values, valid=valid, kind=kind, dt=data.dt, dx=data.dx, dy=dy, meta=meta
     )
@@ -638,7 +623,8 @@ def attribute_stack(
     """K aligned maps of ``kind``, one per pyramid scale.
 
     Sections support phase dip; volumes support dip angle and curvature at a
-    required ``time_index``.
+    required ``time_index``. ``meta`` records the kernel's ``sigma`` and
+    ``radius`` only for two or more scales: one scale is never reduced.
 
     Raises:
         ConfigError: kind/input combination unsupported, or missing

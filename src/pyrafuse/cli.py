@@ -36,7 +36,6 @@ from .attributes import (
     VELOCITY_DEFAULT,
     AttributeStack,
     attribute_stack,
-    phase_dip,
 )
 from .errors import BoundsError, ConfigError, ParameterError, PyrafuseError, ShapeError
 from .fusion import FusionMethod, FusionSpec, _check_fusion, _multiscale, default_weights, fuse
@@ -53,13 +52,6 @@ _ATTR_FLAGS = {
     "dip-angle": AttributeKind.DIP_ANGLE,
     "kpos": AttributeKind.CURV_POS,
     "kneg": AttributeKind.CURV_NEG,
-}
-
-_FUSE_FLAGS = {
-    "mean": FusionMethod.MEAN,
-    "wmean": FusionMethod.WEIGHTED_MEAN,
-    "median": FusionMethod.MEDIAN,
-    "rank": FusionMethod.RANK,
 }
 
 
@@ -116,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time slice for volume attributes")
 
     def add_fusion_flags(p):
-        p.add_argument("--fuse", choices=sorted(_FUSE_FLAGS), default="median",
-                       help="fusion rule (default median)")
+        p.add_argument("--fuse", choices=sorted(m.value for m in FusionMethod),
+                       default="median", help="fusion rule (default median)")
         p.add_argument("--weights", default=None,
                        help="comma-separated weights for --fuse wmean")
         p.add_argument("--weight-bias", type=_positive_float, default=2.0,
@@ -200,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _fusion_spec(args, scales: int) -> FusionSpec:
     """The fusion flags as a spec for ``scales`` maps, checked before any
     input is read: a flag the rule does not use is refused."""
-    method = _FUSE_FLAGS[args.fuse]
+    method = FusionMethod(args.fuse)
     weights = None
     if args.weights is not None:
         try:
@@ -297,14 +289,10 @@ def _cmd_attr(args) -> None:
     obj = _read(args.grid, SeismicSection, SeismicVolume)
     kind = _attribute_kind(args, obj)
     with _naming_input(args.grid):
-        if kind is AttributeKind.PHASE_DIP:
-            m = phase_dip(obj, p_max=args.pmax, eps_freq=args.eps_freq)
-        else:
-            m = attribute_stack(
-                obj, kind, 1, None,  # one scale: the kernel never runs
-                time_index=args.time_index, velocity=args.velocity,
-                p_max=args.pmax, eps_freq=args.eps_freq,
-            ).maps[0]
+        m = attribute_stack(
+            obj, kind, 1, time_index=args.time_index, velocity=args.velocity,
+            p_max=args.pmax, eps_freq=args.eps_freq,
+        ).maps[0]
     write_grid(args.out, m)
     log.info("wrote %s", args.out)
     if args.quality_out:
@@ -334,6 +322,11 @@ def _cmd_fuse(args) -> None:
         if grid.shape != (rows, cols):
             raise ShapeError(f"{path}: {grid.rows}x{grid.cols} grid does not match "
                              f"the {rows}x{cols} of {args.maps[0]}")
+    kind = maps[0].kind
+    for path, m in zip(args.maps, maps):
+        if m.kind is not kind:
+            raise ShapeError(f"{path}: {m.kind.value} map does not match "
+                             f"the {kind.value} of {args.maps[0]}")
     if masks:
         maps = [replace(m, quality=q) for m, q in zip(maps, masks)]
     fused = fuse(AttributeStack.from_maps(maps), spec)

@@ -42,8 +42,8 @@ from .attributes import (
     _in_parts,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError
-from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
-from .pyramid import GaussianKernel
+from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume, _check_positive
+from .pyramid import GaussianKernel, _check_scales
 
 
 class FusionMethod(Enum):
@@ -91,12 +91,8 @@ def default_weights(scales: int, bias: float = 2.0) -> np.ndarray:
     Raises:
         ParameterError: scales < 1, bias <= 0, or weights that overflow.
     """
-    scales = int(scales)
-    if scales < 1:
-        raise ParameterError(f"scales must be >= 1, got {scales}")
-    bias = float(bias)
-    if bias <= 0.0 or not np.isfinite(bias):
-        raise ParameterError(f"bias must be positive, got {bias!r}")
+    scales = _check_scales(scales)
+    bias = _check_positive("bias", bias)
     with np.errstate(over="ignore"):
         w = bias ** -np.arange(scales, dtype=np.float64)
         total = w.sum()
@@ -305,9 +301,7 @@ def _multiscale(data, kind: AttributeKind, scales: int, kernel: GaussianKernel |
                 fusion: FusionSpec | None, **attribute) -> AttributeMap:
     """:func:`multiscale_attribute`, passing ``attribute`` (its attribute
     keywords, and the CLI's ``boundary``) to :func:`_attribute_layers`."""
-    scales = int(scales)
-    if scales < 1:
-        raise ParameterError(f"scales must be >= 1, got {scales}")
+    scales = _check_scales(scales)
     fusion = fusion if fusion is not None else FusionSpec.median()
     if fusion.method is FusionMethod.WEIGHTED_MEAN and fusion.weights is None:
         fusion = FusionSpec.weighted(default_weights(scales))

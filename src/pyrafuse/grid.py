@@ -90,7 +90,7 @@ class Grid2:
         return f"Grid2(rows={self.rows}, cols={self.cols})"
 
 
-def _check_interval(name: str, value: float) -> float:
+def _check_positive(name: str, value: float) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:
         raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
@@ -117,8 +117,8 @@ class SeismicSection:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", _check_interval("dt", self.dt))
-        object.__setattr__(self, "dx", _check_interval("dx", self.dx))
+        object.__setattr__(self, "dt", _check_positive("dt", self.dt))
+        object.__setattr__(self, "dx", _check_positive("dx", self.dx))
         if "label" in self.meta:
             raise ParameterError("a section's label is its label field, not a meta key")
         object.__setattr__(self, "meta", dict(self.meta))
@@ -156,9 +156,9 @@ class SeismicVolume:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_array(self.data, 3))
-        object.__setattr__(self, "dt", _check_interval("dt", self.dt))
-        object.__setattr__(self, "dx", _check_interval("dx", self.dx))
-        object.__setattr__(self, "dy", _check_interval("dy", self.dy))
+        object.__setattr__(self, "dt", _check_positive("dt", self.dt))
+        object.__setattr__(self, "dx", _check_positive("dx", self.dx))
+        object.__setattr__(self, "dy", _check_positive("dy", self.dy))
         object.__setattr__(self, "meta", dict(self.meta))
 
     @property
@@ -260,10 +260,10 @@ class AttributeMap:
             if scale < 0:
                 raise ParameterError(f"scale must be >= 0 or None, got {scale}")
             object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "dt", _check_interval("dt", self.dt))
-        object.__setattr__(self, "dx", _check_interval("dx", self.dx))
+        object.__setattr__(self, "dt", _check_positive("dt", self.dt))
+        object.__setattr__(self, "dx", _check_positive("dx", self.dx))
         if self.dy is not None:
-            object.__setattr__(self, "dy", _check_interval("dy", self.dy))
+            object.__setattr__(self, "dy", _check_positive("dy", self.dy))
         if self.quality is not None and self.quality.shape != self.grid.shape:
             raise ShapeError(
                 f"quality shape {self.quality.shape} != grid shape {self.grid.shape}"

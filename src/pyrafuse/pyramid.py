@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .grid import Grid2
+from .grid import Grid2, _check_positive
 
 # Largest kernel half-width accepted. The sample table is (2r+1)^2 float64,
 # 33.6 MB at r = 1024, and is built before any grid is seen, so a larger
@@ -38,10 +38,8 @@ def gaussian_samples(sigma: float, radius: int) -> np.ndarray:
     Returned as a (2*radius+1, 2*radius+1) array; the center sample for
     sigma = 1 is 1 / (2 pi) ~= 0.159155.
     """
-    sigma = float(sigma)
+    sigma = _check_positive("sigma", sigma)
     radius = int(radius)
-    if sigma <= 0.0 or not np.isfinite(sigma):
-        raise ParameterError(f"sigma must be positive and finite, got {sigma!r}")
     if radius < 1:
         raise ParameterError(f"radius must be >= 1, got {radius}")
     if radius > MAX_RADIUS:
@@ -159,15 +157,28 @@ def _mirror_index(n: int, radius: int) -> np.ndarray:
     return index
 
 
-def _level_count(rows: int, cols: int, min_rows: int, min_cols: int) -> int:
-    """Levels of a rows x cols pyramid, while a level keeps both minimum dims."""
+def _check_scales(scales: int) -> int:
+    scales = int(scales)
+    if scales < 1:
+        raise ParameterError(f"scales must be >= 1, got {scales}")
+    return scales
+
+
+def _scale_count(rows: int, cols: int, support: int, floor: tuple[int, int] = (1, 1)) -> int:
+    """Scales a rows x cols grid supports with a kernel of ``support``.
+
+    One scale is never reduced, so it needs only the ``floor`` (rows,
+    cols). Two or more need the kernel support and the floor at every
+    level, each level halving both dims by the ceiling rule.
+    """
+    if rows < floor[0] or cols < floor[1]:
+        return 0
+    min_rows, min_cols = max(support, floor[0]), max(support, floor[1])
     count = 0
-    r, c = int(rows), int(cols)
-    while r >= min_rows and c >= min_cols:
+    while rows >= min_rows and cols >= min_cols:  # support >= 3, so this ends
         count += 1
-        r = (r + 1) // 2
-        c = (c + 1) // 2
-    return count
+        rows, cols = (rows + 1) // 2, (cols + 1) // 2
+    return max(count, 1)
 
 
 def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None) -> tuple[Grid2, ...]:
@@ -178,7 +189,8 @@ def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None
 
     Args:
         grid: base level (level 0, kept as-is).
-        scales: number of levels including the base (>= 1). Every level must
+        scales: number of levels including the base (>= 1). One level is
+            ``grid`` itself, of any size; with two or more, every level must
             keep both dims at or above the kernel support.
         kernel: defaults to ``make_kernel(1.0, 2)``.
 
@@ -189,10 +201,8 @@ def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None
     """
     if kernel is None:
         kernel = make_kernel()
-    scales = int(scales)
-    if scales < 1:
-        raise ParameterError(f"scales must be >= 1, got {scales}")
-    feasible = _level_count(grid.rows, grid.cols, kernel.support, kernel.support)
+    scales = _check_scales(scales)
+    feasible = _scale_count(grid.rows, grid.cols, kernel.support)
     if scales > feasible:
         raise SizeError(
             f"grid {grid.rows}x{grid.cols} supports at most {feasible} "

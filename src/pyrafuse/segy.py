@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError, UnsupportedFormatError
-from .grid import Grid2, SeismicSection, SeismicVolume, _Adopted, _check_interval
+from .grid import Grid2, SeismicSection, SeismicVolume, _Adopted, _check_positive
 from .gridio import _BLOCK_WORDS, _read_exactly
 
 TEXT_HEADER_BYTES = 3200
@@ -156,8 +156,8 @@ class SegyImportOptions:
             )
         if self.max_traces is not None and int(self.max_traces) < 1:
             raise ParameterError(f"max_traces must be >= 1, got {self.max_traces}")
-        _check_interval("dx", self.dx)
-        _check_interval("dy", self.dy)
+        _check_positive("dx", self.dx)
+        _check_positive("dy", self.dy)
 
 
 def _read_u16(blob: bytes, offset: int, big_endian: bool) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .grid import Grid2, SeismicSection, SeismicVolume
+from .grid import Grid2, SeismicSection, SeismicVolume, _check_positive
 
 NOISE_PRNG = "PCG64"  # numpy default_rng bit generator, recorded in metadata
 
@@ -46,9 +46,7 @@ def ricker(f_peak: float, dt: float, half_length: int) -> np.ndarray:
         ParameterError: f_peak not in (0, Nyquist) or half_length < 1.
     """
     f_peak = float(f_peak)
-    dt = float(dt)
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ParameterError(f"dt must be positive, got {dt!r}")
+    dt = _check_positive("dt", dt)
     if not 0.0 < f_peak < 0.5 / dt:  # NaN fails too
         raise ParameterError(
             f"f_peak must lie in (0, {0.5 / dt:g}) Hz for dt={dt:g}, got {f_peak!r}"
@@ -128,16 +126,12 @@ class SynthSpec:
             raise SizeError(f"need nt >= 8 and nx >= 3, got nt={self.nt}, nx={self.nx}")
         if self.ny is not None and self.ny < 3:
             raise SizeError(f"ny must be >= 3 when present, got {self.ny}")
-        for name in ("dt", "dx", "dy"):
-            value = float(getattr(self, name))
-            if value <= 0.0 or not np.isfinite(value):
-                raise ParameterError(f"{name} must be positive, got {value!r}")
+        for name in ("dt", "dx", "dy", "velocity"):
+            _check_positive(name, getattr(self, name))
         if not 0.0 < self.f_peak < 0.5 / self.dt:  # NaN fails too
             raise ParameterError(
                 f"f_peak must lie in (0, {0.5 / self.dt:g}) Hz, got {self.f_peak!r}"
             )
-        if self.velocity <= 0.0 or not np.isfinite(self.velocity):
-            raise ParameterError(f"velocity must be positive, got {self.velocity!r}")
         if not self.events:
             raise ParameterError("spec needs at least one event")
         for flt in self.faults:

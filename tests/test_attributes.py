@@ -624,9 +624,9 @@ class TestVolumeAttributes:
 
         monkeypatch.setattr(attributes, "_quadrature", no_work)
         for kind in (AttributeKind.DIP_ANGLE, AttributeKind.CURV_POS, AttributeKind.CURV_NEG):
-            with pytest.raises(ParameterError, match="velocity must be positive"):
+            with pytest.raises(ParameterError, match="velocity must be a positive finite number"):
                 attributes._attribute_layers(vol, kind, 2, time_index=20, velocity=velocity)
-            with pytest.raises(ParameterError, match="velocity must be positive"):
+            with pytest.raises(ParameterError, match="velocity must be a positive finite number"):
                 multiscale_attribute(vol, kind, scales=2, time_index=20, velocity=velocity)
 
 
@@ -722,7 +722,7 @@ class TestStackContainer:
         a = AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.PHASE_DIP)
         b = AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.DIP_ANGLE)
         c = AttributeMap(Grid2(np.zeros((5, 4))), AttributeKind.PHASE_DIP)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^stack kinds disagree: dip_angle vs dip$"):
             AttributeStack.from_maps((a, b))
         with pytest.raises(ShapeError):
             AttributeStack.from_maps((a, c))

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import metadata
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from pyrafuse import (
     encode_ibm32,
     multiscale_attribute,
     read_grid,
+    write_grid,
 )
 from pyrafuse.cli import _ATTR_FLAGS, main
 from pyrafuse.pyramid import MAX_RADIUS
@@ -32,6 +34,16 @@ f_peak = 2.5
 seed = 7
 event = plane, t0=20, sx=0.5
 event = plane, t0=60, sx=0.5
+"""
+
+THIN_SPEC = """\
+nt = 8
+nx = 4
+dt = 0.004
+dx = 25.0
+f_peak = 20
+seed = 5
+event = plane, t0=3, sx=0.25
 """
 
 VOLUME_SPEC = """\
@@ -190,6 +202,20 @@ class TestPipelineEquivalence:
         assert main(["attr", src, "--attr", "dip", "--out", flat]) == 0
         assert _payload(one) == _payload(flat)
 
+    def test_one_level_of_a_section_thinner_than_the_kernel(self, tmp_path):
+        # 8x4 is narrower than the 5x5 kernel; one level reduces nothing, so
+        # the stage route reproduces the one-scale pipeline there too
+        src = _synth(tmp_path, text=THIN_SPEC)
+        prefix = str(tmp_path / "pyr")
+        assert main(["pyramid", src, "--scales", "1", "--out-prefix", prefix]) == 0
+        level = f"{prefix}_level0.pfg"
+        assert read_grid(level).grid.shape == (8, 4)
+        assert _payload(level) == _payload(src)
+        dip, one = str(tmp_path / "dip.pfg"), str(tmp_path / "one.pfg")
+        assert main(["attr", level, "--out", dip]) == 0
+        assert main(["pipeline", src, "--scales", "1", "--out", one]) == 0
+        assert _payload(dip) == _payload(one)
+
     def test_pipeline_reruns_are_byte_identical(self, tmp_path):
         src = _synth(tmp_path)
         a, b = str(tmp_path / "fa.pfg"), str(tmp_path / "fb.pfg")
@@ -210,6 +236,17 @@ class TestPipelineEquivalence:
         assert "weights" in fused.meta
         assert fused.meta["sigma"] == "1.0"
         assert fused.meta["radius"] == "2"
+
+    def test_one_scale_records_no_kernel(self, tmp_path):
+        # one scale is never reduced, so no output of one records sigma/radius
+        vol = _synth(tmp_path, "vol.pfg", VOLUME_SPEC)
+        out = str(tmp_path / "out.pfg")
+        for argv in (["attr", _synth(tmp_path), "--attr", "dip"],
+                     ["attr", vol, "--attr", "dip-angle", "--time-index", "24"],
+                     ["pipeline", _synth(tmp_path), "--scales", "1"],
+                     ["pipeline", vol, "--attr", "kneg", "--time-index", "24", "--scales", "1"]):
+            assert main([*argv, "--out", out]) == 0
+            assert not {"sigma", "radius"} & set(read_grid(out).meta), argv
 
 
 class TestVolumeAttr:
@@ -577,6 +614,15 @@ class TestExitCodes:
         out = tmp_path / "fused.pfg"
         assert main(["fuse", *files, "--out", str(out)]) == 2
         assert f"{big}: 128x64 grid does not match the 96x48 of {dip}" in caplog.text
+        assert not out.exists()
+
+    def test_fuse_names_the_file_of_another_kind(self, tmp_path, caplog):
+        dip, curv = str(tmp_path / "d.pfg"), str(tmp_path / "k.pfg")
+        assert main(["attr", _synth(tmp_path), "--out", dip]) == 0
+        write_grid(curv, replace(read_grid(dip), kind=AttributeKind.CURV_POS))
+        out = tmp_path / "fused.pfg"
+        assert main(["fuse", dip, curv, "--out", str(out)]) == 2
+        assert f"{curv}: curv_pos map does not match the dip of {dip}" in caplog.text
         assert not out.exists()
 
     def test_expand_beyond_memory_exits_two(self, tmp_path):

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     bilinear_naive,
@@ -15,9 +17,12 @@ from oracles import (
     same_bits,
 )
 from pyrafuse import (
+    AttributeKind,
     Grid2,
     ParameterError,
+    SeismicSection,
     SizeError,
+    attribute_stack,
     build_pyramid,
     expand_to,
     gaussian_samples,
@@ -342,3 +347,48 @@ class TestInPlaceBlend:
         grid = Grid2(before[0])
         expand_to(grid, 11, 13)
         assert same_bits(grid.data, before[0])
+
+
+def _rule_allows(rows: int, cols: int, support: int, floor: tuple[int, int], scales: int) -> bool:
+    """The scale rule, written out: level dims halve by the ceiling rule;
+    every level keeps the floor (rows, cols), and with two or more levels
+    also the kernel support."""
+    need_rows, need_cols = floor
+    if scales > 1:
+        need_rows, need_cols = max(need_rows, support), max(need_cols, support)
+    for _ in range(scales):
+        if rows < need_rows or cols < need_cols:
+            return False
+        rows, cols = -(-rows // 2), -(-cols // 2)
+    return True
+
+
+def test_pyramid_and_dip_stack_follow_one_scale_rule(hypothesis_home):
+    """``build_pyramid`` (1x1 floor) and a phase-dip stack (4x3 floor)
+    succeed exactly when the rule allows the scale count, and otherwise
+    refuse it with a SizeError."""
+
+    @settings(database=None, deadline=None, max_examples=300)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        radius=st.integers(1, 3),
+        scales=st.integers(1, 6),
+    )
+    def check(rows, cols, radius, scales):
+        kernel = make_kernel(1.0, radius)
+        grid = Grid2(np.random.default_rng(rows * 41 + cols).standard_normal((rows, cols)))
+        if _rule_allows(rows, cols, kernel.support, (1, 1), scales):
+            assert len(build_pyramid(grid, scales, kernel)) == scales
+        else:
+            with pytest.raises(SizeError):
+                build_pyramid(grid, scales, kernel)
+        section = SeismicSection(grid, dt=1.0, dx=1.0)
+        if _rule_allows(rows, cols, kernel.support, (4, 3), scales):
+            stack = attribute_stack(section, AttributeKind.PHASE_DIP, scales, kernel)
+            assert stack.scales == scales
+        else:
+            with pytest.raises(SizeError):
+                attribute_stack(section, AttributeKind.PHASE_DIP, scales, kernel)
+
+    check()
