@@ -55,7 +55,7 @@ from .synth import (
     ricker,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 __all__ = [
     "AttributeKind",

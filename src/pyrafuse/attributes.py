@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import _phase_derivative_band, _quadrature, _trusted
-from .errors import ConfigError, ShapeError, SizeError
+from .errors import ConfigError, ParameterError, ShapeError, SizeError
 from .grid import (
     AttributeKind,
     AttributeMap,
@@ -243,27 +243,6 @@ def _read_only(stack: AttributeStack) -> AttributeStack:
     return stack
 
 
-def _check_dip_request(
-    shapes: tuple[tuple[int, int], ...],
-    scales: int,
-    kernel: GaussianKernel,
-    p_max: float,
-    eps_freq: float,
-) -> int:
-    """Validate a dip-stack request on sections of every shape in ``shapes``."""
-    scales = _check_scales(scales)
-    _check_positive("p_max", p_max)
-    _check_positive("eps_freq", eps_freq)
-    for rows, cols in shapes:
-        feasible = _scale_count(rows, cols, kernel.support, _DIP_FLOOR)
-        if scales > feasible:
-            raise SizeError(
-                f"section {rows}x{cols} supports at most "
-                f"{feasible} dip scale(s), requested {scales}"
-            )
-    return scales
-
-
 def _row_plan(nt: int, scales: int, first: int, stop: int) -> list[tuple]:
     """Per level, what base rows [first, stop) of an nt-row section read.
 
@@ -369,10 +348,11 @@ def _dip_rows(
     peak memory, and the levels above it for ``_BATCH`` sections at once.
     Both orientations of a volume hold the same traces, so one pass over
     the fixed-x sections takes the base level's quadrature for both: the
-    fixed-y sections read its f, h and f^2 + h^2 through transposed views
-    and their maxima as a running maximum over x, and are only reduced.
-    That is the record stage; it keeps, per level, the band of rows that
-    :func:`_row_plan` gives for the whole request.
+    fixed-y sections read its f and h through transposed views and their
+    maxima of f^2 + h^2 as a running maximum over x, and are only reduced.
+    That is the record stage; it keeps, per level, only what cannot be
+    recomputed: f and h on the band of rows that :func:`_row_plan` gives
+    for the whole request, and each section's maximum of f^2 + h^2.
 
     The finish stage then takes phase derivatives, the dip quotient and the
     expansion for all sections of an orientation at once, only on the level
@@ -380,48 +360,59 @@ def _dip_rows(
     side for the time differences), and expands only those rows across. It
     runs in contiguous parts of ``rows`` at once (:func:`_in_parts`): each
     part reads the sub-band that :func:`_row_plan` gives for its own rows,
-    and writes its rows of the result. None of this changes a byte: every
-    section's arithmetic is the same, a maximum is exact, a band widened by
-    one row gives its inner rows their full-section time differences, and
-    the expansion works row by row.
+    takes f^2 + h^2 again on its read rows by the record stage's
+    operations, and writes its rows of the result. None of this changes a
+    byte: every section's arithmetic is the same, a maximum is exact, a
+    band widened by one row gives its inner rows their full-section time
+    differences, and the expansion works row by row.
 
     ``boundary`` (None: identity) is applied to each level before its
     quadrature, while the reduction chain stays unrounded, and to the dip
     and the 0/1 trust before and after expansion; the trust threshold comes
     after it, because rounding can move a value onto 0.5.
 
-    Raises:
-        ParameterError: a level's quadrature is not finite.
+    Raises (the request's refusals before any quadrature):
+        ParameterError: scales < 1, p_max or eps_freq not positive, or a
+            level's quadrature not finite.
+        SizeError: the sections of a lateral axis (x, then y) cannot
+            support ``scales`` dip scales.
     """
+    scales = _check_scales(scales)
+    _check_positive("p_max", p_max)
+    _check_positive("eps_freq", eps_freq)
     nt = data.shape[0]
+    for n in data.shape[1:]:
+        feasible = _scale_count(nt, n, kernel.support, _DIP_FLOOR)
+        if scales > feasible:
+            raise SizeError(
+                f"section {nt}x{n} supports at most "
+                f"{feasible} dip scale(s), requested {scales}"
+            )
     first, stop, _ = rows.indices(nt)
     levels = _row_plan(nt, scales, first, stop)
 
     def plan(count: int, n: int, base: tuple | None = None) -> list[tuple]:
         """Per level, buffers for ``count`` sections of ``n`` traces: f and h
-        on the band, f^2 + h^2 on the read rows, and each section's maximum
-        of f^2 + h^2. ``base``, if given, is the base level's."""
+        on the band, and each section's maximum of f^2 + h^2. ``base``, if
+        given, is the base level's."""
         buffers = []
-        for i, (band, read, _) in enumerate(levels):
+        for i, (band, _, _) in enumerate(levels):
             if i == 0 and base is not None:
                 buffers.append(base)
             else:
-                buffers.append((
-                    np.empty((2, band.stop - band.start, count, n)),
-                    np.empty((read.stop - read.start, count, n)),
-                    np.empty((count, 1)),
-                ))
+                buffers.append((np.empty((2, band.stop - band.start, count, n)), np.empty((count, 1))))
             n = (n + 1) // 2
         return buffers
 
     def record(buffers: list, i: int, k: int, values: np.ndarray) -> np.ndarray:
-        """Keep the plan's rows of level ``i`` of sections k, k+1, ...
+        """Keep the plan's band of level ``i`` of sections k, k+1, ..., and
+        their maxima of f^2 + h^2.
 
         ``values`` is (b, rows, cols), one level per section, before
         ``boundary``. Returns the levels' f^2 + h^2.
         """
-        band, read, _ = levels[i]
-        fh, env2_read, env2_max = buffers[i]
+        band = levels[i][0]
+        fh, env2_max = buffers[i]
         f = values if boundary is None else boundary(values)
         h = _quadrature(f, axis=-2)
         batch = slice(k, k + len(f))
@@ -436,8 +427,6 @@ def _dip_rows(
         # holds squares, so that rare case takes the quadrature again
         if not np.isfinite(env2_max[batch]).all():
             _check_finite(_quadrature(f, axis=-2))
-        read_rows = slice(band.start + read.start, band.start + read.stop)
-        env2_read[:, batch] = env2[:, read_rows].swapaxes(0, 1)
         return env2
 
     def pyramid(sections: np.ndarray, buffers: list, base: Callable | None) -> None:
@@ -472,23 +461,24 @@ def _dip_rows(
     def finish(buffers: list, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Derivatives, quotient and expansion of the recorded rows, in row
         parts that run at once (:func:`_in_parts`)."""
-        dips = np.empty((scales, stop - first, buffers[0][1].shape[1], n))
+        dips = np.empty((scales, stop - first, buffers[0][0].shape[2], n))
         trust = np.empty(dips.shape, dtype=bool)
 
         def part(a: int, b: int) -> None:
             rows = slice(a - first, b - first)
             own = levels if (a, b) == (first, stop) else _row_plan(nt, scales, a, b)
-            for i, ((band, read, _), (part_band, part_read, blend), ((f, h), env2, env2_max)) in (
+            for i, ((band, _, _), (part_band, read, blend), ((f, h), env2_max)) in (
                 enumerate(zip(levels, own, buffers))
             ):
-                # the part's band and read rows within the recorded ones
+                # the part's band within the recorded one
                 in_band = slice(part_band.start - band.start, part_band.stop - band.start)
                 f, h = f[in_band], h[in_band]
-                at = part_band.start + part_read.start - band.start - read.start
-                env2 = env2[at : at + part_read.stop - part_read.start]
+                # f^2 + h^2 on the read rows, by record's operations
+                env2 = f[read] * f[read]
+                env2 += np.square(h[read])
                 trusted = _trusted(env2, env2_max)
-                d_time = _phase_derivative_band(f, h, env2, trusted, 0, part_read)
-                d_trace = _phase_derivative_band(f[part_read], h[part_read], env2, trusted, 2)
+                d_time = _phase_derivative_band(f, h, env2, trusted, 0, read)
+                d_trace = _phase_derivative_band(f[read], h[read], env2, trusted, 2)
                 dip, ok = _dip_quotient(d_time, d_trace, p_max, eps_freq)
                 # the 0/1 trust is expanded through the dip rows before its dip is
                 out = dips[i, rows]
@@ -516,43 +506,12 @@ def _dip_rows(
     q_rows = finish(q, ny)
     # the fixed-y sections' base level is the fixed-x one, transposed; the
     # buffers above it are freed before the fixed-y ones are made
-    fh, env2_read, _ = q[0]
+    fh, _ = q[0]
     del q
-    p = plan(ny, nx, (fh.transpose(0, 1, 3, 2), env2_read.transpose(0, 2, 1), y_max.T))
+    p = plan(ny, nx, (fh.transpose(0, 1, 3, 2), y_max.T))
     if scales > 1:
         pyramid(np.moveaxis(data, 2, 0), p, None)
     return [finish(p, nx), q_rows]
-
-
-def _slice_dips(
-    volume: SeismicVolume,
-    t: int,
-    scales: int,
-    kernel: GaussianKernel,
-    p_max: float,
-    eps_freq: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-scale inline dip p and crossline dip q at time slice ``t``, and
-    where both are trusted, as C-contiguous (scales, nx, ny) arrays.
-
-    Row ``t`` of the expanded dip stack of each fixed-y section fills
-    column y of ``p``; that of each fixed-x section fills row x of ``q``.
-
-    Raises:
-        BoundsError: t outside the volume.
-        ParameterError: scales < 1, or p_max or eps_freq not positive.
-        SizeError: either orientation's sections (nt x nx or nt x ny)
-            cannot support ``scales`` dip scales; checked before any work.
-    """
-    t = volume._check_index("time", t, volume.nt)
-    shapes = ((volume.nt, volume.nx), (volume.nt, volume.ny))
-    scales = _check_dip_request(shapes, scales, kernel, p_max, eps_freq)
-    # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows of q
-    (p, p_ok), (q, q_ok) = _dip_rows(
-        volume.data, slice(t, t + 1), scales, kernel, p_max=p_max, eps_freq=eps_freq
-    )
-    ok = p_ok[:, 0].transpose(0, 2, 1) & q_ok[:, 0]
-    return np.ascontiguousarray(p[:, 0].transpose(0, 2, 1)), q[:, 0], ok
 
 
 def _attribute_layers(
@@ -571,6 +530,9 @@ def _attribute_layers(
 
     ``boundary`` is :func:`_dip_rows`'s, for section dip only: volume
     attributes have no stage route, so it is not applied to them.
+
+    A volume attribute whose values are not finite (lateral steps tiny
+    enough, or a velocity large enough, to overflow) is a ParameterError.
     """
     kernel = kernel if kernel is not None else make_kernel()
     if isinstance(data, SeismicSection):
@@ -578,7 +540,6 @@ def _attribute_layers(
             raise ConfigError(
                 f"{kind.value} needs a volume; a section only supports phase dip"
             )
-        scales = _check_dip_request((data.grid.shape,), scales, kernel, p_max, eps_freq)
         ((dips, trust),) = _dip_rows(
             data.grid.data, slice(None), scales, kernel,
             p_max=p_max, eps_freq=eps_freq, boundary=boundary,
@@ -592,18 +553,34 @@ def _attribute_layers(
         if time_index is None:
             raise ConfigError(f"{kind.value} on a volume needs a time index")
         _check_positive("velocity", velocity)
-        p, q, valid = _slice_dips(data, time_index, scales, kernel, p_max, eps_freq)
+        time_index = data._check_index("time", time_index, data.nt)
+        # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows
+        # of q; both become C-contiguous (scales, nx, ny), trusted where both are
+        (p, p_ok), (q, q_ok) = _dip_rows(
+            data.data, slice(time_index, time_index + 1), scales, kernel,
+            p_max=p_max, eps_freq=eps_freq,
+        )
+        valid = p_ok[:, 0].transpose(0, 2, 1) & q_ok[:, 0]
+        del p_ok, q_ok
+        p, q = np.ascontiguousarray(p[:, 0].transpose(0, 2, 1)), q[:, 0]
         steps = (data.dt, data.dx, data.dy, velocity)
-        if kind is AttributeKind.DIP_ANGLE:
-            values = _dip_angle_values(p, q, *steps)
-        else:
-            mean2, fold = _curvatures(p, q, *steps)
-            values = mean2 + fold if kind is AttributeKind.CURV_POS else mean2 - fold
+        # overflowing slopes or gradients are refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind is AttributeKind.DIP_ANGLE:
+                values = _dip_angle_values(p, q, *steps)
+            else:
+                mean2, fold = _curvatures(p, q, *steps)
+                values = mean2 + fold if kind is AttributeKind.CURV_POS else mean2 - fold
+        if not np.isfinite(values).all():
+            raise ParameterError(
+                f"{kind.value} is not finite with dt={data.dt!r}, dx={data.dx!r}, "
+                f"dy={data.dy!r} and velocity={float(velocity)!r}"
+            )
         dy = data.dy
     # one scale is never reduced, so it has no kernel to record
     meta = {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)} if int(scales) > 1 else {}
     if isinstance(data, SeismicVolume):
-        meta = {**_time_dip_meta(velocity), **meta, "time_index": str(int(time_index))}
+        meta = {**_time_dip_meta(velocity), **meta, "time_index": str(time_index)}
     return AttributeStack(
         values=values, valid=valid, kind=kind, dt=data.dt, dx=data.dx, dy=dy, meta=meta
     )

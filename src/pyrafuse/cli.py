@@ -255,14 +255,15 @@ def _cmd_synth(args) -> None:
 def _cmd_pyramid(args) -> None:
     section = _read(args.grid, SeismicSection)
     kernel = make_kernel(args.sigma, args.radius)
+    reduced = {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
     for i, level in enumerate(build_pyramid(section.grid, args.scales, kernel)):
         target = f"{args.out_prefix}_level{i}.pfg"
+        # level 0 is the input, never reduced, so it records no kernel
         write_grid(
             target,
             SeismicSection(level, dt=section.dt * 2**i, dx=section.dx * 2**i,
                            label=section.label,
-                           meta={**section.meta, "level": str(i), "sigma": repr(kernel.sigma),
-                                 "radius": str(kernel.radius)}),
+                           meta={**section.meta, "level": str(i), **(reduced if i else {})}),
         )
         log.info("wrote %s (%dx%d)", target, level.rows, level.cols)
 

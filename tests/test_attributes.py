@@ -66,11 +66,17 @@ def _guard_fires(section) -> bool:
 
 
 def _slice_fields(vol, t, scales, kernel=None, *, p_max=P_MAX_DEFAULT, eps_freq=EPS_FREQ_DEFAULT):
-    """Per scale, the inline dip p, crossline dip q and 0/1 quality of
-    ``_slice_dips`` at time slice ``t``."""
+    """Per scale, the inline dip p, crossline dip q and 0/1 quality of the
+    dip builder at time slice ``t``, laid out as the volume attributes read
+    them."""
     kernel = kernel if kernel is not None else make_kernel()
-    p, q, ok = attributes._slice_dips(vol, t, scales, kernel, p_max, eps_freq)
-    return list(zip(p, q, ok.astype(np.float64)))
+    t = vol._check_index("time", t, vol.nt)
+    (p, p_ok), (q, q_ok) = attributes._dip_rows(
+        vol.data, slice(t, t + 1), scales, kernel, p_max=p_max, eps_freq=eps_freq
+    )
+    ok = p_ok[:, 0].transpose(0, 2, 1) & q_ok[:, 0]
+    p = np.ascontiguousarray(p[:, 0].transpose(0, 2, 1))
+    return list(zip(p, q[:, 0], ok.astype(np.float64)))
 
 
 class TestPhaseDip:
@@ -463,6 +469,45 @@ class TestVolumeDips:
             _slice_fields(vol, 10, 2)
 
 
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("a quadrature ran before the request was checked")
+
+
+class TestDipBuilderRequest:
+    """``_dip_rows`` is the one entry of the dip stage: it refuses a bad
+    request itself, on a section or a volume, before any quadrature."""
+
+    _DATA = {
+        "section": lambda: np.random.default_rng(3).standard_normal((32, 12)),
+        "volume": lambda: np.random.default_rng(3).standard_normal((32, 12, 10)),
+    }
+
+    @pytest.mark.parametrize(
+        "scales, kw, error, message",
+        [
+            (0, {}, ParameterError, "scales must be >= 1, got 0"),
+            (1, {"p_max": math.nan}, ParameterError, "p_max must be a positive finite number"),
+            (1, {"eps_freq": -1e-3}, ParameterError, "eps_freq must be a positive finite number"),
+            (3, {}, SizeError, r"section 32x12 supports at most 2 dip scale\(s\), requested 3"),
+        ],
+        ids=["scales", "p_max", "eps_freq", "size"],
+    )
+    @pytest.mark.parametrize("data", sorted(_DATA))
+    def test_bad_request_is_refused_before_any_quadrature(self, monkeypatch, data, scales, kw,
+                                                           error, message):
+        monkeypatch.setattr(attributes, "_quadrature", _no_quadrature)
+        request = {"p_max": P_MAX_DEFAULT, "eps_freq": EPS_FREQ_DEFAULT, **kw}
+        with pytest.raises(error, match=message):
+            attributes._dip_rows(self._DATA[data](), slice(4, 5), scales, make_kernel(), **request)
+
+    def test_volume_size_names_the_x_sections_first(self, monkeypatch):
+        # both lateral axes are too narrow for two scales
+        monkeypatch.setattr(attributes, "_quadrature", _no_quadrature)
+        with pytest.raises(SizeError, match=r"section 32x4 supports at most 1 dip scale\(s\), requested 2"):
+            attributes._dip_rows(np.zeros((32, 4, 3)), slice(0, 1), 2, make_kernel(),
+                                 p_max=P_MAX_DEFAULT, eps_freq=EPS_FREQ_DEFAULT)
+
+
 class TestBatchedLevels:
     """Levels above the base run ``_BATCH`` sections at a time."""
 
@@ -615,6 +660,24 @@ class TestVolumeAttributes:
         for kind in (AttributeKind.CURV_POS, AttributeKind.CURV_NEG):
             assert peak(kind) <= dip_angle_peak + half_array
 
+    @pytest.mark.parametrize(
+        "kind", [AttributeKind.CURV_POS, AttributeKind.CURV_NEG], ids=lambda kind: kind.value
+    )
+    def test_curvature_that_overflows_is_refused_without_a_warning(self, kind):
+        # a tiny inline step overflows the slope gradients; the refusal
+        # names the kind, and no stack of NaN comes back (warnings are
+        # errors in this suite)
+        vol = SeismicVolume(
+            np.random.default_rng(5).standard_normal((64, 24, 24)), dt=0.004, dx=1e-300, dy=25.0
+        )
+        message = f"{kind.value} is not finite with dt=0.004, dx=1e-300, dy=25.0 and velocity=2000.0"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            attribute_stack(vol, kind, 2, time_index=30)
+        with pytest.raises(ParameterError, match=f"^attribute stage: {message}$"):
+            multiscale_attribute(vol, kind, scales=2, time_index=30)
+        # the dip angle's arctan saturates instead, so it stays finite
+        assert np.isfinite(attribute_stack(vol, AttributeKind.DIP_ANGLE, 2, time_index=30).values).all()
+
     @pytest.mark.parametrize("velocity", [0.0, -1.0, math.inf, math.nan])
     def test_bad_velocity_fails_before_any_work(self, monkeypatch, velocity):
         vol = _odd_volume()
@@ -700,6 +763,16 @@ class TestAttributeStackDispatch:
             attribute_stack(vol, AttributeKind.PHASE_DIP, 2, time_index=32)
         with pytest.raises(ConfigError):
             attribute_stack(vol, AttributeKind.DIP_ANGLE, 2)  # no time_index
+
+    @pytest.mark.parametrize(
+        "data", [Grid2(np.zeros((64, 32))), np.zeros((64, 32))], ids=["Grid2", "ndarray"]
+    )
+    def test_unsupported_input_type_is_a_config_error(self, data):
+        name = type(data).__name__
+        with pytest.raises(ConfigError, match=f"^unsupported input type {name}$"):
+            attribute_stack(data, AttributeKind.PHASE_DIP, 2)
+        with pytest.raises(ConfigError, match=f"^unsupported input type {name}$"):
+            multiscale_attribute(data, AttributeKind.PHASE_DIP, scales=2)
 
     @pytest.mark.parametrize(
         "call, needs",

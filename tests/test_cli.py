@@ -15,6 +15,7 @@ import pyrafuse
 from oracles import same_bits
 from pyrafuse import (
     AttributeKind,
+    SeismicVolume,
     attribute_stack,
     describe_grid,
     encode_ibm32,
@@ -149,6 +150,19 @@ class TestPyramidCommand:
             dims.append(level.grid.shape)
             assert level.dt == pytest.approx(0.004 * 2**i)
         assert dims == [(96, 48), (48, 24), (24, 12), (12, 6)]
+
+    @pytest.mark.parametrize("scales", [1, 3])
+    def test_only_reduced_levels_record_the_kernel(self, tmp_path, scales):
+        # level 0 is the input, never reduced: its header adds only `level`
+        src = _synth(tmp_path)
+        prefix = str(tmp_path / "pyr")
+        assert main(["pyramid", src, "--scales", str(scales), "--sigma", "1.5",
+                     "--out-prefix", prefix]) == 0
+        meta = read_grid(src).meta
+        assert read_grid(f"{prefix}_level0.pfg").meta == {**meta, "level": "0"}
+        for i in range(1, scales):
+            level = read_grid(f"{prefix}_level{i}.pfg")
+            assert level.meta == {**meta, "level": str(i), "sigma": "1.5", "radius": "2"}
 
     def test_level_zero_payload_matches_source(self, tmp_path):
         src = _synth(tmp_path)
@@ -318,6 +332,32 @@ class TestVolumeAttr:
         want = multiscale_attribute(read_grid(vol), _ATTR_FLAGS[attr], scales=2, time_index=24)
         assert same_bits(fused.grid.data, want.grid.data.astype(np.float32).astype(np.float64))
         assert fused.meta == want.meta
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pipeline", "--scales", "2", "--attr", "kneg"], "attribute stage: curv_neg is not finite"),
+            (["attr", "--attr", "kpos"], "curv_pos is not finite"),
+        ],
+        ids=["pipeline", "attr"],
+    )
+    def test_curvature_that_overflows_exits_one_without_a_warning(self, tmp_path, argv, message):
+        # a child process, so that a warning reaches stderr as a user sees it
+        vol = str(tmp_path / "v.pfg")
+        data = np.random.default_rng(5).standard_normal((64, 24, 24))
+        write_grid(vol, SeismicVolume(data, dt=0.004, dx=1e-300, dy=25.0))
+        out = tmp_path / "o.pfg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pyrafuse.cli", argv[0], vol, *argv[1:],
+             "--time-index", "30", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
 
 
 class TestSegyImport:

@@ -438,6 +438,22 @@ class TestMultiscaleAttribute:
                 self._section(), AttributeKind.PHASE_DIP, scales=scales, fusion=spec
             )
 
+    def test_fusion_errors_name_the_stage(self, monkeypatch):
+        # the mean of finite values near the float64 maximum overflows, and
+        # the fused map refuses the infinity
+        def huge_stack(*args, **kwargs):
+            return AttributeStack(
+                values=np.full((2, 8, 6), 1.5e308), valid=np.ones((2, 8, 6), dtype=bool),
+                kind=AttributeKind.PHASE_DIP, dt=0.004, dx=25.0, dy=None, meta={},
+            )
+
+        monkeypatch.setattr("pyrafuse.fusion._attribute_layers", huge_stack)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ParameterError, match="^fusion stage: grid values must be finite"):
+                multiscale_attribute(
+                    self._section(), AttributeKind.PHASE_DIP, scales=2, fusion=FusionSpec.mean()
+                )
+
     def test_config_errors_pass_through_unwrapped(self):
         with pytest.raises(ConfigError) as err:
             multiscale_attribute(self._section(), AttributeKind.DIP_ANGLE)
