@@ -58,6 +58,7 @@ from .pyramid import (
     _check_scales,
     _interp_axis,
     _interp_stencil,
+    _kernel_meta,
     _reduce,
     _scale_count,
     make_kernel,
@@ -187,6 +188,16 @@ class AttributeStack:
     dx: float
     dy: float | None
     meta: dict[str, str]
+
+    def __post_init__(self):
+        # O(1) checks only: the builder makes a stack on every op
+        shape = np.shape(self.values)
+        if len(shape) != 3 or shape[0] < 1:
+            raise ShapeError(f"stack values must be (scales >= 1, rows, cols), got {shape}")
+        if np.shape(self.valid) != shape:
+            raise ShapeError(f"stack valid shape {np.shape(self.valid)} != values shape {shape}")
+        if np.asarray(self.valid).dtype != bool:
+            raise ParameterError(f"stack valid must be bool, got {np.asarray(self.valid).dtype}")
 
     @classmethod
     def from_maps(cls, maps) -> "AttributeStack":
@@ -578,7 +589,7 @@ def _attribute_layers(
             )
         dy = data.dy
     # one scale is never reduced, so it has no kernel to record
-    meta = {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)} if int(scales) > 1 else {}
+    meta = _kernel_meta(kernel) if int(scales) > 1 else {}
     if isinstance(data, SeismicVolume):
         meta = {**_time_dip_meta(velocity), **meta, "time_index": str(time_index)}
     return AttributeStack(

@@ -7,6 +7,10 @@ byte-identical outputs.
 
 Each command reads grid files through one typed reader: a container the
 command cannot use (`fuse` takes attribute maps only) exits 2 naming the file.
+The library calls that work on a command's input run under
+`errors._naming(<input path>)`, so their refusals name that file too; calls
+that check flags alone (`make_kernel`, the fusion flags, `export_pgm`, which
+checks the clip flags first) run outside it.
 
 On a section, `pipeline` is the exact composition of its stage
 subcommands: it rounds every stage boundary (pyramid level, per-level dip,
@@ -25,7 +29,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -37,11 +40,11 @@ from .attributes import (
     AttributeStack,
     attribute_stack,
 )
-from .errors import BoundsError, ConfigError, ParameterError, PyrafuseError, ShapeError
+from .errors import ConfigError, ParameterError, PyrafuseError, ShapeError, _naming
 from .fusion import FusionMethod, FusionSpec, _check_fusion, _multiscale, default_weights, fuse
 from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
-from .pyramid import build_pyramid, expand_to, make_kernel
+from .pyramid import _kernel_meta, build_pyramid, expand_to, make_kernel
 from .segy import SegyImportOptions, read_segy
 from .synth import make_synthetic, parse_synth_spec
 
@@ -204,10 +207,8 @@ def _fusion_spec(args, scales: int) -> FusionSpec:
     if method is FusionMethod.RANK and args.rank is None:
         raise UsageError("--fuse rank needs --rank")
     spec = FusionSpec(method, weights, args.rank)
-    try:
+    with _naming("fusion stage"):
         _check_fusion(spec, scales)
-    except ParameterError as exc:
-        raise ParameterError(f"fusion stage: {exc}") from exc
     return spec
 
 
@@ -224,12 +225,13 @@ def _read(path: str, *types: type):
 def _cmd_synth(args) -> None:
     with open(args.spec, "rb") as handle:
         blob = handle.read()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{args.spec}: not UTF-8 text at byte offset {exc.start}") from None
-    spec = parse_synth_spec(text)
-    data, truth = make_synthetic(spec)
+    with _naming(args.spec):
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"not UTF-8 text at byte offset {exc.start}") from None
+        spec = parse_synth_spec(text)
+        data, truth = make_synthetic(spec)
     write_grid(args.out, data)
     log.info("wrote %s", args.out)
     if args.truth_prefix:
@@ -255,8 +257,10 @@ def _cmd_synth(args) -> None:
 def _cmd_pyramid(args) -> None:
     section = _read(args.grid, SeismicSection)
     kernel = make_kernel(args.sigma, args.radius)
-    reduced = {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
-    for i, level in enumerate(build_pyramid(section.grid, args.scales, kernel)):
+    reduced = _kernel_meta(kernel)
+    with _naming(args.grid):
+        levels = build_pyramid(section.grid, args.scales, kernel)
+    for i, level in enumerate(levels):
         target = f"{args.out_prefix}_level{i}.pfg"
         # level 0 is the input, never reduced, so it records no kernel
         write_grid(
@@ -277,19 +281,10 @@ def _attribute_kind(args, obj) -> AttributeKind:
     return kind
 
 
-@contextmanager
-def _naming_input(path: str):
-    """Prefix the library's refusal of a kind/input or time index with ``path``."""
-    try:
-        yield
-    except (BoundsError, ConfigError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 def _cmd_attr(args) -> None:
     obj = _read(args.grid, SeismicSection, SeismicVolume)
     kind = _attribute_kind(args, obj)
-    with _naming_input(args.grid):
+    with _naming(args.grid):
         m = attribute_stack(
             obj, kind, 1, time_index=args.time_index, velocity=args.velocity,
             p_max=args.pmax, eps_freq=args.eps_freq,
@@ -307,7 +302,9 @@ def _cmd_attr(args) -> None:
 
 def _cmd_expand(args) -> None:
     obj = _read(args.grid, SeismicSection, AttributeMap)
-    write_grid(args.out, replace(obj, grid=expand_to(obj.grid, args.rows, args.cols)))
+    with _naming(args.grid):
+        expanded = replace(obj, grid=expand_to(obj.grid, args.rows, args.cols))
+    write_grid(args.out, expanded)
     log.info("wrote %s (%dx%d)", args.out, args.rows, args.cols)
 
 
@@ -339,7 +336,7 @@ def _cmd_pipeline(args) -> None:
     spec = _fusion_spec(args, args.scales)  # a bad --fuse rank is a usage error first
     obj = _read(args.grid, SeismicSection, SeismicVolume)
     kernel = make_kernel(args.sigma, args.radius)
-    with _naming_input(args.grid):
+    with _naming(args.grid):
         fused = _multiscale(
             obj, _attribute_kind(args, obj), args.scales, kernel, spec, boundary=_f32,
             time_index=args.time_index, velocity=args.velocity,
@@ -367,7 +364,7 @@ def _cmd_export_pgm(args) -> None:
     if isinstance(obj, SeismicVolume):
         if args.time_index is None:
             raise UsageError("a volume needs --time-index to pick a slice")
-        with _naming_input(args.grid):
+        with _naming(args.grid):
             grid = obj.time_slice(args.time_index)
     else:
         grid = obj.grid

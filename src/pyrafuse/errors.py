@@ -6,6 +6,8 @@ data and file-format problems exit 2.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class PyrafuseError(Exception):
     """Base class for every error raised by this package."""
@@ -46,3 +48,19 @@ class FormatError(PyrafuseError, ValueError):
 
 class UnsupportedFormatError(FormatError):
     """The file uses a format feature outside the supported subset."""
+
+
+@contextmanager
+def _naming(prefix: str, errors=PyrafuseError):
+    """Name the file or stage of an ``errors`` error escaping the block.
+
+    The error's message becomes ``prefix: message`` and the same object is
+    re-raised, so its type, any ``offset`` and its traceback stay as they
+    were. Wrap the block where a file or a stage enters; nested blocks read
+    ``outer: inner: message``.
+    """
+    try:
+        yield
+    except errors as exc:
+        exc.args = (f"{prefix}: {exc}",)
+        raise

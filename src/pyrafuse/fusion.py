@@ -41,7 +41,7 @@ from .attributes import (
     _attribute_layers,
     _in_parts,
 )
-from .errors import ConfigError, ParameterError, PyrafuseError
+from .errors import ConfigError, ParameterError, PyrafuseError, _naming
 from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume, _check_positive
 from .pyramid import GaussianKernel, _check_scales
 
@@ -305,17 +305,13 @@ def _multiscale(data, kind: AttributeKind, scales: int, kernel: GaussianKernel |
     fusion = fusion if fusion is not None else FusionSpec.median()
     if fusion.method is FusionMethod.WEIGHTED_MEAN and fusion.weights is None:
         fusion = FusionSpec.weighted(default_weights(scales))
-    try:
+    with _naming("fusion stage"):
         _check_fusion(fusion, scales)
-    except PyrafuseError as exc:
-        raise type(exc)(f"fusion stage: {exc}") from exc
     try:
         stack = _attribute_layers(data, kind, scales, kernel, **attribute)
     except ConfigError:
         raise
     except PyrafuseError as exc:
         raise type(exc)(f"attribute stage: {exc}") from exc
-    try:
+    with _naming("fusion stage"):
         return _fuse_arrays(stack, fusion)
-    except PyrafuseError as exc:
-        raise type(exc)(f"fusion stage: {exc}") from exc

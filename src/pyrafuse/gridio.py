@@ -54,7 +54,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _naming
 from .grid import (
     KIND_UNITS,
     AttributeKind,
@@ -195,13 +195,11 @@ def write_grid(path: str, obj) -> None:
             beyond the float32 range, named after ``path``; an existing
             file at ``path`` is left as it was.
     """
-    try:
+    with _naming(path, ParameterError):
         _atomic_write(path, _file_blocks(*_header_and_samples(obj)))
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from exc
 
 
-def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
+def parse_header(blob: bytes) -> tuple[dict[str, str], int]:
     """Parse the ASCII header; returns (pairs, data offset).
 
     Raises:
@@ -215,7 +213,7 @@ def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
         end = blob.find(b"\n", offset)
         if end < 0:
             raise FormatError(
-                f"{path}: header never terminated by a blank line", offset=offset
+                "header never terminated by a blank line", offset=offset
             )
         line = blob[offset:end]
         if line == b"":
@@ -223,10 +221,10 @@ def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
         try:
             text = line.decode("ascii")
         except UnicodeDecodeError:
-            raise FormatError(f"{path}: non-ASCII header line", offset=offset) from None
+            raise FormatError("non-ASCII header line", offset=offset) from None
         if "=" not in text:
             raise FormatError(
-                f"{path}: malformed header line {text!r}", offset=offset
+                f"malformed header line {text!r}", offset=offset
             )
         key, _, value = text.partition("=")
         key = key.strip().lower()
@@ -234,16 +232,16 @@ def parse_header(blob: bytes, *, path: str = "") -> tuple[dict[str, str], int]:
             if key != "magic" or value != MAGIC:
                 found = value if key == "magic" else text
                 raise FormatError(
-                    f"{path}: bad magic {found!r}; expected {MAGIC}", offset=0
+                    f"bad magic {found!r}; expected {MAGIC}", offset=0
                 )
             first = False
         if key in pairs:
-            raise FormatError(f"{path}: repeated header key {key!r}", offset=offset)
+            raise FormatError(f"repeated header key {key!r}", offset=offset)
         pairs[key] = value
         offset = end + 1
 
 
-def _read_exactly(handle, buffer, path: str, offset: int) -> None:
+def _read_exactly(handle, buffer, offset: int) -> None:
     """Fill ``buffer`` from ``handle``, which stands at byte ``offset``.
 
     Raises:
@@ -253,12 +251,12 @@ def _read_exactly(handle, buffer, path: str, offset: int) -> None:
     got = handle.readinto(buffer) or 0
     if got < len(buffer):
         raise FormatError(
-            f"{path}: file ends at byte {offset + got}, short of the size it had when opened",
+            f"file ends at byte {offset + got}, short of the size it had when opened",
             offset=offset + got,
         )
 
 
-def _read_header(handle, path: str) -> tuple[dict[str, str], int, int]:
+def _read_header(handle) -> tuple[dict[str, str], int, int]:
     """Parse the header of an open grid file: (pairs, data offset, file size).
 
     The prefix handed to parse_header grows a block at a time until it
@@ -271,11 +269,11 @@ def _read_header(handle, path: str) -> tuple[dict[str, str], int, int]:
         chunk = handle.read(4 * _BLOCK_WORDS)
         prefix += chunk
         if not chunk or prefix.startswith(b"\n") or b"\n\n" in prefix:
-            return (*parse_header(prefix, path=path), size)
+            return (*parse_header(prefix), size)
 
 
 def _read_payload(
-    handle, pairs: dict[str, str], offset: int, size: int, path: str
+    handle, pairs: dict[str, str], offset: int, size: int
 ) -> np.ndarray:
     """The payload the header describes, as a C-order float64 array.
 
@@ -286,17 +284,17 @@ def _read_payload(
     Each block is checked at float32 before it is cast: casting a
     signalling NaN would raise a warning first.
     """
-    rows = _require_int(pairs, "rows", path, offset)
-    cols = _require_int(pairs, "cols", path, offset)
-    planes = _require_int(pairs, "planes", path, offset) if "planes" in pairs else None
+    rows = _require_int(pairs, "rows", offset)
+    cols = _require_int(pairs, "cols", offset)
+    planes = _require_int(pairs, "planes", offset) if "planes" in pairs else None
     cells = rows * cols * (planes or 1)
     if cells > _MAX_CELLS:
-        raise FormatError(f"{path}: header declares {cells} cells", offset=offset)
+        raise FormatError(f"header declares {cells} cells", offset=offset)
     expected = cells * 4
     actual = size - offset
     if actual != expected:
         raise FormatError(
-            f"{path}: payload holds {actual} bytes, header implies {expected}",
+            f"payload holds {actual} bytes, header implies {expected}",
             offset=offset + min(actual, expected),
         )
 
@@ -308,12 +306,12 @@ def _read_payload(
     for k in range(0, data.shape[-1], step):
         stop = min(k + step, data.shape[-1])
         view = memoryview(buffer)[: 4 * plane * (stop - k)]
-        _read_exactly(handle, view, path, offset)
+        _read_exactly(handle, view, offset)
         block = np.frombuffer(view, dtype="<f4")
         finite = np.isfinite(block)
         if not finite.all():
             raise FormatError(
-                f"{path}: payload contains non-finite samples",
+                "payload contains non-finite samples",
                 offset=offset + 4 * int(np.argmin(finite)),
             )
         # a slice's words run first-axis-fastest: the reversed shape in C order
@@ -322,28 +320,28 @@ def _read_payload(
     return data
 
 
-def _require_int(pairs: dict[str, str], key: str, path: str, offset: int) -> int:
+def _require_int(pairs: dict[str, str], key: str, offset: int) -> int:
     if key not in pairs:
-        raise FormatError(f"{path}: header is missing {key}", offset=offset)
+        raise FormatError(f"header is missing {key}", offset=offset)
     try:
         value = int(pairs[key])
     except ValueError:
-        raise FormatError(f"{path}: {key}={pairs[key]!r} is not an integer", offset=offset) from None
+        raise FormatError(f"{key}={pairs[key]!r} is not an integer", offset=offset) from None
     if value < 1:
-        raise FormatError(f"{path}: {key} must be >= 1, got {value}", offset=offset)
+        raise FormatError(f"{key} must be >= 1, got {value}", offset=offset)
     return value
 
 
-def _optional_interval(pairs: dict[str, str], key: str, path: str, offset: int) -> float:
+def _optional_interval(pairs: dict[str, str], key: str, offset: int) -> float:
     if key not in pairs:
         return 1.0
     try:
         value = float(pairs[key])
     except ValueError:
-        raise FormatError(f"{path}: {key}={pairs[key]!r} is not a number", offset=offset) from None
+        raise FormatError(f"{key}={pairs[key]!r} is not a number", offset=offset) from None
     if not np.isfinite(value) or value <= 0.0:
         raise FormatError(
-            f"{path}: {key} must be a positive finite number, got {pairs[key]!r}",
+            f"{key} must be a positive finite number, got {pairs[key]!r}",
             offset=offset,
         )
     return value
@@ -361,69 +359,70 @@ def read_grid(path: str):
             units other than the kind's, raw data whose scale is not 0, a
             dt/dx/dy that is not positive and finite, a negative scale, a
             payload whose byte count disagrees with the header, or a
-            non-finite sample (at its byte offset).
+            non-finite sample (at its byte offset); named after ``path``.
     """
-    with open(path, "rb") as handle:
-        pairs, data_offset, size = _read_header(handle, path)
-        data = _Adopted(_read_payload(handle, pairs, data_offset, size, path))
+    with _naming(path, FormatError):
+        with open(path, "rb") as handle:
+            pairs, data_offset, size = _read_header(handle)
+            data = _Adopted(_read_payload(handle, pairs, data_offset, size))
 
-    dt = _optional_interval(pairs, "dt", path, data_offset)
-    dx = _optional_interval(pairs, "dx", path, data_offset)
-    dy = _optional_interval(pairs, "dy", path, data_offset)
-    kind_tag = pairs.get("kind", _RAW_TAGS["kind"])
-    if kind_tag == _RAW_TAGS["kind"]:
-        kind, units = None, _RAW_TAGS["units"]
-    else:
-        try:
-            kind = AttributeKind(kind_tag)
-        except ValueError:
-            raise FormatError(f"{path}: unknown kind {kind_tag!r}", offset=0) from None
-        if "planes" in pairs:
-            raise FormatError(f"{path}: attribute maps must be 2D", offset=0)
-        units = KIND_UNITS[kind].value
-    meta = {k: v for k, v in pairs.items() if k not in _STRUCTURAL_KEYS}
+        dt = _optional_interval(pairs, "dt", data_offset)
+        dx = _optional_interval(pairs, "dx", data_offset)
+        dy = _optional_interval(pairs, "dy", data_offset)
+        kind_tag = pairs.get("kind", _RAW_TAGS["kind"])
+        if kind_tag == _RAW_TAGS["kind"]:
+            kind, units = None, _RAW_TAGS["units"]
+        else:
+            try:
+                kind = AttributeKind(kind_tag)
+            except ValueError:
+                raise FormatError(f"unknown kind {kind_tag!r}", offset=0) from None
+            if "planes" in pairs:
+                raise FormatError("attribute maps must be 2D", offset=0)
+            units = KIND_UNITS[kind].value
+        meta = {k: v for k, v in pairs.items() if k not in _STRUCTURAL_KEYS}
 
-    units_tag = pairs.get("units", units)
-    if units_tag != units:
-        if units_tag not in {_RAW_TAGS["units"], *(u.value for u in Units)}:
-            raise FormatError(f"{path}: unknown units {units_tag!r}", offset=0)
-        raise FormatError(
-            f"{path}: units {units_tag!r} do not match kind {kind_tag!r}", offset=0
-        )
-    scale_tag = pairs.get("scale", "0")
-    if scale_tag == "fused":
-        scale = None
-    else:
-        try:
-            scale = int(scale_tag)
-        except ValueError:
-            raise FormatError(f"{path}: bad scale tag {scale_tag!r}", offset=0) from None
-        if scale < 0:
+        units_tag = pairs.get("units", units)
+        if units_tag != units:
+            if units_tag not in {_RAW_TAGS["units"], *(u.value for u in Units)}:
+                raise FormatError(f"unknown units {units_tag!r}", offset=0)
             raise FormatError(
-                f"{path}: scale must be 'fused' or >= 0, got {scale_tag!r}",
-                offset=data_offset,
+                f"units {units_tag!r} do not match kind {kind_tag!r}", offset=0
             )
-    if kind is None:
-        if scale != 0:
-            raise FormatError(f"{path}: raw data has scale 0, got {scale_tag!r}", offset=0)
-        if "planes" in pairs:
-            return SeismicVolume(data, dt=dt, dx=dx, dy=dy, meta=meta)
-        return SeismicSection(Grid2(data), dt=dt, dx=dx, label=meta.pop("label", ""), meta=meta)
-    return AttributeMap(
-        grid=Grid2(data),
-        kind=kind,
-        scale=scale,
-        dt=dt,
-        dx=dx,
-        dy=dy if "dy" in pairs else None,
-        meta=meta,
-    )
+        scale_tag = pairs.get("scale", "0")
+        if scale_tag == "fused":
+            scale = None
+        else:
+            try:
+                scale = int(scale_tag)
+            except ValueError:
+                raise FormatError(f"bad scale tag {scale_tag!r}", offset=0) from None
+            if scale < 0:
+                raise FormatError(
+                    f"scale must be 'fused' or >= 0, got {scale_tag!r}",
+                    offset=data_offset,
+                )
+        if kind is None:
+            if scale != 0:
+                raise FormatError(f"raw data has scale 0, got {scale_tag!r}", offset=0)
+            if "planes" in pairs:
+                return SeismicVolume(data, dt=dt, dx=dx, dy=dy, meta=meta)
+            return SeismicSection(Grid2(data), dt=dt, dx=dx, label=meta.pop("label", ""), meta=meta)
+        return AttributeMap(
+            grid=Grid2(data),
+            kind=kind,
+            scale=scale,
+            dt=dt,
+            dx=dx,
+            dy=dy if "dy" in pairs else None,
+            meta=meta,
+        )
 
 
 def describe_grid(path: str) -> list[tuple[str, str]]:
     """Header pairs plus derived data-offset/payload-bytes, for `info`."""
-    with open(path, "rb") as handle:
-        pairs, data_offset, size = _read_header(handle, path)
+    with _naming(path, FormatError), open(path, "rb") as handle:
+        pairs, data_offset, size = _read_header(handle)
     described = list(pairs.items())
     described.append(("data_offset", str(data_offset)))
     described.append(("payload_bytes", str(size - data_offset)))

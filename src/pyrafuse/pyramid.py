@@ -91,6 +91,11 @@ class GaussianKernel:
         return 2 * self.radius + 1
 
 
+def _kernel_meta(kernel: GaussianKernel) -> dict[str, str]:
+    """The provenance of a level or stack reduced with ``kernel``."""
+    return {"sigma": repr(kernel.sigma), "radius": str(kernel.radius)}
+
+
 def make_kernel(sigma: float = 1.0, radius: int = 2) -> GaussianKernel:
     """Build the unit-sum sampled Gaussian used by :func:`build_pyramid`.
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, UnsupportedFormatError
+from .errors import FormatError, ParameterError, UnsupportedFormatError, _naming
 from .grid import Grid2, SeismicSection, SeismicVolume, _Adopted, _check_positive
 from .gridio import _BLOCK_WORDS, _read_exactly
 
@@ -182,12 +182,12 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
         UnsupportedFormatError: sample format other than 1 or 5.
     """
     options = options or SegyImportOptions()
-    with open(path, "rb") as handle:
+    with _naming(path, FormatError), open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         head = handle.read(HEADER_BYTES)
         if len(head) < HEADER_BYTES:
             raise FormatError(
-                f"{path}: file holds {len(head)} bytes, SEG-Y headers need {HEADER_BYTES}",
+                f"file holds {len(head)} bytes, SEG-Y headers need {HEADER_BYTES}",
                 offset=len(head),
             )
         big = options.big_endian
@@ -195,12 +195,12 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
         ns = _read_u16(head, _OFF_SAMPLES_PER_TRACE, big)
         fmt = options.format_code or _read_u16(head, _OFF_FORMAT_CODE, big)
         if dt_us == 0:
-            raise FormatError(f"{path}: sample interval is 0", offset=_OFF_SAMPLE_INTERVAL)
+            raise FormatError("sample interval is 0", offset=_OFF_SAMPLE_INTERVAL)
         if ns == 0:
-            raise FormatError(f"{path}: samples per trace is 0", offset=_OFF_SAMPLES_PER_TRACE)
+            raise FormatError("samples per trace is 0", offset=_OFF_SAMPLES_PER_TRACE)
         if fmt not in SUPPORTED_FORMATS:
             raise UnsupportedFormatError(
-                f"{path}: sample format {fmt} unsupported (supported: "
+                f"sample format {fmt} unsupported (supported: "
                 f"{FORMAT_IBM} = IBM float, {FORMAT_IEEE} = IEEE float32)",
                 offset=_OFF_FORMAT_CODE,
             )
@@ -209,10 +209,10 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
         body = size - HEADER_BYTES
         n_traces = body // record
         if n_traces < 1:
-            raise FormatError(f"{path}: no complete trace records", offset=HEADER_BYTES)
+            raise FormatError("no complete trace records", offset=HEADER_BYTES)
         if body % record != 0:
             raise FormatError(
-                f"{path}: {body} bytes of traces is not a whole number of "
+                f"{body} bytes of traces is not a whole number of "
                 f"{record}-byte records",
                 offset=HEADER_BYTES + n_traces * record,
             )
@@ -234,7 +234,7 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
 
         def records(start: int, stop: int) -> np.ndarray:
             view = memoryview(buffer)[: (stop - start) * record]
-            _read_exactly(handle, view, path, HEADER_BYTES + start * record)
+            _read_exactly(handle, view, HEADER_BYTES + start * record)
             return np.frombuffer(view, dtype=layout)
 
         # pass 1: the inline and crossline words decide the geometry
@@ -255,7 +255,7 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
             values = records(start, stop)["samples"]
             if fmt == FORMAT_IBM:
                 values = decode_ibm32(values)
-            _check_samples(values, path, HEADER_BYTES + start * record, record)
+            _check_samples(values, HEADER_BYTES + start * record, record)
             columns[:, cells[start:stop]] = values.T
 
     dt = dt_us * 1e-6
@@ -285,7 +285,7 @@ def _lattice(inlines: np.ndarray, crosslines: np.ndarray):
     return shape, cells
 
 
-def _check_samples(values: np.ndarray, path: str, first: int, record: int) -> None:
+def _check_samples(values: np.ndarray, first: int, record: int) -> None:
     """Reject a block whose float32 rounding is not finite everywhere.
 
     ``values`` is (traces, ns) in file order and ``first`` the byte offset
@@ -299,5 +299,5 @@ def _check_samples(values: np.ndarray, path: str, first: int, record: int) -> No
     offset = int(first + j * record + TRACE_HEADER_BYTES + 4 * i)
     value = float(values[j, i])
     if np.isfinite(value):
-        raise FormatError(f"{path}: sample {value!r} is beyond the float32 range", offset=offset)
-    raise FormatError(f"{path}: non-finite samples after decode", offset=offset)
+        raise FormatError(f"sample {value!r} is beyond the float32 range", offset=offset)
+    raise FormatError("non-finite samples after decode", offset=offset)

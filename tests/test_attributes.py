@@ -802,6 +802,20 @@ class TestStackContainer:
         with pytest.raises(ShapeError):
             AttributeStack.from_maps(())
 
+    def test_constructor_refuses_arrays_fusion_cannot_read(self):
+        # a (1, 4, 3) mask would broadcast over the scales, so mean and
+        # median fusion would read scale 0 alone; a float mask would reach
+        # numpy's invert in median fusion
+        values = np.arange(36.0).reshape(3, 4, 3)
+        rest = (AttributeKind.PHASE_DIP, 1.0, 1.0, None, {})
+        with pytest.raises(ShapeError, match=r"^stack valid shape \(1, 4, 3\) != values shape"):
+            AttributeStack(values, np.ones((1, 4, 3), bool), *rest)
+        with pytest.raises(ParameterError, match="^stack valid must be bool, got float64$"):
+            AttributeStack(values, np.ones((3, 4, 3)), *rest)
+        for bad in (values[0], values[:0]):
+            with pytest.raises(ShapeError, match=r"^stack values must be \(scales >= 1"):
+                AttributeStack(bad, np.ones(bad.shape, bool), *rest)
+
     def test_from_maps_stacks_arrays_and_counts_a_missing_mask_as_valid(self):
         a = AttributeMap(Grid2([[1.0, -0.0]]), AttributeKind.CURV_POS, dt=0.5, meta={"k": "v"})
         b = AttributeMap(Grid2([[3.0, 4.0]]), AttributeKind.CURV_POS, quality=Grid2([[0.0, 1.0]]))

@@ -481,6 +481,43 @@ class TestExitCodes:
         assert f"{spec}: not UTF-8 text at byte offset {len(head)}" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            pytest.param("synth {spec} --out {out}", 1,
+                         "line 3: unknown key 'foo'", id="synth"),
+            pytest.param("pipeline {section} --scales 9 --out {out}", 2,
+                         "attribute stage: section 64x32 supports at most 3 dip scale(s), "
+                         "requested 9", id="pipeline"),
+            pytest.param("pyramid {section} --scales 9 --out-prefix {out}", 2,
+                         "grid 64x32 supports at most 3 scale(s) with kernel support 5, "
+                         "requested 9", id="pyramid"),
+            pytest.param("expand {section} --rows 3 --cols 3 --out {out}", 2,
+                         "target 3x3 is smaller than input 64x32", id="expand"),
+            pytest.param("attr {volume} --attr kpos --time-index 30 --out {out}", 1,
+                         "curv_pos is not finite with dt=0.004, dx=1e-300, dy=25.0 and "
+                         "velocity=2000.0", id="attr"),
+        ],
+    )
+    def test_library_refusals_name_the_input(self, tmp_path, caplog, argv, code, message):
+        rng = np.random.default_rng(11)
+        inputs = {
+            "spec": tmp_path / "bad.spec",
+            "section": tmp_path / "s.pfg",
+            "volume": tmp_path / "v.pfg",
+        }
+        inputs["spec"].write_text("nt = 64\nnx = 32\nfoo = 1\n", encoding="utf-8")
+        write_grid(str(inputs["section"]), pyrafuse.SeismicSection(
+            pyrafuse.Grid2(rng.standard_normal((64, 32))), dt=0.004, dx=25.0))
+        write_grid(str(inputs["volume"]), SeismicVolume(
+            rng.standard_normal((64, 24, 24)), dt=0.004, dx=1e-300, dy=25.0))
+        words = [w.format(out=tmp_path / "out", **inputs) for w in argv.split()]
+        before = set(tmp_path.iterdir())
+        assert main(words) == code
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{words[1]}: {message}"]
+        assert set(tmp_path.iterdir()) == before
+
     def test_weight_count_mismatch_exits_one(self, tmp_path):
         src = _synth(tmp_path)
         out = str(tmp_path / "o.pfg")
@@ -820,3 +857,21 @@ class TestConsoleEntry:
             if ep.group == "console_scripts"
         }
         assert installed.get("pyrafuse") == "pyrafuse.cli:run"
+
+    def test_version_is_declared_once(self):
+        # pyproject.toml's [project] version is the one __version__ states
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        text = pyproject.read_text(encoding="utf-8")
+        if sys.version_info >= (3, 11):
+            import tomllib
+
+            version = tomllib.loads(text)["project"]["version"]
+        else:  # no tomllib: read the version line of the [project] table
+            version, table = None, None
+            for line in text.splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line.startswith("["):
+                    table = line
+                elif table == "[project]" and line.partition("=")[0].strip() == "version":
+                    version = line.partition("=")[2].strip().strip('"')
+        assert version == pyrafuse.__version__

@@ -144,7 +144,7 @@ class TestRoundTrips:
         path = str(tmp_path / "le.pfg")
         write_grid(path, grid)
         blob = Path(path).read_bytes()
-        _, offset = parse_header(blob, path=path)
+        _, offset = parse_header(blob)
         # column-major: 1, 2, 3, 4; 1.0f little-endian is 00 00 80 3f
         assert blob[offset : offset + 4] == b"\x00\x00\x80\x3f"
         assert np.array_equal(
@@ -567,9 +567,9 @@ class TestStreamedIO:
         sizes = []
         real = gridio._read_exactly
 
-        def record(handle, buffer, path, offset):
+        def record(handle, buffer, offset):
             sizes.append(len(buffer))
-            real(handle, buffer, path, offset)
+            real(handle, buffer, offset)
 
         monkeypatch.setattr(gridio, "_read_exactly", record)
         back = read_grid(path)
@@ -689,6 +689,22 @@ class TestHeaderParsing:
         with pytest.raises(FormatError):
             describe_grid(path)
 
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (MAGIC_LINE + b"rows=4\n", "header never terminated by a blank line (byte offset 21)"),
+            (MAGIC_LINE + b"garbage\n\n", "malformed header line 'garbage' (byte offset 14)"),
+            (MAGIC_LINE + b"label=caf\xe9\n\n", "non-ASCII header line (byte offset 14)"),
+            (b"magic=NOPE\n\n", "bad magic 'NOPE'; expected PFGRID1 (byte offset 0)"),
+            (MAGIC_LINE + b"dx=1\ndx=2\n\n", "repeated header key 'dx' (byte offset 19)"),
+        ],
+        ids=["unterminated", "malformed", "non-ascii", "magic", "repeated"],
+    )
+    def test_header_messages_name_no_file(self, blob, message):
+        # the reader names its file; parse_header has none to name
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_header(blob)
+
     def test_non_ascii_line(self):
         with pytest.raises(FormatError) as err:
             parse_header(MAGIC_LINE + b"label=caf\xe9\n\n")
@@ -771,7 +787,7 @@ class TestHeaderParsing:
             read_grid(path)
 
     @pytest.mark.parametrize(
-        "bad", [b"dt=nan", b"dt=inf", b"dt=-1.0", b"dx=-1", b"dy=0", b"scale=-2"]
+        "bad", [b"dt=nan", b"dt=inf", b"dt=-1.0", b"dt=abc", b"dx=-1", b"dy=0", b"scale=-2"]
     )
     def test_header_domain_errors_are_format_errors(self, tmp_path, bad):
         path = str(tmp_path / "dom.pfg")
