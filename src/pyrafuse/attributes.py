@@ -49,6 +49,7 @@ from .grid import (
     Grid2,
     SeismicSection,
     SeismicVolume,
+    _check_attribute_fields,
     _check_finite,
     _check_positive,
 )
@@ -176,7 +177,8 @@ class AttributeStack:
     """K same-kind scales on one base lattice, ordered by source scale.
 
     ``values`` is (K, rows, cols) float and ``valid`` the matching bool
-    trust; ``dt``, ``dx``, ``dy`` and ``meta`` are those of every scale.
+    trust; ``kind``, ``dt``, ``dx``, ``dy`` and ``meta`` are those of every
+    scale, checked as :class:`AttributeMap` checks them.
     :meth:`from_maps` stacks per-scale maps; ``maps`` builds them back, on
     first use. The arrays of a stack the package returns are read-only.
     """
@@ -198,6 +200,9 @@ class AttributeStack:
             raise ShapeError(f"stack valid shape {np.shape(self.valid)} != values shape {shape}")
         if np.asarray(self.valid).dtype != bool:
             raise ParameterError(f"stack valid must be bool, got {np.asarray(self.valid).dtype}")
+        if np.asarray(self.values).dtype.kind != "f":
+            raise ParameterError(f"stack values must be float, got {np.asarray(self.values).dtype}")
+        _check_attribute_fields(self)
 
     @classmethod
     def from_maps(cls, maps) -> "AttributeStack":

@@ -41,7 +41,7 @@ from .attributes import (
     attribute_stack,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError, ShapeError, _naming
-from .fusion import FusionMethod, FusionSpec, _check_fusion, _multiscale, default_weights, fuse
+from .fusion import FusionMethod, FusionSpec, _check_fusion, _multiscale, fuse
 from .grid import AttributeKind, AttributeMap, SeismicSection, SeismicVolume
 from .gridio import describe_grid, export_pgm, read_grid, write_grid
 from .pyramid import _kernel_meta, build_pyramid, expand_to, make_kernel
@@ -94,29 +94,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_kernel_flags(p):
         p.add_argument("--sigma", type=_positive_float, default=1.0,
-                       help="kernel standard deviation in samples (default 1.0)")
+                       help="kernel standard deviation in samples (default %(default)s)")
         p.add_argument("--radius", type=_positive_int, default=2,
-                       help="kernel half-width (default 2, i.e. 5x5 support)")
+                       help="kernel half-width r, support 2r+1 (default %(default)s)")
 
     def add_attr_flags(p):
         p.add_argument("--attr", choices=sorted(_ATTR_FLAGS), default="dip",
-                       help="attribute to compute (default dip)")
+                       help="attribute to compute (default %(default)s)")
         p.add_argument("--velocity", type=_positive_float, default=VELOCITY_DEFAULT,
-                       help="time-to-depth velocity, m/s (default 2000)")
+                       help="time-to-depth velocity, m/s (default %(default)s)")
         p.add_argument("--pmax", type=_positive_float, default=P_MAX_DEFAULT,
-                       help="dip clamp, samples/trace (default 5)")
+                       help="dip clamp, samples/trace (default %(default)s)")
         p.add_argument("--eps-freq", type=_positive_float, default=EPS_FREQ_DEFAULT,
-                       help="temporal phase-derivative floor, rad/sample (default 1e-3)")
+                       help="temporal phase-derivative floor, rad/sample (default %(default)s)")
         p.add_argument("--time-index", type=int, default=None,
                        help="time slice for volume attributes")
 
     def add_fusion_flags(p):
         p.add_argument("--fuse", choices=sorted(m.value for m in FusionMethod),
-                       default="median", help="fusion rule (default median)")
+                       default="median", help="fusion rule (default %(default)s)")
         p.add_argument("--weights", default=None,
-                       help="comma-separated weights for --fuse wmean")
-        p.add_argument("--weight-bias", type=_positive_float, default=2.0,
-                       help="geometric bias for default wmean weights (default 2)")
+                       help="comma-separated weights for --fuse wmean (default 2^-i at scale i)")
         p.add_argument("--rank", type=int, default=None,
                        help="order statistic for --fuse rank (0 = smallest)")
 
@@ -202,14 +200,10 @@ def _fusion_spec(args, scales: int) -> FusionSpec:
             weights = tuple(float(w) for w in args.weights.split(","))
         except ValueError:
             raise UsageError(f"--weights must be comma-separated numbers, got {args.weights!r}") from None
-    elif method is FusionMethod.WEIGHTED_MEAN:
-        weights = tuple(float(w) for w in default_weights(scales, args.weight_bias))
     if method is FusionMethod.RANK and args.rank is None:
         raise UsageError("--fuse rank needs --rank")
-    spec = FusionSpec(method, weights, args.rank)
     with _naming("fusion stage"):
-        _check_fusion(spec, scales)
-    return spec
+        return _check_fusion(FusionSpec(method, weights, args.rank), scales)
 
 
 def _read(path: str, *types: type):

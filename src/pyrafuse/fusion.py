@@ -42,7 +42,7 @@ from .attributes import (
     _in_parts,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError, _naming
-from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume, _check_positive
+from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
 from .pyramid import GaussianKernel, _check_scales
 
 
@@ -57,9 +57,12 @@ class FusionMethod(Enum):
 class FusionSpec:
     """Which rule to apply, plus its parameters.
 
-    ``weights`` (weighted mean only) needs one non-negative entry per scale
-    with a positive sum; ``rank`` (rank only) selects the r-th smallest
-    value, 0 <= r < K.
+    ``method`` must be a :class:`FusionMethod`. ``weights`` (weighted mean
+    only) needs one non-negative entry per scale with a positive sum; a
+    weighted mean without them fuses by :func:`default_weights`. ``rank``
+    (rank only) selects the r-th smallest value, 0 <= r < K. Fusion checks
+    the spec against the scale count before any work; a wrong spec is a
+    ParameterError.
     """
 
     method: FusionMethod
@@ -83,22 +86,19 @@ class FusionSpec:
         return cls(FusionMethod.RANK, rank=int(rank))
 
 
-def default_weights(scales: int, bias: float = 2.0) -> np.ndarray:
-    """Normalized geometric weights, w_i proportional to bias**(-i).
+def default_weights(scales: int) -> np.ndarray:
+    """Normalized geometric weights, w_i proportional to 2**(-i).
 
-    scales=4, bias=2 gives [8/15, 4/15, 2/15, 1/15]: finer scales dominate.
+    scales=4 gives [8/15, 4/15, 2/15, 1/15]: finer scales dominate. A
+    weighted mean without weights fuses by these; explicit weights express
+    any other bias (``(27, 9, 3, 1)`` weighs 4 scales by 3**(-i)).
 
     Raises:
-        ParameterError: scales < 1, bias <= 0, or weights that overflow.
+        ParameterError: scales < 1.
     """
     scales = _check_scales(scales)
-    bias = _check_positive("bias", bias)
-    with np.errstate(over="ignore"):
-        w = bias ** -np.arange(scales, dtype=np.float64)
-        total = w.sum()
-    if not np.isfinite(total):
-        raise ParameterError(f"bias {bias!r} overflows the weights of {scales} scales")
-    return w / total
+    w = 2.0 ** -np.arange(scales, dtype=np.float64)
+    return w / w.sum()
 
 
 def _masked_mean(values: np.ndarray, valid: np.ndarray, out: np.ndarray) -> None:
@@ -172,29 +172,37 @@ def _masked_median(values: np.ndarray, valid: np.ndarray, out: np.ndarray) -> No
 def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
     """Fuse a stack into one map tagged as fused-at-base-resolution.
 
+    A weighted mean without weights fuses by :func:`default_weights`.
+
     Raises:
-        ParameterError: weights/rank missing, mis-sized, out of range, or
-            given to a rule that does not use them.
+        ParameterError: a method that is not a FusionMethod; weights/rank
+            missing, mis-sized, out of range, or given to a rule that does
+            not use them.
     """
-    _check_fusion(spec, len(stack.values))
+    spec = _check_fusion(spec, len(stack.values))
     return _fuse_arrays(replace(stack, values=stack.values.copy()), spec)
 
 
-def _check_fusion(spec: FusionSpec, scales: int) -> None:
-    """Refuse weights or a rank that cannot fuse ``scales`` maps, or that
-    the rule does not use.
+def _check_fusion(spec: FusionSpec | None, scales: int) -> FusionSpec:
+    """The spec that fuses ``scales`` maps: median for None, and a weighted
+    mean without weights takes :func:`default_weights`.
 
     Raises:
-        ParameterError: weights/rank missing, mis-sized, out of range, or
-            given to a rule that does not use them.
+        ParameterError: a method that is not a FusionMethod; weights/rank
+            missing, mis-sized, out of range, or given to a rule that does
+            not use them.
     """
+    if spec is None:
+        return FusionSpec.median()
+    if not isinstance(spec.method, FusionMethod):
+        raise ParameterError(f"fusion method must be a FusionMethod, got {spec.method!r}")
     if spec.weights is not None and spec.method is not FusionMethod.WEIGHTED_MEAN:
         raise ParameterError(f"weights apply to weighted-mean fusion only, not {spec.method.value}")
     if spec.rank is not None and spec.method is not FusionMethod.RANK:
         raise ParameterError(f"a rank applies to rank fusion only, not {spec.method.value}")
     if spec.method is FusionMethod.WEIGHTED_MEAN:
         if spec.weights is None:
-            raise ParameterError("weighted-mean fusion needs weights")
+            return FusionSpec.weighted(default_weights(scales))
         w = np.asarray(spec.weights, dtype=np.float64)
         if w.shape != (scales,):
             raise ParameterError(f"need {scales} weights, got {w.shape[0] if w.ndim == 1 else w.shape!r}")
@@ -212,6 +220,7 @@ def _check_fusion(spec: FusionSpec, scales: int) -> None:
         r = int(spec.rank)
         if r < 0 or r >= scales:
             raise ParameterError(f"rank {r} outside [0, {scales - 1}]")
+    return spec
 
 
 def _fuse_arrays(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
@@ -260,13 +269,11 @@ def _fuse_rows(values: np.ndarray, valid: np.ndarray, spec: FusionSpec, out: np.
     elif method is FusionMethod.WEIGHTED_MEAN:
         w = np.asarray(spec.weights, dtype=np.float64)
         np.einsum("k,kij->ij", w / w.sum(), values, out=out)
-    elif method is FusionMethod.RANK:
+    else:  # rank
         r = int(spec.rank)
         cells, tied = _zero_ties(values)
         np.copyto(out, _sort_rows(values)[r])
         out[cells] = tied[r]
-    else:  # pragma: no cover - enum is closed
-        raise ParameterError(f"unknown fusion method {method!r}")
 
 
 def multiscale_attribute(
@@ -285,10 +292,10 @@ def multiscale_attribute(
 
     Defaults follow the package conventions: 4 scales, sigma=1 radius=2
     kernel, median fusion. The fusion spec is checked against ``scales``
-    before any attribute is computed.
+    before any attribute is computed, as :func:`fuse` checks it.
 
     Raises:
-        ParameterError: scales < 1.
+        ParameterError: scales < 1, or a spec that :func:`fuse` refuses.
         Whatever the underlying stage raises. Package errors other than
         ConfigError get the stage named in the message; any other
         exception escapes unchanged.
@@ -302,11 +309,8 @@ def _multiscale(data, kind: AttributeKind, scales: int, kernel: GaussianKernel |
     """:func:`multiscale_attribute`, passing ``attribute`` (its attribute
     keywords, and the CLI's ``boundary``) to :func:`_attribute_layers`."""
     scales = _check_scales(scales)
-    fusion = fusion if fusion is not None else FusionSpec.median()
-    if fusion.method is FusionMethod.WEIGHTED_MEAN and fusion.weights is None:
-        fusion = FusionSpec.weighted(default_weights(scales))
     with _naming("fusion stage"):
-        _check_fusion(fusion, scales)
+        fusion = _check_fusion(fusion, scales)
     try:
         stack = _attribute_layers(data, kind, scales, kernel, **attribute)
     except ConfigError:

@@ -231,6 +231,21 @@ KIND_UNITS: dict[AttributeKind, Units] = {
 }
 
 
+def _check_attribute_fields(obj) -> None:
+    """Check and normalise the ``kind``, ``dt``, ``dx``, ``dy`` and ``meta``
+    of a frozen attribute map or stack, in place."""
+    if not isinstance(obj.kind, AttributeKind):
+        raise ParameterError(f"kind must be an AttributeKind, got {obj.kind!r}")
+    object.__setattr__(obj, "dt", _check_positive("dt", obj.dt))
+    object.__setattr__(obj, "dx", _check_positive("dx", obj.dx))
+    if obj.dy is not None:
+        object.__setattr__(obj, "dy", _check_positive("dy", obj.dy))
+    try:
+        object.__setattr__(obj, "meta", dict(obj.meta))
+    except (TypeError, ValueError):
+        raise ParameterError(f"meta must be a mapping, got {obj.meta!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class AttributeMap:
     """A 2D attribute map plus everything needed to interpret it.
@@ -253,22 +268,16 @@ class AttributeMap:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.kind, AttributeKind):
-            raise ParameterError(f"kind must be an AttributeKind, got {self.kind!r}")
+        _check_attribute_fields(self)
         if self.scale is not None:
             scale = int(self.scale)
             if scale < 0:
                 raise ParameterError(f"scale must be >= 0 or None, got {scale}")
             object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "dt", _check_positive("dt", self.dt))
-        object.__setattr__(self, "dx", _check_positive("dx", self.dx))
-        if self.dy is not None:
-            object.__setattr__(self, "dy", _check_positive("dy", self.dy))
         if self.quality is not None and self.quality.shape != self.grid.shape:
             raise ShapeError(
                 f"quality shape {self.quality.shape} != grid shape {self.grid.shape}"
             )
-        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def units(self) -> Units:

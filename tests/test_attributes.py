@@ -816,6 +816,36 @@ class TestStackContainer:
             with pytest.raises(ShapeError, match=r"^stack values must be \(scales >= 1"):
                 AttributeStack(bad, np.ones(bad.shape, bool), *rest)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("values", np.arange(36, dtype=np.int64).reshape(3, 4, 3), "stack values must be float, got int64"),
+            ("meta", None, "meta must be a mapping, got None"),
+            ("kind", "dip", "kind must be an AttributeKind, got 'dip'"),
+            ("dt", -1.0, "dt must be a positive finite number, got -1.0"),
+            ("dx", math.inf, "dx must be a positive finite number, got inf"),
+            ("dy", 0.0, "dy must be a positive finite number, got 0.0"),
+        ],
+        ids=["int-values", "no-meta", "kind-tag", "negative-dt", "infinite-dx", "zero-dy"],
+    )
+    def test_constructor_refuses_fields_fusion_cannot_use(self, name, value, message):
+        # fusion can use none of these, so the stack refuses them where it
+        # is made, before any fusion work
+        fields = dict(values=np.arange(36.0).reshape(3, 4, 3), valid=np.ones((3, 4, 3), bool),
+                      kind=AttributeKind.PHASE_DIP, dt=1.0, dx=1.0, dy=None, meta={})
+        with pytest.raises(ParameterError) as err:
+            AttributeStack(**{**fields, name: value})
+        assert str(err.value) == message
+
+    def test_constructor_normalises_intervals_and_copies_meta(self):
+        meta = {"k": "v"}
+        values = np.arange(36, dtype=np.float32).reshape(3, 4, 3)
+        stack = AttributeStack(values, np.ones((3, 4, 3), bool), AttributeKind.CURV_POS, 1, 2, 3, meta)
+        meta["k"] = "w"
+        assert [(type(x), x) for x in (stack.dt, stack.dx, stack.dy)] == [(float, 1.0), (float, 2.0), (float, 3.0)]
+        assert stack.meta == {"k": "v"}
+        assert stack.values is values
+
     def test_from_maps_stacks_arrays_and_counts_a_missing_mask_as_valid(self):
         a = AttributeMap(Grid2([[1.0, -0.0]]), AttributeKind.CURV_POS, dt=0.5, meta={"k": "v"})
         b = AttributeMap(Grid2([[3.0, 4.0]]), AttributeKind.CURV_POS, quality=Grid2([[0.0, 1.0]]))

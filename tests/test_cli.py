@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from pyrafuse import (
     read_grid,
     write_grid,
 )
+from pyrafuse.attributes import EPS_FREQ_DEFAULT, P_MAX_DEFAULT, VELOCITY_DEFAULT
 from pyrafuse.cli import _ATTR_FLAGS, main
 from pyrafuse.pyramid import MAX_RADIUS
 
@@ -241,7 +243,7 @@ class TestPipelineEquivalence:
         src = _synth(tmp_path)
         out = str(tmp_path / "fused.pfg")
         assert main(
-            ["pipeline", src, "--fuse", "wmean", "--weight-bias", "2", "--out", out]
+            ["pipeline", src, "--fuse", "wmean", "--out", out]
         ) == 0
         fused = read_grid(out)
         assert fused.is_fused
@@ -530,9 +532,8 @@ class TestExitCodes:
             ["--fuse", "wmean", "--weights", "1,2"],
             ["--fuse", "rank", "--rank", "3"],
             ["--fuse", "wmean", "--weights", "1e308,1e308,1"],  # the sum overflows
-            ["--fuse", "wmean", "--weight-bias", "1e-300"],  # so do default weights
         ],
-        ids=["weights", "rank", "overflowing-weights", "overflowing-bias"],
+        ids=["weights", "rank", "overflowing-weights"],
     )
     def test_bad_fusion_spec_exits_before_the_stack(self, tmp_path, monkeypatch, flags):
         src = _synth(tmp_path)
@@ -814,6 +815,27 @@ class TestContainerRefusals:
         assert main(argv) == 2
         assert f"{grid}: unsupported input type" in caplog.text
         assert set(tmp_path.iterdir()) == before
+
+
+class TestHelp:
+    @staticmethod
+    def _help(capsys, *argv) -> str:
+        """The help text of ``argv``, on one line; argparse fills a help
+        string's ``%(default)s`` only when it renders the help."""
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--help"])
+        assert exit_.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_every_command_renders_its_help_with_the_library_defaults(self, capsys):
+        commands = re.search(r"\{([\w,-]+)\}", self._help(capsys)).group(1).split(",")
+        texts = {command: self._help(capsys, command) for command in commands}
+        assert {"attr", "pipeline", "fuse"} <= set(texts)
+        for command in ("attr", "pipeline"):
+            for value in (P_MAX_DEFAULT, EPS_FREQ_DEFAULT, VELOCITY_DEFAULT):
+                assert f"(default {value})" in texts[command]
+        for command in ("fuse", "pipeline"):
+            assert "(default median)" in texts[command]
 
 
 class TestConsoleEntry:

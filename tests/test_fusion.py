@@ -132,25 +132,23 @@ class TestWeightedMean:
         with pytest.raises(ParameterError, match="^weights must have a finite sum$"):
             fuse(stack, FusionSpec.weighted((1e308, 1e308)))
         assert fuse(stack, FusionSpec.weighted((1e308, 0.0))).grid.data[0, 0] == 1.0
-        with pytest.raises(ParameterError, match="^weighted-mean fusion needs weights$"):
-            fuse(stack, FusionSpec(FusionMethod.WEIGHTED_MEAN))
 
     def test_default_weights_geometric(self):
-        w = default_weights(4, 2.0)
+        w = default_weights(4)
         assert np.allclose(w, np.array([8.0, 4.0, 2.0, 1.0]) / 15.0, atol=1e-15)
         assert sum(w) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(default_weights(3, 1.0), np.full(3, 1.0 / 3.0), atol=1e-15)
         with pytest.raises(ParameterError):
-            default_weights(0, 2.0)
-        with pytest.raises(ParameterError):
-            default_weights(3, 0.0)
+            default_weights(0)
 
-    @pytest.mark.parametrize("scales, bias", [(4, 1e-300), (3, 1e-200), (1100, 0.5)])
-    def test_default_weights_that_overflow_name_the_bias(self, scales, bias):
-        # bias**-i overflows for a bias below 1: the weights were 0 and NaN
-        with pytest.raises(ParameterError, match=f"^bias {bias!r} overflows the weights of {scales} scales$"):
-            default_weights(scales, bias)
-        assert default_weights(1, bias).tolist() == [1.0]
+    @pytest.mark.parametrize("scales", [1, 2, 3, 4, 7])
+    def test_no_weights_fuse_by_the_default_weights(self, scales):
+        rng = np.random.default_rng(scales)
+        stack = _stack(list(rng.standard_normal((scales, 5, 4))))
+        weightless = fuse(stack, FusionSpec(FusionMethod.WEIGHTED_MEAN))
+        explicit = fuse(stack, FusionSpec.weighted(default_weights(scales)))
+        assert same_bits(weightless.grid.data, explicit.grid.data)
+        assert weightless.meta == explicit.meta
+        assert weightless.meta["weights"] == ",".join(repr(float(w)) for w in default_weights(scales))
 
 
 class TestRank:
@@ -181,6 +179,13 @@ class TestRank:
         stack = _stack([[[1.0]], [[2.0]]])
         with pytest.raises(ParameterError):
             fuse(stack, FusionSpec(FusionMethod.RANK))
+
+
+@pytest.mark.parametrize("method", ["median", "wmean", None, AttributeKind.PHASE_DIP])
+def test_a_method_that_is_not_a_fusion_method_is_refused(method):
+    with pytest.raises(ParameterError) as err:
+        fuse(_stack([[[1.0]], [[2.0]]]), FusionSpec(method))
+    assert str(err.value) == f"fusion method must be a FusionMethod, got {method!r}"
 
 
 class TestUnusedParameters:
@@ -409,9 +414,10 @@ class TestMultiscaleAttribute:
             (FusionSpec(FusionMethod.MEDIAN, rank=1), "a rank applies to rank fusion only, not median"),
             (FusionSpec(FusionMethod.MEAN, weights=(1.0,) * 4),
              "weights apply to weighted-mean fusion only, not mean"),
+            (FusionSpec("median"), "fusion method must be a FusionMethod, got 'median'"),
         ],
         ids=["rank-4", "rank-minus-1", "two-weights", "negative-weight", "overflowing-weights",
-             "median-with-rank", "mean-with-weights"],
+             "median-with-rank", "mean-with-weights", "method-not-an-enum"],
     )
     def test_bad_spec_fails_before_the_attribute_stage(self, monkeypatch, spec, message):
         monkeypatch.setattr("pyrafuse.fusion._attribute_layers", _no_attribute_stage)

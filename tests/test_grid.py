@@ -50,6 +50,9 @@ class TestGrid2:
         assert grid.data.dtype == np.float64
         assert grid.data[1, 1] == 4.0
 
+    def test_repr_names_the_shape(self):
+        assert repr(Grid2(np.zeros((5, 7)))) == "Grid2(rows=5, cols=7)"
+
 
 class TestAdopted:
     def test_a_reader_array_is_kept_and_frozen_without_a_copy(self):
@@ -89,6 +92,10 @@ class TestSeismicSection:
     def test_a_label_key_in_meta_is_refused(self):
         with pytest.raises(ParameterError, match="label"):
             SeismicSection(Grid2(np.zeros((2, 2))), dt=0.004, dx=25.0, meta={"label": "x"})
+
+    def test_repr_names_shape_sampling_and_label(self):
+        section = SeismicSection(Grid2(np.zeros((100, 40))), dt=0.004, dx=25.0, label="inline 12")
+        assert repr(section) == "SeismicSection(100x40, dt=0.004, dx=25.0, label='inline 12')"
 
 
 class TestSeismicVolume:
@@ -146,6 +153,10 @@ class TestSeismicVolume:
         assert (section.label, section.meta) == ("inline 2", {"a": "1"})
         assert vol.meta == {"label": "gsb", "a": "1"}
 
+    def test_repr_names_shape_and_sampling(self):
+        vol, _ = self._volume()
+        assert repr(vol) == "SeismicVolume(4x3x2, dt=0.004, dx=25.0, dy=12.5)"
+
     def test_out_of_range_indices(self):
         vol, _ = self._volume()
         for bad in (-1, 99):
@@ -198,6 +209,17 @@ class TestAttributeMap:
         m = AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.PHASE_DIP, meta=meta)
         meta["a"] = "2"
         assert m.meta["a"] == "1"
+
+    @pytest.mark.parametrize("meta", [None, 3, "ab"], ids=["none", "number", "string"])
+    def test_meta_must_be_a_mapping(self, meta):
+        with pytest.raises(ParameterError) as err:
+            AttributeMap(Grid2(np.zeros((4, 4))), AttributeKind.PHASE_DIP, meta=meta)
+        assert str(err.value) == f"meta must be a mapping, got {meta!r}"
+
+    def test_repr_names_kind_scale_and_shape(self):
+        grid = Grid2(np.zeros((4, 3)))
+        assert repr(AttributeMap(grid, AttributeKind.CURV_NEG, scale=2)) == "AttributeMap(curv_neg, scale=2, 4x3)"
+        assert repr(AttributeMap(grid, AttributeKind.PHASE_DIP, scale=None)) == "AttributeMap(dip, scale=fused, 4x3)"
 
     def test_interval_validation(self):
         grid = Grid2(np.zeros((4, 4)))

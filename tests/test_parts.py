@@ -8,6 +8,7 @@ numpy error state, and small work starts no thread.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 import threading
 import time
@@ -280,6 +281,14 @@ class TestWorkers:
         with np.errstate(invalid="call", call=lambda kind, flag: calls.append(kind)):
             attributes._in_parts(0, 8, 8, work)
         assert calls == ["invalid value"]
+
+
+@pytest.mark.parametrize("count, cpus", [(None, 1), (3, 3)], ids=["unknown", "three"])
+def test_cpus_without_an_affinity_call_are_the_machine_count(monkeypatch, count, cpus):
+    # a platform without os.sched_getaffinity; os.cpu_count may not know
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert attributes._cpus() == cpus
 
 
 class TestNoThreadForSmallWork:
