@@ -55,7 +55,7 @@ from .synth import (
     ricker,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "AttributeKind",

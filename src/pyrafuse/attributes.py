@@ -129,10 +129,6 @@ def _dip_quotient(
     return dip, ok
 
 
-def _time_dip_meta(velocity: float) -> dict[str, str]:
-    return {"velocity": repr(float(velocity)), "convention": "time-dip"}
-
-
 def _dip_angle_values(p, q, dt: float, dx: float, dy: float, velocity: float) -> np.ndarray:
     """Dip angle in radians, in [0, pi/2), per cell over any leading axes.
 
@@ -388,14 +384,14 @@ def _dip_rows(
     after it, because rounding can move a value onto 0.5.
 
     Raises (the request's refusals before any quadrature):
-        ParameterError: scales < 1, p_max or eps_freq not positive, or a
-            level's quadrature not finite.
+        ParameterError: scales not an integer >= 1, p_max or eps_freq not
+            a positive finite number, or a level's quadrature not finite.
         SizeError: the sections of a lateral axis (x, then y) cannot
             support ``scales`` dip scales.
     """
     scales = _check_scales(scales)
-    _check_positive("p_max", p_max)
-    _check_positive("eps_freq", eps_freq)
+    p_max = _check_positive("p_max", p_max)
+    eps_freq = _check_positive("eps_freq", eps_freq)
     nt = data.shape[0]
     for n in data.shape[1:]:
         feasible = _scale_count(nt, n, kernel.support, _DIP_FLOOR)
@@ -568,7 +564,7 @@ def _attribute_layers(
             raise ConfigError("phase dip runs on sections; extract one from the volume first")
         if time_index is None:
             raise ConfigError(f"{kind.value} on a volume needs a time index")
-        _check_positive("velocity", velocity)
+        velocity = _check_positive("velocity", velocity)
         time_index = data._check_index("time", time_index, data.nt)
         # fixed-y sections give (ny, nx) rows of p, fixed-x ones (nx, ny) rows
         # of q; both become C-contiguous (scales, nx, ny), trusted where both are
@@ -590,13 +586,14 @@ def _attribute_layers(
         if not np.isfinite(values).all():
             raise ParameterError(
                 f"{kind.value} is not finite with dt={data.dt!r}, dx={data.dx!r}, "
-                f"dy={data.dy!r} and velocity={float(velocity)!r}"
+                f"dy={data.dy!r} and velocity={velocity!r}"
             )
         dy = data.dy
     # one scale is never reduced, so it has no kernel to record
-    meta = _kernel_meta(kernel) if int(scales) > 1 else {}
+    meta = _kernel_meta(kernel) if len(values) > 1 else {}
     if isinstance(data, SeismicVolume):
-        meta = {**_time_dip_meta(velocity), **meta, "time_index": str(time_index)}
+        meta = {"velocity": repr(velocity), "convention": "time-dip", **meta,
+                "time_index": str(time_index)}
     return AttributeStack(
         values=values, valid=valid, kind=kind, dt=data.dt, dx=data.dx, dy=dy, meta=meta
     )

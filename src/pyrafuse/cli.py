@@ -88,7 +88,6 @@ def _positive_float(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pyrafuse", description=__doc__.splitlines()[0] if __doc__ else None)
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
@@ -378,11 +377,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"pyrafuse: {exc}", file=sys.stderr)
         return 1
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args.func(args)
         return 0

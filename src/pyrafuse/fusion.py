@@ -28,6 +28,7 @@ of one part.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -42,7 +43,7 @@ from .attributes import (
     _in_parts,
 )
 from .errors import ConfigError, ParameterError, PyrafuseError, _naming
-from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume
+from .grid import AttributeKind, AttributeMap, Grid2, SeismicSection, SeismicVolume, _check_int
 from .pyramid import GaussianKernel, _check_scales
 
 
@@ -58,11 +59,11 @@ class FusionSpec:
     """Which rule to apply, plus its parameters.
 
     ``method`` must be a :class:`FusionMethod`. ``weights`` (weighted mean
-    only) needs one non-negative entry per scale with a positive sum; a
-    weighted mean without them fuses by :func:`default_weights`. ``rank``
-    (rank only) selects the r-th smallest value, 0 <= r < K. Fusion checks
-    the spec against the scale count before any work; a wrong spec is a
-    ParameterError.
+    only) needs one non-negative real number per scale with a positive sum;
+    a weighted mean without them fuses by :func:`default_weights`. ``rank``
+    (rank only), an integer, selects the r-th smallest value, 0 <= r < K.
+    Fusion checks the spec against the scale count before any work; a wrong
+    spec is a ParameterError.
     """
 
     method: FusionMethod
@@ -75,7 +76,7 @@ class FusionSpec:
 
     @classmethod
     def weighted(cls, weights) -> "FusionSpec":
-        return cls(FusionMethod.WEIGHTED_MEAN, weights=tuple(float(w) for w in weights))
+        return cls(FusionMethod.WEIGHTED_MEAN, weights=tuple(weights))
 
     @classmethod
     def median(cls) -> "FusionSpec":
@@ -83,7 +84,7 @@ class FusionSpec:
 
     @classmethod
     def rank_of(cls, rank: int) -> "FusionSpec":
-        return cls(FusionMethod.RANK, rank=int(rank))
+        return cls(FusionMethod.RANK, rank=rank)
 
 
 def default_weights(scales: int) -> np.ndarray:
@@ -94,7 +95,7 @@ def default_weights(scales: int) -> np.ndarray:
     any other bias (``(27, 9, 3, 1)`` weighs 4 scales by 3**(-i)).
 
     Raises:
-        ParameterError: scales < 1.
+        ParameterError: scales not an integer >= 1.
     """
     scales = _check_scales(scales)
     w = 2.0 ** -np.arange(scales, dtype=np.float64)
@@ -104,8 +105,17 @@ def default_weights(scales: int) -> np.ndarray:
 def _masked_mean(values: np.ndarray, valid: np.ndarray, out: np.ndarray) -> None:
     """Per-cell mean of the valid entries into the zeroed ``out``."""
     counts = valid.sum(axis=0)
-    total = np.where(valid, values, 0.0).sum(axis=0)
+    with np.errstate(over="ignore"):
+        total = np.where(valid, values, 0.0).sum(axis=0)
     np.divide(total, counts, out=out, where=counts > 0)
+    # a sum of values near the float64 maximum can overflow where their
+    # mean does not: such cells are summed again from the values halved
+    # k times, which is exact, so that K of them stay in range
+    over = np.isinf(total)
+    if over.any():
+        k = len(values).bit_length()
+        halved = np.ldexp(np.where(valid[:, over], values[:, over], 0.0), -k)
+        out[over] = np.ldexp(halved.sum(axis=0) / counts[over], k)
     # a one-sample mean must be that sample bit for bit (summation would
     # turn -0.0 into +0.0)
     if np.any(counts == 1):
@@ -185,12 +195,14 @@ def fuse(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
 
 def _check_fusion(spec: FusionSpec | None, scales: int) -> FusionSpec:
     """The spec that fuses ``scales`` maps: median for None, and a weighted
-    mean without weights takes :func:`default_weights`.
+    mean without weights takes :func:`default_weights`. Its weights are a
+    tuple of floats, its rank an int.
 
     Raises:
-        ParameterError: a method that is not a FusionMethod; weights/rank
-            missing, mis-sized, out of range, or given to a rule that does
-            not use them.
+        ParameterError: a method that is not a FusionMethod; weights that
+            are not real numbers or a rank that is not an integer;
+            weights/rank missing, mis-sized, out of range, or given to a
+            rule that does not use them.
     """
     if spec is None:
         return FusionSpec.median()
@@ -201,11 +213,13 @@ def _check_fusion(spec: FusionSpec | None, scales: int) -> FusionSpec:
     if spec.rank is not None and spec.method is not FusionMethod.RANK:
         raise ParameterError(f"a rank applies to rank fusion only, not {spec.method.value}")
     if spec.method is FusionMethod.WEIGHTED_MEAN:
-        if spec.weights is None:
-            return FusionSpec.weighted(default_weights(scales))
-        w = np.asarray(spec.weights, dtype=np.float64)
+        weights = default_weights(scales) if spec.weights is None else spec.weights
+        w = np.asarray(weights, dtype=object)  # a string stays a string, unparsed
         if w.shape != (scales,):
             raise ParameterError(f"need {scales} weights, got {w.shape[0] if w.ndim == 1 else w.shape!r}")
+        if not all(isinstance(x, numbers.Real) for x in w):
+            raise ParameterError(f"weights must be real numbers, got {tuple(w)!r}")
+        w = w.astype(np.float64)
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ParameterError("weights must be finite and non-negative")
         with np.errstate(over="ignore"):
@@ -214,12 +228,14 @@ def _check_fusion(spec: FusionSpec | None, scales: int) -> FusionSpec:
             raise ParameterError("weights must not all be zero")
         if not np.isfinite(total):
             raise ParameterError("weights must have a finite sum")
-    elif spec.method is FusionMethod.RANK:
+        return FusionSpec.weighted(w.tolist())
+    if spec.method is FusionMethod.RANK:
         if spec.rank is None:
             raise ParameterError("rank fusion needs a rank")
-        r = int(spec.rank)
-        if r < 0 or r >= scales:
-            raise ParameterError(f"rank {r} outside [0, {scales - 1}]")
+        rank = _check_int("rank", spec.rank)
+        if rank < 0 or rank >= scales:
+            raise ParameterError(f"rank {rank} outside [0, {scales - 1}]")
+        return FusionSpec.rank_of(rank)
     return spec
 
 
@@ -233,9 +249,9 @@ def _fuse_arrays(stack: AttributeStack, spec: FusionSpec) -> AttributeMap:
     method = spec.method
     meta = {"method": method.value, "scales": str(len(values))}
     if method is FusionMethod.WEIGHTED_MEAN:
-        meta["weights"] = ",".join(repr(float(x)) for x in spec.weights)
+        meta["weights"] = ",".join(map(repr, spec.weights))
     elif method is FusionMethod.RANK:
-        meta["rank"] = str(int(spec.rank))
+        meta["rank"] = str(spec.rank)
     fused = np.zeros(values.shape[1:])
 
     def part(a: int, b: int) -> None:
@@ -267,13 +283,12 @@ def _fuse_rows(values: np.ndarray, valid: np.ndarray, spec: FusionSpec, out: np.
     elif method is FusionMethod.MEDIAN:
         _masked_median(values, valid, out)
     elif method is FusionMethod.WEIGHTED_MEAN:
-        w = np.asarray(spec.weights, dtype=np.float64)
+        w = np.asarray(spec.weights)
         np.einsum("k,kij->ij", w / w.sum(), values, out=out)
     else:  # rank
-        r = int(spec.rank)
         cells, tied = _zero_ties(values)
-        np.copyto(out, _sort_rows(values)[r])
-        out[cells] = tied[r]
+        np.copyto(out, _sort_rows(values)[spec.rank])
+        out[cells] = tied[spec.rank]
 
 
 def multiscale_attribute(
@@ -295,7 +310,8 @@ def multiscale_attribute(
     before any attribute is computed, as :func:`fuse` checks it.
 
     Raises:
-        ParameterError: scales < 1, or a spec that :func:`fuse` refuses.
+        ParameterError: scales not an integer >= 1, or a spec that
+            :func:`fuse` refuses.
         Whatever the underlying stage raises. Package errors other than
         ConfigError get the stage named in the message; any other
         exception escapes unchanged.

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -91,10 +93,35 @@ class Grid2:
 
 
 def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
+    if isinstance(value, numbers.Real) and 0 < value < np.inf:
+        return float(value)
+    raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _check_int(name: str, value: int, low: int | None = None) -> int:
+    """A Python or numpy integer (or a bool) as an int >= ``low``; never a truncated float."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def _check_grid(name: str, value: Grid2) -> None:
+    if not isinstance(value, Grid2):
+        raise ParameterError(f"{name} must be a Grid2, got {type(value).__name__}")
+
+
+def _check_fields(obj, *intervals: str) -> None:
+    """Store a frozen container's positive ``intervals`` as floats and its ``meta`` as a dict."""
+    for name in intervals:
+        object.__setattr__(obj, name, _check_positive(name, getattr(obj, name)))
+    try:
+        object.__setattr__(obj, "meta", dict(obj.meta))
+    except (TypeError, ValueError):
+        raise ParameterError(f"meta must be a mapping, got {obj.meta!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +144,10 @@ class SeismicSection:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", _check_positive("dt", self.dt))
-        object.__setattr__(self, "dx", _check_positive("dx", self.dx))
+        _check_grid("grid", self.grid)
+        _check_fields(self, "dt", "dx")
         if "label" in self.meta:
             raise ParameterError("a section's label is its label field, not a meta key")
-        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def n_samples(self) -> int:
@@ -156,10 +182,7 @@ class SeismicVolume:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_array(self.data, 3))
-        object.__setattr__(self, "dt", _check_positive("dt", self.dt))
-        object.__setattr__(self, "dx", _check_positive("dx", self.dx))
-        object.__setattr__(self, "dy", _check_positive("dy", self.dy))
-        object.__setattr__(self, "meta", dict(self.meta))
+        _check_fields(self, "dt", "dx", "dy")
 
     @property
     def nt(self) -> int:
@@ -174,7 +197,7 @@ class SeismicVolume:
         return self.data.shape[2]
 
     def _check_index(self, axis: str, index: int, size: int) -> int:
-        index = int(index)
+        index = _check_int(f"{axis} index", index)
         if index < 0 or index >= size:
             raise BoundsError(f"{axis} index {index} outside [0, {size - 1}]")
         return index
@@ -236,14 +259,7 @@ def _check_attribute_fields(obj) -> None:
     of a frozen attribute map or stack, in place."""
     if not isinstance(obj.kind, AttributeKind):
         raise ParameterError(f"kind must be an AttributeKind, got {obj.kind!r}")
-    object.__setattr__(obj, "dt", _check_positive("dt", obj.dt))
-    object.__setattr__(obj, "dx", _check_positive("dx", obj.dx))
-    if obj.dy is not None:
-        object.__setattr__(obj, "dy", _check_positive("dy", obj.dy))
-    try:
-        object.__setattr__(obj, "meta", dict(obj.meta))
-    except (TypeError, ValueError):
-        raise ParameterError(f"meta must be a mapping, got {obj.meta!r}") from None
+    _check_fields(obj, "dt", "dx", *(() if obj.dy is None else ("dy",)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,16 +284,19 @@ class AttributeMap:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_grid("grid", self.grid)
         _check_attribute_fields(self)
         if self.scale is not None:
-            scale = int(self.scale)
+            scale = _check_int("scale", self.scale)
             if scale < 0:
                 raise ParameterError(f"scale must be >= 0 or None, got {scale}")
             object.__setattr__(self, "scale", scale)
-        if self.quality is not None and self.quality.shape != self.grid.shape:
-            raise ShapeError(
-                f"quality shape {self.quality.shape} != grid shape {self.grid.shape}"
-            )
+        if self.quality is not None:
+            _check_grid("quality", self.quality)
+            if self.quality.shape != self.grid.shape:
+                raise ShapeError(
+                    f"quality shape {self.quality.shape} != grid shape {self.grid.shape}"
+                )
 
     @property
     def units(self) -> Units:

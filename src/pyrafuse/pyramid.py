@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .grid import Grid2, _check_positive
+from .grid import Grid2, _check_int, _check_positive
 
 # Largest kernel half-width accepted. The sample table is (2r+1)^2 float64,
 # 33.6 MB at r = 1024, and is built before any grid is seen, so a larger
@@ -39,9 +39,7 @@ def gaussian_samples(sigma: float, radius: int) -> np.ndarray:
     sigma = 1 is 1 / (2 pi) ~= 0.159155.
     """
     sigma = _check_positive("sigma", sigma)
-    radius = int(radius)
-    if radius < 1:
-        raise ParameterError(f"radius must be >= 1, got {radius}")
+    radius = _check_int("radius", radius, 1)
     if radius > MAX_RADIUS:
         raise ParameterError(f"radius must be <= {MAX_RADIUS}, got {radius}")
     coords = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -57,7 +55,7 @@ def gaussian_samples(sigma: float, radius: int) -> np.ndarray:
 
 def _unit_sum_taps(sigma: float, radius: int) -> np.ndarray:
     coords = np.arange(-radius, radius + 1, dtype=np.float64)
-    taps = np.exp(-(coords * coords) / (2.0 * float(sigma) ** 2))
+    taps = np.exp(-(coords * coords) / (2.0 * sigma**2))
     taps /= taps.sum()
     # Nudge the centre tap until a left-to-right sum is exactly 1.0: the
     # reduction accumulates taps in that order, so constants then survive a
@@ -100,21 +98,22 @@ def make_kernel(sigma: float = 1.0, radius: int = 2) -> GaussianKernel:
     """Build the unit-sum sampled Gaussian used by :func:`build_pyramid`.
 
     Args:
-        sigma: standard deviation in samples (> 0).
-        radius: half-width of the square support (>= 1); support is
-            ``2 * radius + 1`` per axis.
+        sigma: standard deviation in samples, a positive finite number.
+        radius: half-width of the square support, an integer >= 1; support
+            is ``2 * radius + 1`` per axis.
 
     Raises:
-        ParameterError: sigma <= 0, non-finite, or radius outside
-            [1, MAX_RADIUS]; or sigma so small or large that
+        ParameterError: sigma not a positive finite number, radius not an
+            integer in [1, MAX_RADIUS]; or sigma so small or large that
             :func:`gaussian_samples` refuses it.
     """
+    sigma, radius = _check_positive("sigma", sigma), _check_int("radius", radius)
     gaussian_samples(sigma, radius)  # validates the parameter domain
     taps = _unit_sum_taps(sigma, radius)
     weights = np.outer(taps, taps)
     taps.flags.writeable = False
     weights.flags.writeable = False
-    return GaussianKernel(sigma=float(sigma), radius=int(radius), taps=taps, weights=weights)
+    return GaussianKernel(sigma=sigma, radius=radius, taps=taps, weights=weights)
 
 
 def _downsample_pass(values: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
@@ -163,10 +162,7 @@ def _mirror_index(n: int, radius: int) -> np.ndarray:
 
 
 def _check_scales(scales: int) -> int:
-    scales = int(scales)
-    if scales < 1:
-        raise ParameterError(f"scales must be >= 1, got {scales}")
-    return scales
+    return _check_int("scales", scales, 1)
 
 
 def _scale_count(rows: int, cols: int, support: int, floor: tuple[int, int] = (1, 1)) -> int:
@@ -194,13 +190,13 @@ def build_pyramid(grid: Grid2, scales: int, kernel: GaussianKernel | None = None
 
     Args:
         grid: base level (level 0, kept as-is).
-        scales: number of levels including the base (>= 1). One level is
-            ``grid`` itself, of any size; with two or more, every level must
-            keep both dims at or above the kernel support.
+        scales: number of levels including the base, an integer >= 1.
+            One level is ``grid`` itself, of any size; with two or more,
+            every level must keep both dims at or above the kernel support.
         kernel: defaults to ``make_kernel(1.0, 2)``.
 
     Raises:
-        ParameterError: scales < 1.
+        ParameterError: scales not an integer >= 1.
         SizeError: the grid cannot support that many levels; the message
             names the largest feasible count.
     """
@@ -277,9 +273,10 @@ def expand_to(grid: Grid2, rows: int, cols: int) -> Grid2:
     identical copy.
 
     Raises:
+        ParameterError: rows or cols not an integer.
         SizeError: target smaller than the input along either axis.
     """
-    rows, cols = int(rows), int(cols)
+    rows, cols = _check_int("rows", rows), _check_int("cols", cols)
     if rows < grid.rows or cols < grid.cols:
         raise SizeError(
             f"target {rows}x{cols} is smaller than input {grid.rows}x{grid.cols}"

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError, UnsupportedFormatError, _naming
-from .grid import Grid2, SeismicSection, SeismicVolume, _Adopted, _check_positive
+from .grid import Grid2, SeismicSection, SeismicVolume, _Adopted, _check_int, _check_positive
 from .gridio import _BLOCK_WORDS, _read_exactly
 
 TEXT_HEADER_BYTES = 3200
@@ -138,8 +138,9 @@ class SegyImportOptions:
 
     format_code overrides the binary-header value (1 or 5); big_endian
     False flips the byte order of header words and samples for
-    nonstandard little-endian writers; max_traces caps how many traces are
-    read; dx/dy supply the lateral spacings SEG-Y does not carry here.
+    nonstandard little-endian writers; max_traces, an integer >= 1, caps
+    how many traces are read; dx/dy supply the lateral spacings SEG-Y
+    does not carry here.
     """
 
     format_code: int | None = None
@@ -149,15 +150,17 @@ class SegyImportOptions:
     dy: float = 25.0
 
     def __post_init__(self):
-        if self.format_code is not None and self.format_code not in SUPPORTED_FORMATS:
-            raise UnsupportedFormatError(
-                f"format code {self.format_code} unsupported; "
-                f"supported: {SUPPORTED_FORMATS}"
-            )
-        if self.max_traces is not None and int(self.max_traces) < 1:
-            raise ParameterError(f"max_traces must be >= 1, got {self.max_traces}")
-        _check_positive("dx", self.dx)
-        _check_positive("dy", self.dy)
+        if self.format_code is not None:
+            object.__setattr__(self, "format_code", _check_int("format_code", self.format_code))
+            if self.format_code not in SUPPORTED_FORMATS:
+                raise UnsupportedFormatError(
+                    f"format code {self.format_code} unsupported; "
+                    f"supported: {SUPPORTED_FORMATS}"
+                )
+        if self.max_traces is not None:
+            object.__setattr__(self, "max_traces", _check_int("max_traces", self.max_traces, 1))
+        object.__setattr__(self, "dx", _check_positive("dx", self.dx))
+        object.__setattr__(self, "dy", _check_positive("dy", self.dy))
 
 
 def _read_u16(blob: bytes, offset: int, big_endian: bool) -> int:
@@ -217,7 +220,7 @@ def read_segy(path: str, options: SegyImportOptions | None = None):
                 offset=HEADER_BYTES + n_traces * record,
             )
         if options.max_traces is not None:
-            n_traces = min(n_traces, int(options.max_traces))
+            n_traces = min(n_traces, options.max_traces)
 
         order = ">" if big else "<"
         sample = order + ("f4" if fmt == FORMAT_IEEE else "u4")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .grid import Grid2, SeismicSection, SeismicVolume, _check_positive
+from .grid import Grid2, SeismicSection, SeismicVolume, _check_int, _check_positive
 
 NOISE_PRNG = "PCG64"  # numpy default_rng bit generator, recorded in metadata
 
@@ -43,7 +43,8 @@ def ricker(f_peak: float, dt: float, half_length: int) -> np.ndarray:
     zero crossings at t = +/- 1 / (pi f sqrt(2)).
 
     Raises:
-        ParameterError: f_peak not in (0, Nyquist) or half_length < 1.
+        ParameterError: f_peak not in (0, Nyquist), dt not a positive
+            finite number, or half_length not an integer >= 1.
     """
     f_peak = float(f_peak)
     dt = _check_positive("dt", dt)
@@ -51,9 +52,7 @@ def ricker(f_peak: float, dt: float, half_length: int) -> np.ndarray:
         raise ParameterError(
             f"f_peak must lie in (0, {0.5 / dt:g}) Hz for dt={dt:g}, got {f_peak!r}"
         )
-    half_length = int(half_length)
-    if half_length < 1:
-        raise ParameterError(f"half_length must be >= 1, got {half_length}")
+    half_length = _check_int("half_length", half_length, 1)
     t = np.arange(-half_length, half_length + 1, dtype=np.float64) * dt
     return _ricker_amplitude(t, f_peak)
 
@@ -86,10 +85,7 @@ class Fault:
 
     def __post_init__(self):
         for name in ("trace", "throw"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"fault {name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_int(f"fault {name}", getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -115,19 +111,17 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "nt", int(self.nt))
-        object.__setattr__(self, "nx", int(self.nx))
+        object.__setattr__(self, "nt", _check_int("nt", self.nt))
+        object.__setattr__(self, "nx", _check_int("nx", self.nx))
         if self.ny is not None:
-            object.__setattr__(self, "ny", int(self.ny))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+            object.__setattr__(self, "ny", _check_int("ny", self.ny))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
         if self.nt < 8 or self.nx < 3:
             raise SizeError(f"need nt >= 8 and nx >= 3, got nt={self.nt}, nx={self.nx}")
         if self.ny is not None and self.ny < 3:
             raise SizeError(f"ny must be >= 3 when present, got {self.ny}")
         for name in ("dt", "dx", "dy", "velocity"):
-            _check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
         if not 0.0 < self.f_peak < 0.5 / self.dt:  # NaN fails too
             raise ParameterError(
                 f"f_peak must lie in (0, {0.5 / self.dt:g}) Hz, got {self.f_peak!r}"
@@ -137,12 +131,12 @@ class SynthSpec:
         for flt in self.faults:
             if not isinstance(flt, Fault):
                 raise ParameterError(f"unsupported fault type {type(flt).__name__}")
-            if not 0 <= int(flt.trace) < self.nx:
+            if not 0 <= flt.trace < self.nx:
                 raise ParameterError(f"fault trace {flt.trace} outside [0, {self.nx - 1}]")
         if self.snr_db is not None and not np.isfinite(float(self.snr_db)):
             raise ParameterError(f"snr_db must be finite, got {self.snr_db!r}")
         # a sample lies at most |t| + shift samples from an event at time t
-        shift = self.nt + sum(abs(int(flt.throw)) for flt in self.faults)
+        shift = self.nt + sum(abs(flt.throw) for flt in self.faults)
         if not _wavelet_is_finite(shift, self):
             raise ParameterError(f"fault throws of {shift - self.nt} samples are out of range")
         total = 0.0  # bounds every sample, since the wavelet's peak is 1
@@ -247,7 +241,7 @@ def _event_surface(spec: SynthSpec, ev, x_traces: np.ndarray, y_traces: np.ndarr
 def _fault_shift(spec: SynthSpec, x_traces: np.ndarray) -> np.ndarray:
     shift = np.zeros_like(x_traces, dtype=np.float64)
     for flt in spec.faults:
-        shift += float(int(flt.throw)) * (x_traces >= int(flt.trace))
+        shift += float(flt.throw) * (x_traces >= flt.trace)
     return shift
 
 
@@ -299,7 +293,7 @@ def make_synthetic(spec: SynthSpec):
     meta = {"seed": str(spec.seed), "f_peak": repr(float(spec.f_peak))}
     if spec.snr_db is not None:
         sigma = _noise_sigma(data, float(spec.snr_db))
-        rng = np.random.default_rng(int(spec.seed))
+        rng = np.random.default_rng(spec.seed)
         data = data + sigma * rng.standard_normal(data.shape)
         meta.update(snr_db=repr(float(spec.snr_db)), noise_prng=NOISE_PRNG)
 
@@ -361,12 +355,14 @@ def derivative_noise_demo(
     loses far more, so the derivative SNR is lower.
 
     Raises:
+        ParameterError: trace_len not an integer, or seed not an integer
+            >= 0.
         SizeError: trace_len < 64.
     """
-    trace_len = int(trace_len)
+    trace_len = _check_int("trace_len", trace_len)
     if trace_len < 64:
         raise SizeError(f"trace_len must be >= 64, got {trace_len}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_check_int("seed", seed, 0))
     reflectivity = rng.standard_normal(trace_len) * (rng.random(trace_len) < 0.04)
     wavelet = ricker(f_peak, dt, half_length=max(2, int(round(1.5 / (f_peak * dt)))))
     clean = np.convolve(reflectivity, wavelet, mode="same")

@@ -452,6 +452,12 @@ class TestExitCodes:
             assert "expected a positive" in capsys.readouterr().err
         assert not (tmp_path / "o.pfg").exists()
 
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_there_is_no_verbose_flag(self, flag, capsys):
+        # nothing logs below INFO, so a verbose flag would change no output
+        assert main([flag, "info", "x.pfg"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_pipeline_names_the_fusion_stage(self, tmp_path, caplog):
         out = tmp_path / "o.pfg"
         assert main(["pipeline", _synth(tmp_path), "--scales", "3", "--fuse", "rank",

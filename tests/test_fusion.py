@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,23 @@ class TestMean:
         assert out.grid.data[0, 0] == 0.0
         assert out.quality.data[0, 0] == 0.0
 
+    def test_mean_of_values_near_the_float64_maximum_is_finite(self):
+        # the sum overflows, the mean does not; warnings are errors here
+        stack = _stack([np.full((4, 3), 1.5e308)] * 2)
+        assert np.array_equal(fuse(stack, FusionSpec.mean()).grid.data, np.full((4, 3), 1.5e308))
+
+    def test_masked_mean_near_the_float64_maximum_keeps_other_cells(self):
+        big = [[1.5e308, 1.0, 1.5e308], [3.0, 1.7e308, 2.0]]
+        small = [[1.7e308, 2.0, 1.0], [-5.0, 1.7e308, 1.0]]
+        guarded = [[1.7e308, 4.0, 3.0], [7.0, -1.7e308, 9.0]]
+        masks = [np.ones((2, 3)), np.ones((2, 3)), [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]]
+        out = fuse(_stack([big, small, guarded], masks=masks), FusionSpec.mean()).grid.data
+        exact = [[(1.5e308 + 2 * 1.7e308) / 3, (1.0 + 2.0 + 4.0) / 3, (1.5e308 + 1.0 + 3.0) / 3],
+                 [(3.0 - 5.0 + 7.0) / 3, 1.7e308, (2.0 + 1.0) / 2]]
+        # the first sum overflows only in float64; its exact mean is finite
+        assert out[0, 0] == pytest.approx(float(sum(map(Fraction, (1.5e308, 1.7e308, 1.7e308))) / 3), rel=1e-15)
+        assert np.array_equal(out.ravel()[1:], np.ravel(exact)[1:])
+
 
 class TestMedian:
     def test_odd_count(self):
@@ -132,6 +150,22 @@ class TestWeightedMean:
         with pytest.raises(ParameterError, match="^weights must have a finite sum$"):
             fuse(stack, FusionSpec.weighted((1e308, 1e308)))
         assert fuse(stack, FusionSpec.weighted((1e308, 0.0))).grid.data[0, 0] == 1.0
+
+    @pytest.mark.parametrize("weights", [(1, "a"), ("1", "2"), (1.0, None)], ids=["word", "numeric", "none"])
+    def test_weights_must_be_real_numbers(self, weights):
+        stack = _stack([[[1.0]], [[2.0]]])
+        spec = FusionSpec.weighted(weights)
+        for spec in (spec, FusionSpec(FusionMethod.WEIGHTED_MEAN, weights=weights)):
+            with pytest.raises(ParameterError) as err:
+                fuse(stack, spec)
+            assert str(err.value) == f"weights must be real numbers, got {weights!r}"
+
+    def test_the_resolved_weights_are_python_floats(self):
+        stack = _stack([[[1.0]], [[2.0]], [[4.0]]])
+        for weights in ([1, 2, 1], np.array([1.0, 2.0, 1.0]), (np.int64(1), np.float32(2.0), True)):
+            out = fuse(stack, FusionSpec.weighted(weights))
+            assert out.meta["weights"] == "1.0,2.0,1.0"
+            assert out.grid.data[0, 0] == 2.25
 
     def test_default_weights_geometric(self):
         w = default_weights(4)
@@ -445,11 +479,11 @@ class TestMultiscaleAttribute:
             )
 
     def test_fusion_errors_name_the_stage(self, monkeypatch):
-        # the mean of finite values near the float64 maximum overflows, and
-        # the fused map refuses the infinity
+        # a stack does not check that its values are finite, so a stack of
+        # infinities fuses to an infinite mean, which the fused map refuses
         def huge_stack(*args, **kwargs):
             return AttributeStack(
-                values=np.full((2, 8, 6), 1.5e308), valid=np.ones((2, 8, 6), dtype=bool),
+                values=np.full((2, 8, 6), np.inf), valid=np.ones((2, 8, 6), dtype=bool),
                 kind=AttributeKind.PHASE_DIP, dt=0.004, dx=25.0, dy=None, meta={},
             )
 

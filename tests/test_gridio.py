@@ -364,6 +364,28 @@ class TestWriteValidation:
         assert Path(path).read_bytes() == before
         assert glob.glob(str(tmp_path / ".pfg-*")) == []
 
+    def test_a_failed_rename_raises_its_error_when_the_cleanup_fails_too(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "keep.pfg")
+        write_grid(path, Grid2(np.full((2, 2), 7.0)))
+        before = Path(path).read_bytes()
+        refused = OSError("rename refused")
+
+        def no_rename(src, dst):
+            raise refused
+
+        def no_unlink(name):
+            raise OSError("unlink refused")
+
+        monkeypatch.setattr(gridio.os, "replace", no_rename)
+        monkeypatch.setattr(gridio.os, "unlink", no_unlink)
+        with pytest.raises(OSError) as err:
+            write_grid(path, Grid2(np.full((3, 3), 1.0)))
+        monkeypatch.undo()
+        assert err.value is refused
+        assert Path(path).read_bytes() == before
+        # the temp file the cleanup could not remove is all that is left
+        assert len(glob.glob(str(tmp_path / ".pfg-*"))) == 1
+
     def test_section_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "x.pfg")
         write_grid(path, _section(label="line 3", meta={"source": "demo"}))
